@@ -24,7 +24,7 @@ from .anchors import (
     save_anchors,
 )
 from .binio import FileFormatError, atomic_write_text
-from .codec import CodecError, encode, project, topk_anchors
+from .codec import CodecError, encode_batch, project_batch, rank_anchors
 from .corpus import (
     CorpusError,
     EmbeddingMatrix,
@@ -138,23 +138,22 @@ def cmd_encode(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     anchors = load_anchors(args.anchors, expect_d=embeddings.d)
     mode = "retrieval" if args.mode == "topk" else args.mode
-    rows = []
-    for i, row_id in enumerate(embeddings.ids):
-        prefix = encode(
-            _rows_of(embeddings)[i],
-            anchors,
-            args.bins,
-            mode=mode,
-            k=args.k if mode == "retrieval" else None,
-            scope=args.scope,
-        )
-        rows.append(
-            {
-                "id": row_id,
-                "text": prefix.text,
-                "tokens": [t.render() for t in prefix.tokens],
-            }
-        )
+    prefixes = encode_batch(
+        _rows_of(embeddings),
+        anchors,
+        args.bins,
+        mode=mode,
+        k=args.k if mode == "retrieval" else None,
+        scope=args.scope,
+    )
+    rows = [
+        {
+            "id": row_id,
+            "text": prefix.text,
+            "tokens": [t.render() for t in prefix.tokens],
+        }
+        for row_id, prefix in zip(embeddings.ids, prefixes)
+    ]
     if args.out:
         _write_jsonl(args.out, rows)
         print(f"encoded {len(rows)} rows -> {args.out}")
@@ -167,18 +166,16 @@ def cmd_encode(args) -> int:
 def cmd_topk(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     anchors = load_anchors(args.anchors, expect_d=embeddings.d)
-    data = _rows_of(embeddings)
-    rows = []
-    for i, row_id in enumerate(embeddings.ids):
-        chosen = topk_anchors(data[i], anchors, args.k)
-        affinity = project(data[i], anchors)
-        rows.append(
-            {
-                "id": row_id,
-                "anchors": chosen,
-                "affinities": [float(affinity.values[j]) for j in chosen],
-            }
-        )
+    values = project_batch(_rows_of(embeddings), anchors)
+    ranked = rank_anchors(values, args.k)
+    rows = [
+        {
+            "id": row_id,
+            "anchors": chosen.tolist(),
+            "affinities": row[chosen].tolist(),
+        }
+        for row_id, chosen, row in zip(embeddings.ids, ranked, values)
+    ]
     if args.out:
         _write_jsonl(args.out, rows)
         print(f"wrote {args.out}")
@@ -329,16 +326,18 @@ def cmd_purity(args) -> int:
 def cmd_consistency(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     anchors = load_anchors(args.anchors, expect_d=embeddings.d)
-    data = _rows_of(embeddings)
-    selections: dict[str, dict[str, frozenset]] = {}
-    for i, row_id in enumerate(embeddings.ids):
+    keys = []
+    for row_id in embeddings.ids:
         dialog_id, sep, lang = row_id.partition(":")
         if not sep:
             raise GeometryError(
                 f"embedding id {row_id!r} lacks a ':language' suffix"
             )
-        chosen = frozenset(topk_anchors(data[i], anchors, args.topk))
-        selections.setdefault(dialog_id, {})[lang] = chosen
+        keys.append((dialog_id, lang))
+    ranked = rank_anchors(project_batch(_rows_of(embeddings), anchors), args.topk)
+    selections: dict[str, dict[str, frozenset]] = {}
+    for (dialog_id, lang), chosen in zip(keys, ranked):
+        selections.setdefault(dialog_id, {})[lang] = frozenset(chosen.tolist())
     report = crosslingual_consistency(selections)
     print(f"records: {report.n_records}")
     print(f"exact match rate: {report.exact_match_rate:.6f}")
@@ -406,7 +405,6 @@ _CONFIG_FIELDS = {
     "holdout_fraction": float,
     "divergence_threshold": float,
     "divergence_patience": int,
-    "precision": str,
 }
 
 _ECR_FIELDS = {

@@ -15,6 +15,11 @@ Two emission modes exist: global (every anchor contributes a token) and
 retrieval-guided (only the top-k strongest anchors contribute, either per
 factor or over the whole set).  Selected tokens always render in canonical
 order: factors T, L, E, I, P, then ascending anchor index.
+
+Encoding is batched: :func:`encode_batch` projects and quantizes a whole
+matrix of embeddings at once, and the single-row :func:`encode` is a batch
+of one.  Tokens, their text and their ids are looked up in a table of
+every (anchor, bin) token, built once per anchor set and bin count.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet
-from .corpus import normalize
+from .corpus import normalize_rows
 
 
 class CodecError(ValueError):
@@ -102,21 +107,35 @@ class ControlPrefix:
         return len(self.tokens)
 
 
-def project(h: np.ndarray, anchors: AnchorSet) -> AffinityVector:
-    """Cosine affinity of h against every anchor (cost O(Kd)).
+def project_batch(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
+    """Cosine affinities of every row of H against every anchor, (n, total_k).
 
-    Both sides are unit-normalized, so each component is a cosine in
-    [-1, 1]; values are clipped to that range to absorb rounding.
+    Both sides are unit-normalized, so each entry is a cosine in [-1, 1];
+    values are clipped to that range to absorb rounding.  The product is
+    one stacked matrix-vector multiply per row, inside one numpy call, so
+    row i is bit-identical to :func:`project` of row i whatever the batch.
     """
-    h = np.asarray(h, dtype=np.float64).ravel()
-    if h.shape[0] != anchors.d:
+    H = np.asarray(H, dtype=np.float64)
+    if H.ndim != 2:
+        raise CodecError(f"embeddings must form a 2-d matrix, got shape {H.shape}")
+    if H.shape[1] != anchors.d:
         raise CodecError(
-            f"embedding dimension {h.shape[0]} does not match anchors d={anchors.d}"
+            f"embedding dimension {H.shape[1]} does not match anchors d={anchors.d}"
         )
-    values = anchors.stacked_unit() @ normalize(h)
-    np.clip(values, -1.0, 1.0, out=values)
+    try:
+        unit = normalize_rows(H)
+    except ValueError as exc:
+        raise CodecError(str(exc)) from None
+    values = np.matmul(anchors.stacked_unit(), unit[:, :, None])[:, :, 0]
+    # np.minimum/np.maximum: the same clip as np.clip at a fraction of its call cost
+    return np.minimum(np.maximum(values, -1.0, out=values), 1.0, out=values)
+
+
+def project(h: np.ndarray, anchors: AnchorSet) -> AffinityVector:
+    """Cosine affinity of h against every anchor (cost O(Kd))."""
+    h = np.asarray(h, dtype=np.float64).ravel()
     return AffinityVector(
-        values=values,
+        values=project_batch(h[None, :], anchors)[0],
         factors=anchors.factors,
         group_sizes=anchors.group_sizes,
         anchor_ref=anchors.checksum(),
@@ -137,13 +156,17 @@ def quantize_value(c: float, n_bins: int) -> int:
     return min(max(b, 0), n_bins - 1)
 
 
-def quantize(affinity: AffinityVector, n_bins: int) -> ControlCode:
+def _bins(values: np.ndarray, n_bins: int) -> np.ndarray:
+    """:func:`quantize_value` applied to every entry at once."""
     if n_bins < 2:
         raise CodecError(f"n_bins must be at least 2, got {n_bins}")
-    scaled = np.floor((affinity.values + 1.0) / 2.0 * n_bins)
-    bins = np.clip(scaled.astype(np.int64), 0, n_bins - 1)
+    bins = np.floor((values + 1.0) / 2.0 * n_bins).astype(np.int64)
+    return np.minimum(np.maximum(bins, 0, out=bins), n_bins - 1, out=bins)
+
+
+def quantize(affinity: AffinityVector, n_bins: int) -> ControlCode:
     return ControlCode(
-        bins=bins,
+        bins=_bins(affinity.values, n_bins),
         n_bins=n_bins,
         factors=affinity.factors,
         group_sizes=affinity.group_sizes,
@@ -219,14 +242,48 @@ def token_vocabulary(anchors: AnchorSet, n_bins: int, base_size: int) -> TokenVo
     )
 
 
-def _render(tokens: list[ControlToken], vocab: TokenVocabulary | None) -> ControlPrefix:
-    ids: tuple[int, ...] = ()
-    if vocab is not None:
-        ids = tuple(vocab.token_id(t) for t in tokens)
+@dataclass(frozen=True)
+class _TokenTable:
+    """Every control token of one anchor set and bin count, in id order.
+
+    Entry anchor * n_bins + bin holds that token and its text, so a row of
+    bins becomes table indices with one add to ``offsets``.
+    """
+
+    tokens: tuple[ControlToken, ...]
+    texts: tuple[str, ...]
+    offsets: np.ndarray  # (total_k,) flat anchor index * n_bins
+
+
+def _token_table(anchors: AnchorSet, n_bins: int) -> _TokenTable:
+    """The table for (anchors, n_bins), built once and kept in the anchor
+    set's cache."""
+    key = ("token_table", n_bins)
+    table = anchors._cache.get(key)
+    if table is None:
+        tokens = tuple(
+            ControlToken(factor=factor, anchor=a, bin=b)
+            for factor, k in zip(anchors.factors, anchors.group_sizes)
+            for a in range(k)
+            for b in range(n_bins)
+        )
+        table = _TokenTable(
+            tokens=tokens,
+            texts=tuple(t.render() for t in tokens),
+            offsets=np.arange(anchors.total_k) * n_bins,
+        )
+        anchors._cache[key] = table
+    return table
+
+
+def _render(table: _TokenTable, flat: list[int], vocab: TokenVocabulary | None) -> ControlPrefix:
+    """The prefix of the table entries at ``flat``; a token's vocabulary id
+    is the base size plus its table index."""
+    tokens, texts = table.tokens, table.texts
     return ControlPrefix(
-        tokens=tuple(tokens),
-        token_ids=ids,
-        text="".join(t.render() for t in tokens),
+        tokens=tuple([tokens[j] for j in flat]),
+        token_ids=() if vocab is None else tuple([vocab.base_size + j for j in flat]),
+        text="".join([texts[j] for j in flat]),
     )
 
 
@@ -244,13 +301,9 @@ def emit_tokens(
         raise CodecError("code factor layout does not match the anchor set")
     if np.any((code.bins < 0) | (code.bins >= code.n_bins)):
         raise CodecError(f"bin out of range for n_bins={code.n_bins}")
-    tokens: list[ControlToken] = []
-    pos = 0
-    for factor, k in zip(code.factors, code.group_sizes):
-        for a in range(k):
-            tokens.append(ControlToken(factor=factor, anchor=a, bin=int(code.bins[pos + a])))
-        pos += k
-    return _render(tokens, vocab)
+    _check_vocab(vocab, anchors, code.n_bins)
+    table = _token_table(anchors, code.n_bins)
+    return _render(table, (table.offsets + code.bins).tolist(), vocab)
 
 
 def decode_tokens(tokens: tuple[ControlToken, ...] | list[ControlToken], anchors: AnchorSet, n_bins: int) -> ControlCode:
@@ -281,36 +334,81 @@ def decode_tokens(tokens: tuple[ControlToken, ...] | list[ControlToken], anchors
     )
 
 
-def topk_anchors(h: np.ndarray, anchors: AnchorSet, k: int) -> list[int]:
-    """Flat indices of the k nearest anchors by cosine, descending.
+def rank_anchors(values: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k strongest anchors in each row of an
+    (n, total_k) affinity matrix, descending.
 
     Ties break toward the lower flat index, so the ranking is
     deterministic.
     """
-    affinity = project(h, anchors)
-    total = affinity.k
+    total = values.shape[1]
     if not 1 <= k <= total:
         raise CodecError(f"k must be in [1, {total}], got {k}")
-    order = np.argsort(-affinity.values, kind="stable")
-    return [int(i) for i in order[:k]]
+    return np.argsort(-values, axis=1, kind="stable")[:, :k]
 
 
-def _topk_flat(affinity: AffinityVector, k: int, scope: str) -> list[int]:
-    """Selected flat indices for retrieval mode, canonical (ascending) order."""
-    values = affinity.values
+def topk_anchors(h: np.ndarray, anchors: AnchorSet, k: int) -> list[int]:
+    """Flat indices of the k nearest anchors by cosine, descending."""
+    h = np.asarray(h, dtype=np.float64).ravel()
+    return rank_anchors(project_batch(h[None, :], anchors), k)[0].tolist()
+
+
+def _selected(values: np.ndarray, group_sizes: tuple[int, ...], k: int, scope: str) -> np.ndarray:
+    """Flat indices kept in retrieval mode, per row in canonical (ascending) order."""
     if scope == "all":
-        if not 1 <= k <= values.shape[0]:
-            raise CodecError(f"k must be in [1, {values.shape[0]}], got {k}")
-        order = np.argsort(-values, kind="stable")
-        return sorted(int(i) for i in order[:k])
-    chosen: list[int] = []
+        return np.sort(rank_anchors(values, k), axis=1)
+    blocks = []
     pos = 0
-    for size in affinity.group_sizes:
-        block = values[pos : pos + size]
-        order = np.argsort(-block, kind="stable")
-        chosen.extend(int(pos + i) for i in order[: min(k, size)])
+    for size in group_sizes:
+        order = np.argsort(-values[:, pos : pos + size], axis=1, kind="stable")
+        blocks.append(pos + order[:, : min(k, size)])
         pos += size
-    return sorted(chosen)
+    return np.sort(np.concatenate(blocks, axis=1), axis=1)
+
+
+def _check_vocab(vocab: TokenVocabulary | None, anchors: AnchorSet, n_bins: int) -> None:
+    if vocab is None:
+        return
+    if vocab.n_bins != n_bins:
+        raise CodecError(
+            f"vocabulary n_bins={vocab.n_bins} does not match encode n_bins={n_bins}"
+        )
+    if vocab.factors != anchors.factors or vocab.group_sizes != anchors.group_sizes:
+        raise CodecError("vocabulary factor layout does not match the anchor set")
+
+
+def encode_batch(
+    H: np.ndarray,
+    anchors: AnchorSet,
+    n_bins: int,
+    mode: str = "global",
+    k: int | None = None,
+    scope: str = "factor",
+    vocab: TokenVocabulary | None = None,
+) -> list[ControlPrefix]:
+    """Full encode path for every row of H: project, quantize, select, render.
+
+    Global mode emits one token per anchor.  Retrieval mode keeps only the
+    top-k strongest anchors (k defaults to 1 per factor; scope "all" ranks
+    the whole set instead), emitted in canonical order regardless of
+    affinity rank so equal selections always render identically.  Without
+    a vocabulary the prefixes carry token objects and text but no ids.
+    Raises :class:`CodecError` on a row that is zero or has a NaN or
+    infinite entry.
+    """
+    if mode not in ("global", "retrieval"):
+        raise CodecError(f"unknown encode mode {mode!r}")
+    if scope not in ("factor", "all"):
+        raise CodecError(f"unknown top-k scope {scope!r}")
+    _check_vocab(vocab, anchors, n_bins)
+    values = project_batch(H, anchors)
+    bins = _bins(values, n_bins)
+    table = _token_table(anchors, n_bins)
+    flat = table.offsets + bins
+    if mode == "retrieval":
+        chosen = _selected(values, anchors.group_sizes, 1 if k is None else k, scope)
+        flat = np.take_along_axis(flat, chosen, axis=1)
+    return [_render(table, row, vocab) for row in flat.tolist()]
 
 
 def encode(
@@ -322,29 +420,9 @@ def encode(
     scope: str = "factor",
     vocab: TokenVocabulary | None = None,
 ) -> ControlPrefix:
-    """Full encode path: project, quantize, select, render.
-
-    Global mode emits one token per anchor.  Retrieval mode keeps only the
-    top-k strongest anchors (k defaults to 1 per factor; scope "all" ranks
-    the whole set instead), emitted in canonical order regardless of
-    affinity rank so equal selections always render identically.  Without
-    a vocabulary the prefix carries token objects and text but no ids.
-    """
-    if mode not in ("global", "retrieval"):
-        raise CodecError(f"unknown encode mode {mode!r}")
-    if scope not in ("factor", "all"):
-        raise CodecError(f"unknown top-k scope {scope!r}")
-    if vocab is not None and vocab.n_bins != n_bins:
-        raise CodecError(
-            f"vocabulary n_bins={vocab.n_bins} does not match encode n_bins={n_bins}"
-        )
-    affinity = project(h, anchors)
-    code = quantize(affinity, n_bins)
-    full = emit_tokens(code, anchors)
-    if mode == "global":
-        return _render(list(full.tokens), vocab)
-    chosen = _topk_flat(affinity, 1 if k is None else k, scope)
-    return _render([full.tokens[i] for i in chosen], vocab)
+    """:func:`encode_batch` on a batch of one row."""
+    h = np.asarray(h, dtype=np.float64).ravel()
+    return encode_batch(h[None, :], anchors, n_bins, mode, k, scope, vocab)[0]
 
 
 def build_input(prefix: ControlPrefix, input_ids: list[int] | np.ndarray) -> np.ndarray:

@@ -283,10 +283,48 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
     return EmbeddingMatrix(data=data, ids=ids)
 
 
+# A sum of squares inside this range did not overflow, and entries whose
+# squares fell below the normal range add less than d * 2**-1074 to it,
+# far below one rounding unit.
+_SQ_MIN = 2.0**-900
+_SQ_MAX = float(np.finfo(np.float64).max)
+
+
+def _row_dots(arr: np.ndarray) -> np.ndarray:
+    # One BLAS dot per row: the sum np.dot takes over a single vector.
+    return np.matmul(arr[:, None, :], arr[:, :, None])[:, 0, 0]
+
+
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale every row of a 2-d array to unit L2 norm.
+
+    Each row comes out bit-identical to ``row / ||row||`` wherever that
+    neither overflows nor underflows, whatever the other rows hold.  A row
+    outside that range is first scaled by the power of two nearest its
+    largest magnitude, which is exact, so a row multiplied by 1e200 or
+    1e-200 normalizes to the unscaled row up to the rounding of that
+    multiplication; numpy still warns of the overflow it recovers from.
+    Zero rows and non-finite entries are domain errors.
+    """
+    arr = np.asarray(rows, dtype=np.float64)
+    sq = _row_dots(arr)
+    # A Python-level test costs a tenth of the numpy one on a batch of one.
+    if not all(_SQ_MIN <= s <= _SQ_MAX for s in sq.tolist()):  # False for NaN
+        inside = (sq >= _SQ_MIN) & (sq <= _SQ_MAX)
+        peak = np.abs(arr).max(axis=1, initial=0.0)
+        if not np.isfinite(peak).all():
+            raise ValueError("cannot normalize a vector with non-finite entries")
+        if (peak == 0.0).any():
+            raise ValueError("cannot normalize a zero vector")
+        arr = np.ldexp(arr, np.where(inside, 0, -np.frexp(peak)[1])[:, None])
+        sq = _row_dots(arr)
+    return arr / np.sqrt(sq)[:, None]
+
+
 def normalize(vec: np.ndarray) -> np.ndarray:
-    """Scale ``vec`` to unit L2 norm.  Zero vectors are a domain error."""
+    """Scale ``vec`` to unit L2 norm, as one row of :func:`normalize_rows`."""
     arr = np.asarray(vec, dtype=np.float64)
-    norm = math.sqrt(float(np.dot(arr.ravel(), arr.ravel())))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return arr / norm
+    sq = float(np.dot(arr.ravel(), arr.ravel()))
+    if _SQ_MIN <= sq <= _SQ_MAX:
+        return arr / math.sqrt(sq)
+    return normalize_rows(arr.reshape(1, -1)).reshape(arr.shape)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import AnchorSet
-from .codec import project
+from .codec import project_batch
 from .corpus import EmbeddingMatrix
 
 
@@ -61,10 +61,8 @@ def partition_from_labels(
 
 def partition_from_anchors(embeddings: EmbeddingMatrix, anchors: AnchorSet) -> ManifoldPartition:
     """Assign each sample to its top-1 anchor (flat index, as a string label)."""
-    labels = []
-    for row in embeddings.data:
-        affinity = project(row, anchors)
-        labels.append(f"a{int(np.argmax(affinity.values))}")
+    top = np.argmax(project_batch(embeddings.data, anchors), axis=1)
+    labels = [f"a{i}" for i in top.tolist()]
     return partition_from_labels(embeddings.ids, labels, source="anchors")
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import ByteReader, ByteWriter, read_envelope, write_envelope
+from .corpus import normalize
 
 PCA_MAGIC = b"ECRP"
 PCA_VERSION = 1
@@ -240,17 +241,33 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     if data.ndim != 2 or data.shape[0] == 0:
         raise RetrievalError("index vectors must form a non-empty 2-d matrix")
     norms = np.linalg.norm(data, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise RetrievalError("index vectors must be finite, with norms that do not overflow")
     if np.any(norms == 0.0):
         raise RetrievalError("cannot index a zero vector under cosine similarity")
     return np.ascontiguousarray(data / norms)
 
 
+def _unit_query(v: np.ndarray, d: int) -> np.ndarray:
+    q = np.asarray(v, dtype=np.float64).ravel()
+    if q.shape[0] != d:
+        raise RetrievalError(f"query dimension {q.shape[0]} does not match d={d}")
+    try:
+        return normalize(q)
+    except ValueError as exc:
+        raise RetrievalError(f"cannot query: {exc}") from None
+
+
 def _greedy_step(data, neigh_of, q: np.ndarray, start: int) -> tuple[int, int]:
-    """Hill-climb to a local similarity maximum; returns (node, touched)."""
+    """Hill-climb to a local similarity maximum; returns (node, touched).
+
+    Every move strictly raises the similarity, so a finite walk ends within
+    n moves; the cap turns any regression into an error, not a hang.
+    """
     cur = start
     cur_sim = float(data[cur] @ q)
     touched = 1
-    while True:
+    for _ in range(data.shape[0]):
         arr = neigh_of(cur)
         if arr.size == 0:
             return cur, touched
@@ -261,6 +278,7 @@ def _greedy_step(data, neigh_of, q: np.ndarray, start: int) -> tuple[int, int]:
             return cur, touched
         cur = int(arr[best])
         cur_sim = float(sims[best])
+    raise RetrievalError(f"greedy search did not settle within {data.shape[0]} moves")
 
 
 def _beam_search(
@@ -527,15 +545,7 @@ def query(index: HnswIndex, v: np.ndarray, k: int, ef_search: int = 64) -> Query
         raise RetrievalError(f"k must be positive, got {k}")
     if ef_search < k:
         raise RetrievalError(f"ef_search={ef_search} must be at least k={k}")
-    q = np.asarray(v, dtype=np.float64).ravel()
-    if q.shape[0] != index.d:
-        raise RetrievalError(
-            f"query dimension {q.shape[0]} does not match index d={index.d}"
-        )
-    norm = float(np.linalg.norm(q))
-    if norm == 0.0:
-        raise RetrievalError("cannot query with a zero vector")
-    q = q / norm
+    q = _unit_query(v, index.d)
     visited_total = 0
     ep = index.entry_point
     for layer in range(index.max_level, 0, -1):
@@ -561,15 +571,7 @@ def brute_force_topk(
     data = _unit_rows(vectors)
     if ids is None:
         ids = [str(i) for i in range(data.shape[0])]
-    q = np.asarray(v, dtype=np.float64).ravel()
-    if q.shape[0] != data.shape[1]:
-        raise RetrievalError(
-            f"query dimension {q.shape[0]} does not match vectors d={data.shape[1]}"
-        )
-    norm = float(np.linalg.norm(q))
-    if norm == 0.0:
-        raise RetrievalError("cannot query with a zero vector")
-    sims = data @ (q / norm)
+    sims = data @ _unit_query(v, data.shape[1])
     k = min(k, data.shape[0])
     order = np.argsort(-sims, kind="stable")[:k]
     return QueryResult(

@@ -461,7 +461,6 @@ class TrainConfig:
     divergence_threshold: float = 1e3
     divergence_patience: int = 5
     ecr: EcrSettings = EcrSettings()
-    precision: str = "float64"  # single float width throughout
 
     def to_dict(self) -> dict:
         cfg = {
@@ -486,7 +485,6 @@ def _shared_hyperparameters(cfg: TrainConfig) -> tuple:
         cfg.holdout_fraction,
         cfg.divergence_threshold,
         cfg.divergence_patience,
-        cfg.precision,
     )
 
 

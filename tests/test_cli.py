@@ -473,6 +473,14 @@ def test_train_toy_rejects_unknown_config_key(capsys, tmp_path):
     assert "learning_rte" in err
 
 
+def test_train_toy_rejects_precision_key(capsys, tmp_path):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("precision = float32\n")
+    code, _, err = _run(capsys, "train-toy", "--config", str(cfg))
+    assert code == 1
+    assert "unknown config key 'precision'" in err
+
+
 def test_config_file_syntax_errors_name_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = 2\nnot a pair\n")

@@ -16,8 +16,10 @@ from ecr.codec import (
     decode_tokens,
     emit_tokens,
     encode,
+    encode_batch,
     parse_token,
     project,
+    project_batch,
     quantize,
     quantize_value,
     token_vocabulary,
@@ -392,3 +394,90 @@ def test_encode_round_trip_property(seed, n_bins):
     code = quantize(project(h, anchors), n_bins)
     back = decode_tokens(list(emit_tokens(code, anchors).tokens), anchors, n_bins)
     assert np.array_equal(back.bins, code.bins)
+
+
+# ---------------------------------------------------------------------------
+# batched encode and non-finite input
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(bad):
+    anchors = _anchor_set(("T", "L"), d=6)
+    h = np.ones(6)
+    h[2] = bad
+    rows = np.vstack([np.ones(6), h])
+    with pytest.raises(CodecError, match="non-finite"):
+        project(h, anchors)
+    with pytest.raises(CodecError, match="non-finite"):
+        encode(h, anchors, n_bins=8)
+    with pytest.raises(CodecError, match="non-finite"):
+        encode_batch(rows, anchors, n_bins=8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_encode_scale_extremes_match_unscaled_bins():
+    anchors = _anchor_set(("T", "L", "E"), d=6, seed=9)
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        h = rng.normal(size=6)
+        want = [t.bin for t in encode(h, anchors, n_bins=8).tokens]
+        for scale in (1e200, 1e-200, 1e300, 1e-300):
+            got = [t.bin for t in encode(h * scale, anchors, n_bins=8).tokens]
+            assert got == want
+
+
+def test_encode_batch_rejects_non_matrix_input():
+    anchors = _anchor_set(("T",), d=6)
+    with pytest.raises(CodecError, match="2-d"):
+        encode_batch(np.ones(6), anchors, n_bins=4)
+    with pytest.raises(CodecError, match="dimension"):
+        encode_batch(np.ones((2, 5)), anchors, n_bins=4)
+    assert encode_batch(np.ones((0, 6)), anchors, n_bins=4) == []
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    n_rows=st.integers(1, 6),
+    n_bins=st.sampled_from([2, 8, 16]),
+    mode=st.sampled_from(["global", "retrieval"]),
+    scope=st.sampled_from(["factor", "all"]),
+)
+def test_encode_batch_rows_equal_single_encode(seed, n_rows, n_bins, mode, scope):
+    anchors = _anchor_set(("T", "L", "E"), d=6, seed=3)
+    vocab = token_vocabulary(anchors, n_bins=n_bins, base_size=40)
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(n_rows, 6)) * rng.choice([1e-3, 1.0, 1e3], size=(n_rows, 1))
+    k = 2 if mode == "retrieval" else None
+    batch = encode_batch(H, anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
+    values = project_batch(H, anchors)
+    offsets = anchors.group_offsets()
+    assert len(batch) == n_rows
+    for i, prefix in enumerate(batch):
+        assert prefix == encode(H[i], anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
+        assert np.array_equal(values[i], project(H[i], anchors).values)
+        assert prefix.text == "".join(t.render() for t in prefix.tokens)
+        for tok, tid in zip(prefix.tokens, prefix.token_ids):
+            flat = offsets[tok.factor] + tok.anchor
+            assert tok.bin == quantize_value(float(values[i, flat]), n_bins)
+            assert tid == vocab.token_id(tok)
+
+
+def test_token_tables_kept_apart_per_bin_count():
+    anchors = _anchor_set(("T", "L"), d=6, seed=4)
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=6)
+    values = project(h, anchors).values
+    for n_bins in (4, 8, 4):
+        vocab = token_vocabulary(anchors, n_bins=n_bins, base_size=0)
+        prefix = encode(h, anchors, n_bins, vocab=vocab)
+        assert [t.bin for t in prefix.tokens] == [quantize_value(float(c), n_bins) for c in values]
+        assert list(prefix.token_ids) == [vocab.token_id(t) for t in prefix.tokens]
+
+
+def test_vocab_layout_mismatch_rejected():
+    anchors = _anchor_set(("T", "L"), d=6)
+    other = _anchor_set(("T",), d=6)
+    vocab = token_vocabulary(other, n_bins=4, base_size=10)
+    with pytest.raises(CodecError, match="layout"):
+        encode(np.ones(6), anchors, n_bins=4, vocab=vocab)

@@ -16,6 +16,7 @@ from ecr.corpus import (
     load_corpus,
     load_embeddings,
     normalize,
+    normalize_rows,
     save_corpus,
     save_embeddings,
 )
@@ -172,6 +173,33 @@ def test_normalize_three_four_five():
 def test_normalize_zero_vector_rejected():
     with pytest.raises(ValueError, match="zero vector"):
         normalize(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_normalize_non_finite_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize(np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_normalize_survives_overflow_and_underflow():
+    v = np.array([3.0, -4.0, 12.0])
+    want = v / 13.0
+    for scale in (2.0**600, 2.0**-600, 1e300, 1e-300, 5e-324):
+        assert np.allclose(normalize(v * scale), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_normalize_rows_bit_identical_to_plain_division():
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(40, 33)) * 10.0 ** rng.uniform(-8, 8, size=(40, 1))
+    rows[7] *= 1e250  # rescaled internally; must not disturb the other rows
+    got = normalize_rows(rows)
+    for i, row in enumerate(rows):
+        if i != 7:
+            assert np.array_equal(got[i], row / np.sqrt(np.dot(row, row)))
+    plain = rows[7] / 1e250
+    assert np.allclose(got[7], plain / np.linalg.norm(plain), rtol=0, atol=1e-15)
 
 
 @given(

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ecr.retrieval import (
     RetrievalError,
+    _greedy_step,
     bench_query_latency,
     brute_force_topk,
     build_index,
@@ -227,6 +228,44 @@ def test_query_validation():
         query(index, np.ones(5), 1)
     with pytest.raises(RetrievalError):
         query(index, np.zeros(8), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_query_rejected(bad):
+    vectors = _cloud(n=200, seed=17)
+    index = build_index(vectors, m=6, ef_construction=24, seed=0)
+    q = np.ones(8)
+    q[3] = bad
+    with pytest.raises(RetrievalError, match="non-finite"):
+        query(index, q, 5)
+    with pytest.raises(RetrievalError, match="non-finite"):
+        brute_force_topk(vectors, q, 5)
+
+
+@pytest.mark.parametrize("row", [5, 199])
+def test_non_finite_index_row_rejected(row):
+    vectors = _cloud(n=200, seed=18)
+    vectors[row, 2] = np.nan
+    with pytest.raises(RetrievalError, match="finite"):
+        build_index(vectors, m=6, ef_construction=24, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_query_scale_extremes_match_unscaled():
+    vectors = _cloud(n=200, seed=19)
+    index = build_index(vectors, m=6, ef_construction=24, seed=0)
+    q = np.random.default_rng(20).normal(size=8)
+    want = query(index, q, 5).ids
+    for scale in (2.0**700, 2.0**-700):
+        assert query(index, q * scale, 5).ids == want
+
+
+def test_greedy_step_capped_at_n_moves():
+    # a NaN query makes every move look like progress; the cap stops the walk
+    data = np.eye(3)
+    ring = {0: np.array([1]), 1: np.array([2]), 2: np.array([0])}
+    with pytest.raises(RetrievalError, match="3 moves"):
+        _greedy_step(data, ring.__getitem__, np.full(3, np.nan), 0)
 
 
 def test_build_validation():
