@@ -229,6 +229,8 @@ def kmeans_fit(
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    if not np.isfinite(points).all():
+        raise AnchorError("k-means points have a NaN or infinite entry")
     if k <= 0:
         raise AnchorError(f"k must be positive, got {k}")
     if n < k:

@@ -357,6 +357,8 @@ def _selected(values: np.ndarray, group_sizes: tuple[int, ...], k: int, scope: s
     """Flat indices kept in retrieval mode, per row in canonical (ascending) order."""
     if scope == "all":
         return np.sort(rank_anchors(values, k), axis=1)
+    if k < 1:
+        raise CodecError(f"k must be at least 1, got {k}")
     blocks = []
     pos = 0
     for size in group_sizes:

@@ -6,13 +6,13 @@ seeded subspace iteration when the input dimension is too large for a
 dense decomposition.
 
 The index is a hierarchical navigable small-world graph built from
-scratch: layered adjacency lists, exponential level assignment with the
-standard 1/ln(M) scale, beam search over a per-call visited set, and
-diversity-aware neighbor selection.  Vectors are stored unit-normalized
-in float64 so cosine similarity is a plain dot product.  Every edge is
-kept bidirectional within its layer, node degree is capped at M on upper
-layers and 2M on layer 0, and queries report how many nodes they touched
-so search cost is observable.
+scratch: one padded adjacency array per layer, exponential level
+assignment with the standard 1/ln(M) scale, beam search over a per-call
+visited set, and diversity-aware neighbor selection.  Vectors are stored
+unit-normalized in float64 so cosine similarity is a plain dot product.
+Every edge is kept bidirectional within its layer, node degree is capped
+at M on upper layers and 2M on layer 0, and queries report how many nodes
+they touched so search cost is observable.
 
 A brute-force scorer provides the exact reference ranking for recall
 measurements, and a small benchmark harness reports per-query latency
@@ -34,7 +34,7 @@ from .corpus import normalize
 PCA_MAGIC = b"ECRP"
 PCA_VERSION = 1
 INDEX_MAGIC = b"ECRH"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 class RetrievalError(ValueError):
@@ -120,6 +120,8 @@ def fit_pca(X, r: int, seed: int = 0) -> PcaModel:
     data = np.asarray(getattr(X, "data", X), dtype=np.float64)
     if data.ndim != 2:
         raise RetrievalError("PCA input must be a 2-d matrix")
+    if not np.isfinite(data).all():
+        raise RetrievalError("PCA input has a NaN or infinite entry")
     n, d = data.shape
     if n < 2:
         raise RetrievalError(f"PCA needs at least 2 rows, got {n}")
@@ -203,8 +205,11 @@ class QueryResult:
 class HnswIndex:
     """Layered small-world graph over unit-normalized float64 vectors.
 
-    Immutable once built; queries allocate their own scratch state, so a
-    shared index supports concurrent readers.
+    Layer l is one padded int32 adjacency array ``layers[l]`` of shape
+    (n, 2m) on layer 0 and (n, m) above: each row holds its node's
+    neighbors left-packed and padded with -1, and the rows of nodes whose
+    level is below l are all -1.  Immutable once built; queries allocate
+    their own scratch state, so a shared index supports concurrent readers.
     """
 
     m: int
@@ -213,9 +218,7 @@ class HnswIndex:
     data: np.ndarray  # (n, d) unit rows
     ids: list[str]
     levels: np.ndarray  # (n,) int32, each node's top layer
-    adj0: np.ndarray  # (n, 2m) int32, layer-0 neighbors, -1 padded
-    deg0: np.ndarray  # (n,) int32
-    upper: list[dict[int, list[int]]]  # adjacency for layers 1..top
+    layers: list[np.ndarray]  # layers[l]: (n, cap_l) int32, -1 padded
     entry_point: int
 
     @property
@@ -228,12 +231,19 @@ class HnswIndex:
 
     @property
     def max_level(self) -> int:
-        return len(self.upper)
+        return len(self.layers) - 1
+
+    @property
+    def adj0(self) -> np.ndarray:
+        return self.layers[0]
+
+    @property
+    def deg0(self) -> np.ndarray:
+        return np.count_nonzero(self.layers[0] >= 0, axis=1).astype(np.int32)
 
     def neighbors(self, layer: int, node: int) -> list[int]:
-        if layer == 0:
-            return self.adj0[node, : self.deg0[node]].tolist()
-        return list(self.upper[layer - 1].get(node, ()))
+        row = self.layers[layer][node].tolist()
+        return row[: row.index(-1)] if row[-1] < 0 else row
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -258,7 +268,7 @@ def _unit_query(v: np.ndarray, d: int) -> np.ndarray:
         raise RetrievalError(f"cannot query: {exc}") from None
 
 
-def _greedy_step(data, neigh_of, q: np.ndarray, start: int) -> tuple[int, int]:
+def _greedy_step(data, adj: np.ndarray, q: np.ndarray, start: int) -> tuple[int, int]:
     """Hill-climb to a local similarity maximum; returns (node, touched).
 
     Every move strictly raises the similarity, so a finite walk ends within
@@ -268,62 +278,52 @@ def _greedy_step(data, neigh_of, q: np.ndarray, start: int) -> tuple[int, int]:
     cur_sim = float(data[cur] @ q)
     touched = 1
     for _ in range(data.shape[0]):
-        arr = neigh_of(cur)
-        if arr.size == 0:
+        nbrs = [x for x in adj[cur].tolist() if x >= 0]
+        if not nbrs:
             return cur, touched
-        sims = data[arr] @ q
-        touched += int(arr.size)
+        sims = data.take(nbrs, axis=0) @ q
+        touched += len(nbrs)
         best = int(np.argmax(sims))
         if sims[best] <= cur_sim:
             return cur, touched
-        cur = int(arr[best])
+        cur = nbrs[best]
         cur_sim = float(sims[best])
     raise RetrievalError(f"greedy search did not settle within {data.shape[0]} moves")
 
 
 def _beam_search(
-    data,
-    neigh_of,
-    q: np.ndarray,
-    entries: list[int],
-    ef: int,
-    visited: np.ndarray,
-    stamp: int,
+    data, adj: np.ndarray, q: np.ndarray, entries: list[int], ef: int
 ) -> tuple[list[tuple[float, int]], int]:
     """Best-first search on one layer.
 
-    ``visited`` is an int64 stamp array reused across calls; a node counts
-    as seen when its cell equals ``stamp``.  Returns (sim, node) pairs
-    sorted best-first plus the number of distinct nodes touched.
+    Seen nodes go in a per-call set that starts with the -1 padding, so a
+    search allocates nothing of size n.  Returns (sim, node) pairs sorted
+    best-first plus the number of distinct nodes touched.
     """
+    seen = {-1}
     results: list[tuple[float, int]] = []  # min-heap keyed by sim (worst on top)
     candidates: list[tuple[float, int]] = []  # min-heap keyed by -sim (best on top)
-    sims0 = data[entries] @ q
+    sims0 = data.take(entries, axis=0) @ q
     for node, s in zip(entries, sims0.tolist()):
-        if visited[node] == stamp:
+        if node in seen:
             continue
-        visited[node] = stamp
+        seen.add(node)
         heapq.heappush(results, (s, node))
         heapq.heappush(candidates, (-s, node))
-    n_visited = len(results)
     while len(results) > ef:
         heapq.heappop(results)
     while candidates:
         neg, node = heapq.heappop(candidates)
         if len(results) == ef and -neg < results[0][0]:
             break
-        arr = neigh_of(node)
-        if arr.size == 0:
+        fresh = [x for x in adj[node].tolist() if x not in seen]
+        if not fresh:
             continue
-        fresh = arr[visited[arr] != stamp]
-        if fresh.size == 0:
-            continue
-        visited[fresh] = stamp
-        n_visited += int(fresh.size)
-        sims = data[fresh] @ q
+        seen.update(fresh)
+        sims = data.take(fresh, axis=0) @ q
         full = len(results) == ef
         worst = results[0][0] if full else -np.inf
-        for s, nd in zip(sims.tolist(), fresh.tolist()):
+        for s, nd in zip(sims.tolist(), fresh):
             if not full:
                 heapq.heappush(results, (s, nd))
                 heapq.heappush(candidates, (-s, nd))
@@ -333,7 +333,7 @@ def _beam_search(
                 heapq.heapreplace(results, (s, nd))
                 heapq.heappush(candidates, (-s, nd))
                 worst = results[0][0]
-    return sorted(results, reverse=True), n_visited
+    return sorted(results, reverse=True), len(seen) - 1
 
 
 def _select_heuristic(
@@ -374,114 +374,59 @@ def _select_heuristic(
     return cand[kept].tolist()
 
 
-class _Builder:
-    """Incremental HNSW constructor; exclusive single-writer state."""
+def _set_row(adj: np.ndarray, node: int, neigh: list[int]) -> None:
+    adj[node, : len(neigh)] = neigh
+    adj[node, len(neigh) :] = -1
 
-    def __init__(self, data: np.ndarray, m: int, ef_construction: int, seed: int):
-        n = data.shape[0]
-        self.data = data
-        self.m = m
-        self.m0 = 2 * m
-        self.efc = ef_construction
-        rng = np.random.default_rng(seed)
-        # level = floor(-ln(U) / ln(M)), U uniform on (0, 1]
-        u = 1.0 - rng.random(n)
-        self.levels = np.minimum(
-            np.floor(-np.log(u) / np.log(m)).astype(np.int32), 64
-        )
-        self.adj0 = np.full((n, self.m0), -1, dtype=np.int32)
-        self.deg0 = np.zeros(n, dtype=np.int32)
-        self.upper: list[dict[int, list[int]]] = []
-        self.entry = -1
-        self.entry_level = -1
-        self.visited = np.zeros(n, dtype=np.int64)
-        self.stamp = 0
 
-    def _neigh_of(self, layer: int):
-        if layer == 0:
-            adj0, deg0 = self.adj0, self.deg0
+def _connect(index: HnswIndex, layer: int, node: int, picked: list[int]) -> None:
+    """Link node <-> picked, re-pruning any neighbor pushed past its cap.
 
-            def fn(node: int) -> np.ndarray:
-                return adj0[node, : deg0[node]]
-
-        else:
-            table = self.upper[layer - 1]
-            empty = np.empty(0, dtype=np.int32)
-
-            def fn(node: int) -> np.ndarray:
-                lst = table.get(node)
-                return np.asarray(lst, dtype=np.int32) if lst else empty
-
-        return fn
-
-    def _set_neighbors(self, layer: int, node: int, neigh: list[int]) -> None:
-        if layer == 0:
-            self.deg0[node] = len(neigh)
-            self.adj0[node, : len(neigh)] = neigh
-            self.adj0[node, len(neigh):] = -1
-        else:
-            self.upper[layer - 1][node] = list(neigh)
-
-    def _connect(self, layer: int, node: int, picked: list[int]) -> None:
-        """Link node <-> picked, re-pruning any neighbor pushed past its cap.
-
-        A pruned edge is removed from BOTH endpoints, keeping the graph
-        strictly bidirectional.
-        """
-        cap = self.m0 if layer == 0 else self.m
-        self._set_neighbors(layer, node, picked)
-        neigh_of = self._neigh_of(layer)
-        for other in picked:
-            current = neigh_of(other).tolist() if layer == 0 else list(self.upper[layer - 1].get(other, ()))
-            current.append(node)
-            if len(current) <= cap:
-                self._set_neighbors(layer, other, current)
+    A pruned edge is removed from BOTH endpoints, keeping the graph
+    strictly bidirectional.
+    """
+    adj = index.layers[layer]
+    cap = adj.shape[1]
+    _set_row(adj, node, picked)
+    for other in picked:
+        current = index.neighbors(layer, other)
+        if len(current) < cap:
+            adj[other, len(current)] = node
+            continue
+        current.append(node)
+        cand = np.asarray(current, dtype=np.int64)
+        sims = index.data[cand] @ index.data[other]
+        keep = _select_heuristic(cand, sims, cap, index.data)
+        _set_row(adj, other, keep)
+        kept = set(keep)
+        for dropped in current:
+            if dropped in kept:
                 continue
-            cand = np.asarray(current, dtype=np.int64)
-            sims = self.data[cand] @ self.data[other]
-            keep = _select_heuristic(cand, sims, cap, self.data)
-            self._set_neighbors(layer, other, keep)
-            kept = set(keep)
-            for dropped in current:
-                if dropped in kept:
-                    continue
-                back = self.neighbors_list(layer, dropped)
-                if other in back:
-                    back.remove(other)
-                    self._set_neighbors(layer, dropped, back)
+            back = index.neighbors(layer, dropped)
+            if other in back:
+                back.remove(other)
+                _set_row(adj, dropped, back)
 
-    def neighbors_list(self, layer: int, node: int) -> list[int]:
-        if layer == 0:
-            return self.adj0[node, : self.deg0[node]].tolist()
-        return list(self.upper[layer - 1].get(node, ()))
 
-    def insert(self, i: int) -> None:
-        level = int(self.levels[i])
-        while len(self.upper) < level:
-            self.upper.append({})
-        if self.entry < 0:
-            self.entry = i
-            self.entry_level = level
-            return
-        q = self.data[i]
-        ep = self.entry
-        for layer in range(self.entry_level, level, -1):
-            ep, _ = _greedy_step(self.data, self._neigh_of(layer), q, ep)
-        entries = [ep]
-        for layer in range(min(level, self.entry_level), -1, -1):
-            self.stamp += 1
-            found, _ = _beam_search(
-                self.data, self._neigh_of(layer), q, entries, self.efc,
-                self.visited, self.stamp,
-            )
-            cand = np.asarray([node for _, node in found], dtype=np.int64)
-            sims = np.asarray([s for s, _ in found])
-            picked = _select_heuristic(cand, sims, self.m, self.data)
-            self._connect(layer, i, picked)
-            entries = [node for _, node in found]
-        if level > self.entry_level:
-            self.entry = i
-            self.entry_level = level
+def _insert(index: HnswIndex, i: int) -> None:
+    """Link node i into every layer up to its level (single writer)."""
+    level = int(index.levels[i])
+    ep = index.entry_point
+    top = int(index.levels[ep])
+    q = index.data[i]
+    for layer in range(top, level, -1):
+        ep, _ = _greedy_step(index.data, index.layers[layer], q, ep)
+    entries = [ep]
+    for layer in range(min(level, top), -1, -1):
+        found, _ = _beam_search(
+            index.data, index.layers[layer], q, entries, index.ef_construction
+        )
+        entries = [node for _, node in found]
+        cand = np.asarray(entries, dtype=np.int64)
+        sims = np.asarray([s for s, _ in found])
+        _connect(index, layer, i, _select_heuristic(cand, sims, index.m, index.data))
+    if level > top:
+        index.entry_point = i
 
 
 def build_index(
@@ -502,39 +447,25 @@ def build_index(
         raise RetrievalError(f"M must be at least 2, got {m}")
     if ef_construction < 1:
         raise RetrievalError(f"ef_construction must be positive, got {ef_construction}")
-    b = _Builder(data, m, ef_construction, seed)
-    for i in range(n):
-        b.insert(i)
-    return HnswIndex(
+    rng = np.random.default_rng(seed)
+    # level = floor(-ln(U) / ln(M)), U uniform on (0, 1]
+    u = 1.0 - rng.random(n)
+    levels = np.minimum(np.floor(-np.log(u) / np.log(m)).astype(np.int32), 64)
+    layers = [np.full((n, 2 * m), -1, dtype=np.int32)]
+    layers += [np.full((n, m), -1, dtype=np.int32) for _ in range(int(levels.max()))]
+    index = HnswIndex(
         m=m,
         ef_construction=ef_construction,
         seed=seed,
         data=data,
         ids=list(ids),
-        levels=b.levels,
-        adj0=b.adj0,
-        deg0=b.deg0,
-        upper=b.upper,
-        entry_point=b.entry,
+        levels=levels,
+        layers=layers,
+        entry_point=0,
     )
-
-
-def _index_neigh_of(index: HnswIndex, layer: int):
-    if layer == 0:
-        adj0, deg0 = index.adj0, index.deg0
-
-        def fn(node: int) -> np.ndarray:
-            return adj0[node, : deg0[node]]
-
-    else:
-        table = index.upper[layer - 1]
-        empty = np.empty(0, dtype=np.int32)
-
-        def fn(node: int) -> np.ndarray:
-            lst = table.get(node)
-            return np.asarray(lst, dtype=np.int32) if lst else empty
-
-    return fn
+    for i in range(1, n):
+        _insert(index, i)
+    return index
 
 
 def query(index: HnswIndex, v: np.ndarray, k: int, ef_search: int = 64) -> QueryResult:
@@ -549,12 +480,9 @@ def query(index: HnswIndex, v: np.ndarray, k: int, ef_search: int = 64) -> Query
     visited_total = 0
     ep = index.entry_point
     for layer in range(index.max_level, 0, -1):
-        ep, touched = _greedy_step(index.data, _index_neigh_of(index, layer), q, ep)
+        ep, touched = _greedy_step(index.data, index.layers[layer], q, ep)
         visited_total += touched
-    scratch = np.zeros(index.n, dtype=np.int64)
-    found, n_visited = _beam_search(
-        index.data, _index_neigh_of(index, 0), q, [ep], ef_search, scratch, 1
-    )
+    found, n_visited = _beam_search(index.data, index.layers[0], q, [ep], ef_search)
     visited_total += n_visited
     top = found[: min(k, index.n)]
     return QueryResult(
@@ -568,12 +496,18 @@ def brute_force_topk(
     vectors: np.ndarray, v: np.ndarray, k: int, ids: list[str] | None = None
 ) -> QueryResult:
     """Exact top-k by cosine over all rows; ties break toward the lower row."""
+    if k < 1:
+        raise RetrievalError(f"k must be positive, got {k}")
     data = _unit_rows(vectors)
     if ids is None:
         ids = [str(i) for i in range(data.shape[0])]
     sims = data @ _unit_query(v, data.shape[1])
-    k = min(k, data.shape[0])
-    order = np.argsort(-sims, kind="stable")[:k]
+    n = data.shape[0]
+    k = min(k, n)
+    # every row scoring at least the k-th best, ascending; the stable sort
+    # then keeps the lower rows among ties at the k-th score
+    cand = np.flatnonzero(sims >= sims[np.argpartition(sims, n - k)[n - k]])
+    order = cand[np.argsort(-sims[cand], kind="stable")[:k]]
     return QueryResult(
         ids=tuple(ids[int(i)] for i in order),
         scores=tuple(float(sims[int(i)]) for i in order),
@@ -641,8 +575,7 @@ def validate_index(index: HnswIndex) -> list[str]:
         problems.append(f"entry point {index.entry_point} out of range")
     for layer in range(index.max_level + 1):
         cap = 2 * index.m if layer == 0 else index.m
-        members = range(n) if layer == 0 else sorted(index.upper[layer - 1].keys())
-        for node in members:
+        for node in np.flatnonzero(index.levels >= layer).tolist():
             neigh = index.neighbors(layer, node)
             if len(neigh) > cap:
                 problems.append(
@@ -676,20 +609,52 @@ def save_index(index: HnswIndex, path: str) -> None:
     w.array(index.data, "float64")
     w.text_list(index.ids)
     w.array(index.levels, "int32")
-    w.array(index.adj0, "int32")
-    w.array(index.deg0, "int32")
-    for layer in index.upper:
-        w.u64(len(layer))
-        for node in sorted(layer):
-            neigh = layer[node]
-            w.u64(node)
-            w.u64(len(neigh))
-            for other in neigh:
-                w.u64(other)
+    for adj in index.layers:
+        w.array(adj, "int32")
     write_envelope(path, INDEX_MAGIC, INDEX_VERSION, w.getvalue())
 
 
+def _structure_error(
+    n: int, m: int, entry: int, levels: np.ndarray, layers: list[np.ndarray]
+) -> str | None:
+    """The first structural defect of a stored graph, found with O(n*m)
+    vectorized checks, or None.  The back-edge walk is left to
+    :func:`validate_index`."""
+    max_level = len(layers) - 1
+    if m < 2:
+        return f"M={m} is below 2"
+    for layer, adj in enumerate(layers):
+        cap = 2 * m if layer == 0 else m
+        if adj.shape != (n, cap):
+            return f"layer {layer} has shape {adj.shape}, expected {(n, cap)}"
+    if not 0 <= entry < n:
+        return f"entry point {entry} out of range [0, {n})"
+    if levels.min() < 0 or levels.max() > max_level:
+        return f"node levels outside [0, {max_level}]"
+    if levels[entry] != max_level:
+        return f"entry point {entry} is not on the top level {max_level}"
+    nodes = np.arange(n, dtype=np.int32)
+    for layer, adj in enumerate(layers):
+        if adj.min() < -1 or adj.max() >= n:
+            return f"layer {layer}: neighbor id outside [-1, {n})"
+        # column-major, so each test runs over long contiguous rows
+        cols = np.ascontiguousarray(adj.T)
+        live = cols >= 0
+        if np.any(live[1:] > live[:-1]):
+            return f"layer {layer}: a row has a neighbor after its -1 padding"
+        if np.any(cols == nodes):
+            return f"layer {layer}: a node links to itself"
+        if np.any(levels[cols[live]] < layer):
+            return f"layer {layer}: a node links to a node below the layer"
+        # rows are left-packed by now, so a row has neighbors iff its first
+        # cell is live
+        if np.any(live[0] & (levels < layer)):
+            return f"layer {layer}: a node below the layer has neighbors"
+    return None
+
+
 def load_index(path: str) -> HnswIndex:
+    """Read an index file, rejecting corrupt bytes and invalid structure."""
     r = ByteReader(read_envelope(path, INDEX_MAGIC, INDEX_VERSION))
     n = r.u64()
     d = r.u64()
@@ -701,20 +666,13 @@ def load_index(path: str) -> HnswIndex:
     data = r.array("float64")
     ids = r.text_list()
     levels = r.array("int32")
-    adj0 = r.array("int32")
-    deg0 = r.array("int32")
     if data.shape != (n, d) or len(ids) != n or levels.shape != (n,):
         raise RetrievalError(f"{path}: stored shapes do not match declared (n={n}, d={d})")
-    upper: list[dict[int, list[int]]] = []
-    for _ in range(max_level):
-        count = r.u64()
-        layer: dict[int, list[int]] = {}
-        for _ in range(count):
-            node = r.u64()
-            deg = r.u64()
-            layer[node] = [r.u64() for _ in range(deg)]
-        upper.append(layer)
+    layers = [r.array("int32") for _ in range(max_level + 1)]
     r.done()
+    problem = _structure_error(n, m, entry, levels, layers)
+    if problem:
+        raise RetrievalError(f"{path}: {problem}")
     return HnswIndex(
         m=m,
         ef_construction=efc,
@@ -722,8 +680,6 @@ def load_index(path: str) -> HnswIndex:
         data=data,
         ids=ids,
         levels=levels,
-        adj0=np.ascontiguousarray(adj0),
-        deg0=np.ascontiguousarray(deg0),
-        upper=upper,
+        layers=layers,
         entry_point=entry,
     )

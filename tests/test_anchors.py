@@ -69,6 +69,14 @@ def test_kmeans_two_cloud_recovery():
     assert np.linalg.norm(found[1] - a.mean(axis=0)) < 0.05
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_non_finite_points_rejected(bad):
+    pts = np.random.default_rng(4).normal(size=(50, 8))
+    pts[9, 2] = bad
+    with pytest.raises(AnchorError, match="NaN or infinite"):
+        kmeans_fit(pts, 3, seed=0)
+
+
 def test_kmeans_deterministic_under_seed():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(30, 4))

@@ -201,6 +201,20 @@ def test_encode_topk_mode_emits_fewer_tokens(capsys, synth, tmp_path):
     assert all(len(row["tokens"]) == 4 for row in rows)
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_encode_topk_mode_rejects_k_below_one(capsys, synth, tmp_path, k):
+    anchors = str(tmp_path / "anchors.bin")
+    assert _build_anchors(capsys, synth, anchors)[0] == 0
+    code, out_text, err = _run(
+        capsys,
+        "encode", "--embeddings", synth["teacher"], "--anchors", anchors,
+        "--mode", "topk", "--k", k,
+    )
+    assert code == 1
+    assert out_text == ""
+    assert "error: codec: k must be at least 1" in err
+
+
 def test_topk_lists_descending_affinities(capsys, synth, tmp_path):
     anchors = str(tmp_path / "anchors.bin")
     assert _build_anchors(capsys, synth, anchors)[0] == 0

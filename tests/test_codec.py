@@ -288,6 +288,14 @@ def test_encode_retrieval_factor_scope():
     assert [t.factor for t in prefix.tokens] == ["T", "L"]
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_encode_retrieval_k_below_one_rejected(k):
+    anchors = _anchor_set(("T", "L"), d=6, seed=13)
+    for scope in ("factor", "all"):
+        with pytest.raises(CodecError, match="k must"):
+            encode(np.ones(6), anchors, n_bins=8, mode="retrieval", k=k, scope=scope)
+
+
 def test_encode_retrieval_all_scope():
     anchors = _anchor_set(("T", "L"), d=6, seed=13)
     rng = np.random.default_rng(6)

@@ -1,10 +1,15 @@
 """Retrieval: PCA reduction, graph index, exact oracle, latency bench."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecr.binio import FileFormatError
 from ecr.retrieval import (
+    INDEX_MAGIC,
     RetrievalError,
     _greedy_step,
     bench_query_latency,
@@ -111,6 +116,14 @@ def test_pca_input_validation():
         pca_reconstruct(model, np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pca_non_finite_input_rejected(bad):
+    X = np.random.default_rng(5).normal(size=(50, 8))
+    X[17, 3] = bad
+    with pytest.raises(RetrievalError, match="NaN or infinite"):
+        fit_pca(X, 2)
+
+
 def test_pca_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(50, 7))
@@ -171,6 +184,38 @@ def test_brute_force_k_clamps_to_n():
     got = brute_force_topk(vectors, np.array([1.0, 0, 0]), 10)
     assert len(got.ids) == 3
     assert got.ids[0] == "0"
+
+
+def test_brute_force_ties_across_k_boundary_keep_lower_rows():
+    # rows 1, 3, 4 and 6 are one direction, tied for the 2nd..5th best score;
+    # k=3 cuts inside the tie, so rows 1 and 3 must be kept and 4, 6 dropped
+    rng = np.random.default_rng(10)
+    vectors = rng.normal(size=(8, 5))
+    q = rng.normal(size=5)
+    vectors[0] = q
+    for row, scale in ((1, 1.0), (3, 2.0), (4, 0.5), (6, 4.0)):
+        vectors[row] = scale * (q + 0.3 * vectors[2])
+    vectors[[2, 5, 7]] = -np.abs(vectors[[2, 5, 7]]) * np.sign(q)
+    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    sims = unit @ (q / np.linalg.norm(q))
+    full = np.argsort(-sims, kind="stable")
+    for k in range(1, 9):
+        got = brute_force_topk(vectors, q, k)
+        assert got.ids == tuple(str(i) for i in full[:k])
+        assert got.scores == tuple(float(sims[i]) for i in full[:k])
+    assert brute_force_topk(vectors, q, 3).ids == ("0", "1", "3")
+    # 500 copies of those 8 rows: every k boundary cuts a tie
+    many = vectors[rng.integers(8, size=500)]
+    unit = many / np.linalg.norm(many, axis=1, keepdims=True)
+    full = np.argsort(-(unit @ (q / np.linalg.norm(q))), kind="stable")
+    for k in (1, 7, 25, 100, 499, 500):
+        assert brute_force_topk(many, q, k).ids == tuple(str(i) for i in full[:k])
+
+
+def test_brute_force_k_below_one_rejected():
+    for k in (0, -1):
+        with pytest.raises(RetrievalError, match="k must be positive"):
+            brute_force_topk(np.eye(3), np.ones(3), k)
 
 
 def test_brute_force_zero_query_rejected():
@@ -263,9 +308,9 @@ def test_query_scale_extremes_match_unscaled():
 def test_greedy_step_capped_at_n_moves():
     # a NaN query makes every move look like progress; the cap stops the walk
     data = np.eye(3)
-    ring = {0: np.array([1]), 1: np.array([2]), 2: np.array([0])}
+    ring = np.array([[1], [2], [0]], dtype=np.int32)
     with pytest.raises(RetrievalError, match="3 moves"):
-        _greedy_step(data, ring.__getitem__, np.full(3, np.nan), 0)
+        _greedy_step(data, ring, np.full(3, np.nan), 0)
 
 
 def test_build_validation():
@@ -313,10 +358,130 @@ def test_index_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.adj0, index.adj0)
     assert np.array_equal(loaded.deg0, index.deg0)
     assert loaded.ids == index.ids
-    assert loaded.upper == index.upper
+    assert len(loaded.layers) == len(index.layers)
+    for got, want in zip(loaded.layers, index.layers):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     q = np.random.default_rng(20).normal(size=8)
     assert query(loaded, q, 5) == query(index, q, 5)
     assert validate_index(loaded) == []
+
+
+def test_index_v1_file_rejected(tmp_path):
+    index = build_index(_cloud(n=30, seed=19), m=4, ef_construction=16, seed=0)
+    path = tmp_path / "index.bin"
+    save_index(index, str(path))
+    blob = bytearray(path.read_bytes())
+    assert blob[:4] == INDEX_MAGIC
+    blob[4:8] = (1).to_bytes(4, "little")  # the header is not checksummed
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError, match="version 1, expected 2"):
+        load_index(str(path))
+
+
+def _first(mask):
+    return int(np.flatnonzero(mask)[0])
+
+
+def _out_of_range_id(ix):
+    ix.layers[0][0, 0] = ix.n
+
+
+def _id_below_minus_one(ix):
+    ix.layers[0][0, -1] = -2
+
+
+def _gap_before_live_id(ix):
+    node = _first(ix.deg0 >= 2)
+    ix.layers[0][node, 0] = -1
+
+
+def _self_link(ix):
+    ix.layers[0][5, 0] = 5
+
+
+def _link_below_level(ix):
+    node = _first(ix.layers[1][:, 0] >= 0)
+    ix.layers[1][node, 0] = _first(ix.levels == 0)
+
+
+def _row_below_level(ix):
+    ix.layers[1][_first(ix.levels == 0), 0] = ix.entry_point
+
+
+def _level_above_top(ix):
+    ix.levels[_first(ix.levels == 0)] = ix.max_level + 1
+
+
+def _negative_level(ix):
+    ix.levels[_first(ix.levels == 0)] = -1
+
+
+def _entry_out_of_range(ix):
+    ix.entry_point = ix.n
+
+
+def _entry_below_top(ix):
+    ix.entry_point = _first(ix.levels == 0)
+
+
+def _narrow_layer(ix):
+    ix.layers[1] = np.ascontiguousarray(ix.layers[1][:, :-1])
+
+
+def _m_below_two(ix):
+    ix.m = 1
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (_out_of_range_id, "outside"),
+        (_id_below_minus_one, "outside"),
+        (_gap_before_live_id, "after its -1 padding"),
+        (_self_link, "links to itself"),
+        (_link_below_level, "links to a node below the layer"),
+        (_row_below_level, "below the layer has neighbors"),
+        (_level_above_top, "levels outside"),
+        (_negative_level, "levels outside"),
+        (_entry_out_of_range, "entry point"),
+        (_entry_below_top, "not on the top level"),
+        (_narrow_layer, "shape"),
+        (_m_below_two, "below 2"),
+    ],
+)
+def test_load_index_rejects_invalid_structure(tmp_path, defect, message):
+    # the defect is written through save_index, so the checksum is valid
+    index = build_index(_cloud(n=200, seed=29), m=6, ef_construction=30, seed=3)
+    assert index.max_level >= 1
+    bad = dataclasses.replace(
+        index, levels=index.levels.copy(), layers=[a.copy() for a in index.layers]
+    )
+    defect(bad)
+    path = str(tmp_path / "index.bin")
+    save_index(bad, path)
+    with pytest.raises(RetrievalError, match=message):
+        load_index(path)
+    save_index(index, path)
+    assert validate_index(load_index(path)) == []
+
+
+def test_graph_and_answers_match_golden_digest():
+    # levels, entry point, every layer's neighbor sets and 40 answers of a
+    # seeded index; a rewrite of the build or the search that changes the
+    # graph or any answer (ids, scores, visited count) changes the digest
+    index = build_index(
+        np.random.default_rng(31).normal(size=(300, 16)), m=6, ef_construction=30, seed=9
+    )
+    h = hashlib.sha256()
+    h.update(repr((index.levels.tolist(), index.entry_point)).encode())
+    for layer in range(index.max_level + 1):
+        for node in np.flatnonzero(index.levels >= layer).tolist():
+            h.update(repr((layer, node, sorted(index.neighbors(layer, node)))).encode())
+    queries = np.random.default_rng(32).normal(size=(20, 16))
+    for ef in (8, 40):
+        for q in queries:
+            h.update(repr(query(index, q, 5, ef_search=ef)).encode())
+    assert h.hexdigest() == "46187fef41d7c586fb90966dd2afc0daf6891a4fbc8c1128bd66f97d9d991f5f"
 
 
 def test_recall_reasonable_at_modest_scale():
