@@ -231,6 +231,12 @@ def kmeans_fit(
     n = points.shape[0]
     if not np.isfinite(points).all():
         raise AnchorError("k-means points have a NaN or infinite entry")
+    with np.errstate(over="ignore"):
+        # bounds the sum of any n squared distances between points and
+        # centroids, with a factor 2 to spare for rounding
+        reach = 8.0 * n * float(np.einsum("ij,ij->i", points, points).max(initial=0.0))
+    if not np.isfinite(reach):
+        raise AnchorError("k-means points are too large: squared distances overflow")
     if k <= 0:
         raise AnchorError(f"k must be positive, got {k}")
     if n < k:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -392,19 +392,10 @@ _BOOL_WORDS = {
     "0": False,
 }
 
+# TrainConfig's fields, typed by their defaults; the nested ecr settings
+# are set through the ecr_* keys below, never as one value
 _CONFIG_FIELDS = {
-    "learning_rate": float,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "weight_decay": float,
-    "grad_clip": float,
-    "holdout_fraction": float,
-    "divergence_threshold": float,
-    "divergence_patience": int,
+    f.name: type(f.default) for f in fields(TrainConfig) if f.name != "ecr"
 }
 
 _ECR_FIELDS = {

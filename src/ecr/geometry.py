@@ -15,6 +15,7 @@ to tight tolerance.  Everything is pure over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,10 +67,18 @@ def partition_from_anchors(embeddings: EmbeddingMatrix, anchors: AnchorSet) -> M
     return partition_from_labels(embeddings.ids, labels, source="anchors")
 
 
-def _grouped_rows(
+class _Manifold(NamedTuple):
+    size: int
+    intra: float  # mean member-to-centroid distance
+    spread: float  # mean squared member-to-centroid distance
+    centroid: np.ndarray
+
+
+def _manifold_stats(
     embeddings: EmbeddingMatrix, partition: ManifoldPartition
-) -> dict[str, np.ndarray]:
-    """Member rows per manifold; errors on uncovered rows or empty manifolds."""
+) -> dict[str, _Manifold]:
+    """One pass over the manifolds in label order; errors on uncovered rows
+    or empty manifolds."""
     rows: dict[str, list[int]] = {label: [] for label in partition.labels}
     for idx, sample_id in enumerate(embeddings.ids):
         rows[partition.label_of(sample_id)].append(idx)
@@ -77,30 +86,37 @@ def _grouped_rows(
     if empty:
         raise GeometryError(f"empty manifold {empty[0]!r}")
     data = embeddings.data.astype(np.float64)
-    return {label: data[members] for label, members in rows.items()}
+    stats = {}
+    for label, members in rows.items():
+        member_rows = data[members]
+        centroid = member_rows.mean(axis=0)
+        d2 = ((member_rows - centroid) ** 2).sum(axis=1)
+        stats[label] = _Manifold(
+            len(members), float(np.sqrt(d2).mean()), float(d2.mean()), centroid
+        )
+    return stats
 
 
-def intra_compactness(embeddings: EmbeddingMatrix, partition: ManifoldPartition) -> float:
-    """Mean over manifolds of the mean member-to-centroid distance."""
-    groups = _grouped_rows(embeddings, partition)
-    per = []
-    for members in groups.values():
-        centroid = members.mean(axis=0)
-        per.append(float(np.sqrt(((members - centroid) ** 2).sum(axis=1)).mean()))
-    return float(np.mean(per))
-
-
-def inter_separation(embeddings: EmbeddingMatrix, partition: ManifoldPartition) -> float:
-    """Mean pairwise Euclidean distance between manifold centroids."""
-    groups = _grouped_rows(embeddings, partition)
-    if len(groups) < 2:
-        raise GeometryError(f"need at least 2 manifolds, got {len(groups)}")
-    centroids = [members.mean(axis=0) for members in groups.values()]
+def _separation(stats: dict[str, _Manifold]) -> float:
+    if len(stats) < 2:
+        raise GeometryError(f"need at least 2 manifolds, got {len(stats)}")
+    centroids = [m.centroid for m in stats.values()]
     dists = []
     for i in range(len(centroids)):
         for j in range(i + 1, len(centroids)):
             dists.append(float(np.sqrt(((centroids[i] - centroids[j]) ** 2).sum())))
     return float(np.mean(dists))
+
+
+def intra_compactness(embeddings: EmbeddingMatrix, partition: ManifoldPartition) -> float:
+    """Mean over manifolds of the mean member-to-centroid distance."""
+    stats = _manifold_stats(embeddings, partition)
+    return float(np.mean([m.intra for m in stats.values()]))
+
+
+def inter_separation(embeddings: EmbeddingMatrix, partition: ManifoldPartition) -> float:
+    """Mean pairwise Euclidean distance between manifold centroids."""
+    return _separation(_manifold_stats(embeddings, partition))
 
 
 def geometry_ratio(intra: float, inter: float) -> float:
@@ -112,12 +128,8 @@ def geometry_ratio(intra: float, inter: float) -> float:
 def spread(embeddings: EmbeddingMatrix, partition: ManifoldPartition) -> float:
     """Mean over manifolds of within-manifold variance (mean squared
     distance to the centroid)."""
-    groups = _grouped_rows(embeddings, partition)
-    per = []
-    for members in groups.values():
-        centroid = members.mean(axis=0)
-        per.append(float((((members - centroid) ** 2).sum(axis=1)).mean()))
-    return float(np.mean(per))
+    stats = _manifold_stats(embeddings, partition)
+    return float(np.mean([m.spread for m in stats.values()]))
 
 
 @dataclass(frozen=True)
@@ -143,30 +155,18 @@ class GeometryReport:
 def compute_geometry(
     embeddings: EmbeddingMatrix, partition: ManifoldPartition
 ) -> GeometryReport:
-    groups = _grouped_rows(embeddings, partition)
-    per_manifold: dict[str, dict[str, float]] = {}
-    intra_parts = []
-    spread_parts = []
-    for label, members in groups.items():
-        centroid = members.mean(axis=0)
-        d2 = ((members - centroid) ** 2).sum(axis=1)
-        m_intra = float(np.sqrt(d2).mean())
-        m_spread = float(d2.mean())
-        per_manifold[label] = {
-            "size": float(members.shape[0]),
-            "intra": m_intra,
-            "spread": m_spread,
-        }
-        intra_parts.append(m_intra)
-        spread_parts.append(m_spread)
-    intra = float(np.mean(intra_parts))
-    inter = inter_separation(embeddings, partition)
+    stats = _manifold_stats(embeddings, partition)
+    intra = float(np.mean([m.intra for m in stats.values()]))
+    inter = _separation(stats)
     return GeometryReport(
         intra=intra,
         inter=inter,
         ratio=geometry_ratio(intra, inter),
-        spread=float(np.mean(spread_parts)),
-        per_manifold=per_manifold,
+        spread=float(np.mean([m.spread for m in stats.values()])),
+        per_manifold={
+            label: {"size": float(m.size), "intra": m.intra, "spread": m.spread}
+            for label, m in stats.items()
+        },
         source=partition.source,
     )
 
@@ -403,21 +403,3 @@ def crosslingual_consistency(
         mean_pairwise_jaccard=float(np.mean(overlaps)),
         n_records=n,
     )
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Aggregate of the per-family consistency diagnostics."""
-
-    purity: PurityReport | None = None
-    crosslingual: CrosslingualReport | None = None
-    teacher: TeacherSimilarityReport | None = None
-    retrieval: RetrievalAgreement | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "purity": self.purity.to_dict() if self.purity else None,
-            "crosslingual": self.crosslingual.to_dict() if self.crosslingual else None,
-            "teacher": self.teacher.to_dict() if self.teacher else None,
-            "retrieval": self.retrieval.to_dict() if self.retrieval else None,
-        }

@@ -127,8 +127,13 @@ def fit_pca(X, r: int, seed: int = 0) -> PcaModel:
         raise RetrievalError(f"PCA needs at least 2 rows, got {n}")
     if not 1 <= r <= min(n, d):
         raise RetrievalError(f"r must be in [1, {min(n, d)}], got {r}")
-    mean = data.mean(axis=0)
-    centered = data - mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.mean(axis=0)
+        centered = data - mean
+        total_sq = float(np.einsum("ij,ij->", centered, centered))
+    # the covariance entries are bounded by the total squared deviation
+    if not np.isfinite(total_sq):
+        raise RetrievalError("PCA input is too large: its squared deviations overflow")
     if float(np.abs(centered).max(initial=0.0)) == 0.0:
         warnings.warn("PCA input has zero variance; components are arbitrary axes")
         return PcaModel(

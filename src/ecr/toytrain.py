@@ -30,7 +30,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .anchors import AnchorSet, build_anchor_set
-from .codec import ControlPrefix, TokenVocabulary, encode, token_vocabulary
+from .codec import (
+    ControlPrefix,
+    TokenVocabulary,
+    _selected,
+    encode,
+    project_batch,
+    token_vocabulary,
+)
 from .corpus import Corpus, CorpusHeader, CorpusRecord, EmbeddingMatrix, LANGUAGES
 from .geometry import (
     CrosslingualReport,
@@ -331,52 +338,59 @@ def embed_sequence(model: ToyModel, tokens) -> np.ndarray:
     return model.emb[ids[keep]].mean(axis=0)
 
 
+def _sequence_logits(
+    emb: np.ndarray, out: np.ndarray, ids: np.ndarray, prefix_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward pass of one sequence: (context, targets, log-probs).
+
+    ``context[j]`` is the running mean of the embeddings at positions
+    0..j and predicts position j+1.  Targets are the positions strictly
+    after both the prefix and the first content token, so conditioned and
+    plain arms score exactly the same target set; ``log_probs`` holds one
+    log-softmax row over the base vocabulary per target.
+    """
+    t_len = ids.shape[0]
+    ctx = np.cumsum(emb[ids], axis=0) / np.arange(1, t_len + 1)[:, None]
+    logits = ctx[prefix_len : t_len - 1] @ out
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
+    return ctx, ids[prefix_len + 1 :], log_probs
+
+
 def _forward_backward(
     emb: np.ndarray,
     out: np.ndarray,
     sequences: list[tuple[np.ndarray, int]],
     base_size: int,
 ) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """Loss and gradients over a batch of (token ids, prefix length) pairs.
-
-    Position j is predicted from the running mean of embeddings over
-    positions 0..j-1; targets are positions strictly after both the
-    prefix and the first content token, so conditioned and plain arms
-    score exactly the same target set.
-    """
+    """Loss and gradients over a batch of (token ids, prefix length) pairs,
+    through :func:`_sequence_logits`."""
     d_emb = np.zeros_like(emb)
     d_out = np.zeros_like(out)
     total = 0.0
     n_targets = 0
-    deferred: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    deferred: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for ids, prefix_len in sequences:
-        t_len = ids.shape[0]
-        first_target = prefix_len + 1
-        if first_target >= t_len:
+        ctx, targets, log_probs = _sequence_logits(emb, out, ids, prefix_len)
+        if targets.size == 0:
             continue
-        rows = emb[ids]
-        ctx = np.cumsum(rows, axis=0) / np.arange(1, t_len + 1)[:, None]
-        targets = ids[first_target:]
         if np.any(targets >= base_size):
             raise ToyTrainError("control token appeared as a prediction target")
-        logits = ctx[first_target - 1 : t_len - 1] @ out
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        log_probs = shifted - log_z[:, None]
-        total += float(-log_probs[np.arange(targets.shape[0]), targets].sum())
+        picked = (np.arange(targets.shape[0]), targets)
+        total += float(-log_probs[picked].sum())
         n_targets += targets.shape[0]
         d_logits = np.exp(log_probs)
-        d_logits[np.arange(targets.shape[0]), targets] -= 1.0
-        deferred.append((ids, ctx, d_logits, rows))
+        d_logits[picked] -= 1.0
+        deferred.append((ids, ctx, d_logits))
     if n_targets == 0:
         raise ToyTrainError("batch contains no prediction targets")
     inv = 1.0 / n_targets
-    for ids, ctx, d_logits, rows in deferred:
+    for ids, ctx, d_logits in deferred:
         t_len = ids.shape[0]
         first_target = t_len - d_logits.shape[0]
         d_logits = d_logits * inv
         d_out += ctx[first_target - 1 : t_len - 1].T @ d_logits
-        d_ctx = np.zeros((t_len, rows.shape[1]))
+        d_ctx = np.zeros_like(ctx)
         d_ctx[first_target - 1 : t_len - 1] = d_logits @ out.T
         d_cums = d_ctx / np.arange(1, t_len + 1)[:, None]
         d_rows = np.cumsum(d_cums[::-1], axis=0)[::-1]
@@ -469,23 +483,6 @@ class TrainConfig:
         cfg["ecr"] = dict(self.ecr.__dict__)
         cfg["ecr"]["factors"] = list(self.ecr.factors)
         return cfg
-
-
-def _shared_hyperparameters(cfg: TrainConfig) -> tuple:
-    return (
-        cfg.learning_rate,
-        cfg.epochs,
-        cfg.batch_size,
-        cfg.seed,
-        cfg.beta1,
-        cfg.beta2,
-        cfg.eps,
-        cfg.weight_decay,
-        cfg.grad_clip,
-        cfg.holdout_fraction,
-        cfg.divergence_threshold,
-        cfg.divergence_patience,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +598,7 @@ def nll_eval(
     counts: dict[str, int] = {}
     for sample in samples:
         ids, prefix_len = _conditioned_ids(model, sample, anchors, settings, frozen)
-        rows = model.emb[ids]
-        t_len = ids.shape[0]
-        ctx = np.cumsum(rows, axis=0) / np.arange(1, t_len + 1)[:, None]
-        first_target = prefix_len + 1
-        targets = ids[first_target:]
-        logits = ctx[first_target - 1 : t_len - 1] @ model.out
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
+        _, targets, log_probs = _sequence_logits(model.emb, model.out, ids, prefix_len)
         nll = float(-log_probs[np.arange(targets.shape[0]), targets].sum())
         sums[sample.language] = sums.get(sample.language, 0.0) + nll
         counts[sample.language] = counts.get(sample.language, 0) + targets.shape[0]
@@ -635,10 +625,10 @@ def task_accuracy(
         if sample.answer_pos is None:
             raise ToyTrainError(f"sample {sample.dialog_id!r} has no gold position")
         ids, prefix_len = _conditioned_ids(model, sample, anchors, settings, frozen)
-        pos = prefix_len + sample.answer_pos
-        rows = model.emb[ids[:pos]]
-        ctx = rows.mean(axis=0)
-        logits = ctx @ model.out
+        ctx, _, _ = _sequence_logits(model.emb, model.out, ids, prefix_len)
+        # one context row times the head: reading the answer logits off the
+        # all-positions product would round differently
+        logits = ctx[prefix_len + sample.answer_pos - 1] @ model.out
         cand = np.asarray(sample.candidates, dtype=np.int64)
         picked = int(cand[int(np.argmax(logits[cand]))])
         if picked == sample.gold:
@@ -655,23 +645,6 @@ def _student_embeddings(model: ToyModel, samples: list[Sample]) -> EmbeddingMatr
     return EmbeddingMatrix(data=rows.astype(np.float32), ids=ids)
 
 
-def _factor_top1_selection(
-    model: ToyModel, sample: Sample, anchors: AnchorSet
-) -> frozenset:
-    """Per-factor top-1 flat anchor indices for the sample's query."""
-    from .codec import project
-
-    h = embed_sequence(model, sample.tokens[: sample.query_len])
-    affinity = project(h, anchors)
-    chosen = []
-    pos = 0
-    for size in affinity.group_sizes:
-        block = affinity.values[pos : pos + size]
-        chosen.append(pos + int(np.argmax(block)))
-        pos += size
-    return frozenset(chosen)
-
-
 def eval_crosslingual(
     model: ToyModel,
     records: list[CorpusRecord],
@@ -683,15 +656,16 @@ def eval_crosslingual(
 
     Always measured against the full diagnostic anchor set, so rows of an
     ablation table are comparable regardless of which factors condition
-    the training run.
+    the training run.  Every variant's pooled query is projected in one
+    batch.
     """
+    samples = [record_sample(rec, lang, layout) for rec in records for lang in LANGUAGES]
     selections: dict[str, dict[str, frozenset]] = {}
-    for rec in records:
-        per_lang = {}
-        for lang in LANGUAGES:
-            sample = record_sample(rec, lang, layout)
-            per_lang[lang] = _factor_top1_selection(model, sample, anchors)
-        selections[rec.dialog_id] = per_lang
+    if samples:
+        pooled = np.stack([embed_sequence(model, s.tokens[: s.query_len]) for s in samples])
+        top1 = _selected(project_batch(pooled, anchors), anchors.group_sizes, 1, "factor")
+        for sample, chosen in zip(samples, top1.tolist()):
+            selections.setdefault(sample.dialog_id, {})[sample.language] = frozenset(chosen)
     return crosslingual_consistency(selections)
 
 
@@ -870,7 +844,7 @@ def run_experiment(
         raise ToyTrainError("configs must have exactly the keys 'baseline' and 'ecr'")
     base_cfg = configs["baseline"]
     ecr_cfg = configs["ecr"]
-    if _shared_hyperparameters(base_cfg) != _shared_hyperparameters(ecr_cfg):
+    if replace(base_cfg, ecr=ecr_cfg.ecr) != ecr_cfg:
         raise ToyTrainError(
             "paired configs must share every hyperparameter except ecr settings"
         )

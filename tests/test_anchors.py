@@ -77,6 +77,14 @@ def test_kmeans_non_finite_points_rejected(bad):
         kmeans_fit(pts, 3, seed=0)
 
 
+def test_kmeans_overflowing_points_rejected():
+    # finite entries whose squared distances overflow
+    pts = np.random.default_rng(4).normal(size=(50, 8))
+    pts[9] *= 1e200
+    with pytest.raises(AnchorError, match="overflow"):
+        kmeans_fit(pts, 3, seed=0)
+
+
 def test_kmeans_deterministic_under_seed():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(30, 4))

@@ -495,6 +495,15 @@ def test_train_toy_rejects_precision_key(capsys, tmp_path):
     assert "unknown config key 'precision'" in err
 
 
+def test_train_toy_rejects_bare_ecr_key(capsys, tmp_path):
+    # the nested settings are set through ecr_* keys, never as one value
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text("ecr = on\n")
+    code, _, err = _run(capsys, "train-toy", "--config", str(cfg))
+    assert code == 1
+    assert "unknown config key 'ecr'" in err
+
+
 def test_config_file_syntax_errors_name_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = 2\nnot a pair\n")

@@ -124,6 +124,15 @@ def test_pca_non_finite_input_rejected(bad):
         fit_pca(X, 2)
 
 
+@pytest.mark.parametrize("d", [8, 1100])  # dense eigh and subspace iteration
+def test_pca_overflowing_input_rejected(d):
+    # finite entries whose squares overflow
+    X = np.random.default_rng(5).normal(size=(50, d))
+    X[17] *= 1e200
+    with pytest.raises(RetrievalError, match="overflow"):
+        fit_pca(X, 2)
+
+
 def test_pca_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(50, 7))

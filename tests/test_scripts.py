@@ -1,0 +1,61 @@
+"""Smoke runs of the experiment scripts with tiny arguments: each exits 0
+and prints its table header."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _main(name: str):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+@pytest.mark.parametrize(
+    "name, argv, header",
+    [
+        (
+            "paired_training",
+            ["--seeds", "2", "--n-per-lang", "8", "--epochs", "2"],
+            ["seed", "baseline_nll", "ecr_nll", "gap", "win"],
+        ),
+        (
+            "ablation",
+            ["--n-per-lang", "8", "--epochs", "1", "--subsets", ";L;L,E"],
+            ["factors", "nll", "spread", "consistency", "diverged"],
+        ),
+        (
+            "stability_probe",
+            ["--lrs", "0.05,50", "--n-per-lang", "8", "--epochs", "2"],
+            ["lr", "clip", "steps", "diverged", "divergence_step", "final_nll"],
+        ),
+    ],
+)
+def test_training_script_prints_table(capsys, name, argv, header):
+    assert _main(name)(argv) == 0
+    assert header in [line.split() for line in capsys.readouterr().out.splitlines()]
+
+
+def test_paired_training_writes_results(capsys, tmp_path):
+    out = tmp_path / "paired.json"
+    argv = ["--seeds", "1", "--n-per-lang", "8", "--epochs", "1", "--out", str(out)]
+    assert _main("paired_training")(argv) == 0
+    assert "wins: " in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert [row["seed"] for row in payload["rows"]] == [0]
+
+
+def test_retrieval_bench_prints_ladder_and_latency(capsys):
+    argv = ["--n", "300", "--d", "8", "--m", "6", "--efc", "20", "--queries", "20",
+            "--ef-ladder", "8,32", "--bench-ef", "16"]
+    assert _main("retrieval_bench")(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("built index: n=300 d=8 m=6 efc=20")
+    assert [line.split()[0] for line in lines[1:3]] == ["ef=", "ef="]
+    assert lines[3].startswith("latency at ef=16: p50=")

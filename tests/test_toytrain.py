@@ -636,6 +636,14 @@ def test_run_experiment_rejects_mismatched_configs():
         run_experiment(data, anchors, {"baseline": bad_base, "ecr": bad_base})
 
 
+def test_run_experiment_rejects_pair_differing_only_in_epochs():
+    data, anchors = _tiny_setup()
+    base = _fast_config()
+    longer = _fast_config(epochs=base.epochs + 1, ecr=EcrSettings(enabled=True))
+    with pytest.raises(ToyTrainError, match="share every hyperparameter"):
+        run_experiment(data, anchors, {"baseline": base, "ecr": longer})
+
+
 def test_subset_anchors_preserves_order():
     data, anchors = _tiny_setup()
     sub = subset_anchors(anchors, ("I", "T"))
