@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binio import ByteReader, ByteWriter, read_envelope, write_envelope
-from .corpus import FACTOR_FIELDS, Corpus, EmbeddingMatrix
+from .corpus import FACTOR_FIELDS, Corpus, EmbeddingMatrix, _rows_over_norms
 
 ANCHOR_MAGIC = b"ECRA"
 ANCHOR_VERSION = 1
@@ -63,7 +63,7 @@ class FactorGroup:
     """Anchor block for one factor: raw centroids plus a cached unit copy."""
 
     factor: str
-    centroids: np.ndarray  # (k_f, d) float64, read-only, rows have norm > 0
+    centroids: np.ndarray  # (k_f, d) float64, read-only, finite, no row all zero
     label_names: tuple[str, ...] | None = None
     provenance: Provenance = Provenance(method="unspecified")
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -76,7 +76,7 @@ class FactorGroup:
             raise AnchorError(f"factor {self.factor}: centroids must be a non-empty 2-d array")
         if not np.all(np.isfinite(cents)):
             raise AnchorError(f"factor {self.factor}: non-finite centroid entries")
-        if np.any(np.linalg.norm(cents, axis=1) == 0.0):
+        if not cents.any(axis=1).all():
             raise AnchorError(f"factor {self.factor}: zero-norm anchor cannot be projected on")
         if self.label_names is not None and len(self.label_names) != cents.shape[0]:
             raise AnchorError(
@@ -98,8 +98,7 @@ class FactorGroup:
         """Rows scaled to norm 1, computed once and cached read-only."""
         cached = self._cache.get("unit")
         if cached is None:
-            norms = np.linalg.norm(self.centroids, axis=1, keepdims=True)
-            cached = _frozen(self.centroids / norms)
+            cached = _frozen(_rows_over_norms(self.centroids))
             self._cache["unit"] = cached
         return cached
 
@@ -146,15 +145,6 @@ class AnchorSet:
             if g.factor == factor:
                 return g
         raise AnchorError(f"anchor set has no factor {factor!r}")
-
-    def group_offsets(self) -> dict[str, int]:
-        """Flat row offset of each factor block in stacked order."""
-        offsets: dict[str, int] = {}
-        pos = 0
-        for g in self.groups:
-            offsets[g.factor] = pos
-            pos += g.k
-        return offsets
 
     def stacked_unit(self) -> np.ndarray:
         """All unit anchors as one (total_k, d) read-only matrix."""

@@ -64,35 +64,6 @@ class AffinityVector:
     """Cosine affinities of one embedding against every anchor, flat order."""
 
     values: np.ndarray  # (total_k,) float64 in [-1, 1]
-    factors: tuple[str, ...]
-    group_sizes: tuple[int, ...]
-    anchor_ref: str  # checksum of the anchor set the values came from
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
-
-    def group_slice(self, factor: str) -> slice:
-        pos = 0
-        for f, size in zip(self.factors, self.group_sizes):
-            if f == factor:
-                return slice(pos, pos + size)
-            pos += size
-        raise CodecError(f"no factor {factor!r} in affinity vector")
-
-
-@dataclass(frozen=True)
-class ControlCode:
-    """Quantized affinities: one bin per anchor, flat canonical order."""
-
-    bins: np.ndarray  # (total_k,) int64 in [0, n_bins)
-    n_bins: int
-    factors: tuple[str, ...]
-    group_sizes: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return self.bins.shape[0]
 
 
 @dataclass(frozen=True)
@@ -134,12 +105,7 @@ def project_batch(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
 def project(h: np.ndarray, anchors: AnchorSet) -> AffinityVector:
     """Cosine affinity of h against every anchor (cost O(Kd))."""
     h = np.asarray(h, dtype=np.float64).ravel()
-    return AffinityVector(
-        values=project_batch(h[None, :], anchors)[0],
-        factors=anchors.factors,
-        group_sizes=anchors.group_sizes,
-        anchor_ref=anchors.checksum(),
-    )
+    return AffinityVector(values=project_batch(h[None, :], anchors)[0])
 
 
 def quantize_value(c: float, n_bins: int) -> int:
@@ -162,15 +128,6 @@ def _bins(values: np.ndarray, n_bins: int) -> np.ndarray:
         raise CodecError(f"n_bins must be at least 2, got {n_bins}")
     bins = np.floor((values + 1.0) / 2.0 * n_bins).astype(np.int64)
     return np.minimum(np.maximum(bins, 0, out=bins), n_bins - 1, out=bins)
-
-
-def quantize(affinity: AffinityVector, n_bins: int) -> ControlCode:
-    return ControlCode(
-        bins=_bins(affinity.values, n_bins),
-        n_bins=n_bins,
-        factors=affinity.factors,
-        group_sizes=affinity.group_sizes,
-    )
 
 
 @dataclass(frozen=True)
@@ -224,9 +181,6 @@ class TokenVocabulary:
                 return ControlToken(factor=f, anchor=flat - pos, bin=bin_)
             pos += k
         raise CodecError(f"token id {token_id} outside control block")
-
-    def is_control_id(self, token_id: int) -> bool:
-        return self.base_size <= token_id < self.base_size + self.size
 
 
 def token_vocabulary(anchors: AnchorSet, n_bins: int, base_size: int) -> TokenVocabulary:
@@ -287,53 +241,6 @@ def _render(table: _TokenTable, flat: list[int], vocab: TokenVocabulary | None) 
     )
 
 
-def emit_tokens(
-    code: ControlCode,
-    anchors: AnchorSet,
-    vocab: TokenVocabulary | None = None,
-) -> ControlPrefix:
-    """Render a full control code as one token per anchor, canonical order."""
-    if code.k != anchors.total_k:
-        raise CodecError(
-            f"code length {code.k} does not match anchor count {anchors.total_k}"
-        )
-    if code.factors != anchors.factors or code.group_sizes != anchors.group_sizes:
-        raise CodecError("code factor layout does not match the anchor set")
-    if np.any((code.bins < 0) | (code.bins >= code.n_bins)):
-        raise CodecError(f"bin out of range for n_bins={code.n_bins}")
-    _check_vocab(vocab, anchors, code.n_bins)
-    table = _token_table(anchors, code.n_bins)
-    return _render(table, (table.offsets + code.bins).tolist(), vocab)
-
-
-def decode_tokens(tokens: tuple[ControlToken, ...] | list[ControlToken], anchors: AnchorSet, n_bins: int) -> ControlCode:
-    """Inverse of :func:`emit_tokens` for full prefixes."""
-    if len(tokens) != anchors.total_k:
-        raise CodecError(
-            f"{len(tokens)} tokens cannot decode against {anchors.total_k} anchors"
-        )
-    offsets = anchors.group_offsets()
-    bins = np.full(anchors.total_k, -1, dtype=np.int64)
-    for tok in tokens:
-        if tok.factor not in offsets:
-            raise CodecError(f"token factor {tok.factor!r} not in anchor set")
-        k = anchors.group(tok.factor).k
-        if not 0 <= tok.anchor < k:
-            raise CodecError(f"anchor index {tok.anchor} out of range for {tok.factor}")
-        if not 0 <= tok.bin < n_bins:
-            raise CodecError(f"bin {tok.bin} out of range for n_bins={n_bins}")
-        flat = offsets[tok.factor] + tok.anchor
-        if bins[flat] != -1:
-            raise CodecError(f"duplicate token for anchor {tok.factor}{tok.anchor}")
-        bins[flat] = tok.bin
-    return ControlCode(
-        bins=bins,
-        n_bins=n_bins,
-        factors=anchors.factors,
-        group_sizes=anchors.group_sizes,
-    )
-
-
 def rank_anchors(values: np.ndarray, k: int) -> np.ndarray:
     """Flat indices of the k strongest anchors in each row of an
     (n, total_k) affinity matrix, descending.
@@ -345,12 +252,6 @@ def rank_anchors(values: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= total:
         raise CodecError(f"k must be in [1, {total}], got {k}")
     return np.argsort(-values, axis=1, kind="stable")[:, :k]
-
-
-def topk_anchors(h: np.ndarray, anchors: AnchorSet, k: int) -> list[int]:
-    """Flat indices of the k nearest anchors by cosine, descending."""
-    h = np.asarray(h, dtype=np.float64).ravel()
-    return rank_anchors(project_batch(h[None, :], anchors), k)[0].tolist()
 
 
 def _selected(values: np.ndarray, group_sizes: tuple[int, ...], k: int, scope: str) -> np.ndarray:
@@ -426,10 +327,3 @@ def encode(
     h = np.asarray(h, dtype=np.float64).ravel()
     return encode_batch(h[None, :], anchors, n_bins, mode, k, scope, vocab)[0]
 
-
-def build_input(prefix: ControlPrefix, input_ids: list[int] | np.ndarray) -> np.ndarray:
-    """Conditioned sequence x' = [t, x]: control ids then the original ids."""
-    if not prefix.token_ids and prefix.tokens:
-        raise CodecError("prefix has no token ids; encode with a vocabulary first")
-    x = np.asarray(input_ids, dtype=np.int64).ravel()
-    return np.concatenate([np.asarray(prefix.token_ids, dtype=np.int64), x])

@@ -136,10 +136,6 @@ class Corpus:
             counts[label] = counts.get(label, 0) + 1
         return counts
 
-    def factor_counts(self) -> dict[str, dict[str, int]]:
-        """Per-factor label counts, the summary reported after loading."""
-        return {f: self.counts_by(f) for f in ("language", "task", "emotion", "intent")}
-
 
 def validate_record(rec: CorpusRecord, header: CorpusHeader, where: str = "") -> None:
     ctx = f" ({where})" if where else ""
@@ -319,6 +315,27 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
         arr = np.ldexp(arr, np.where(inside, 0, -np.frexp(peak)[1])[:, None])
         sq = _row_dots(arr)
     return arr / np.sqrt(sq)[:, None]
+
+
+def _rows_over_norms(rows: np.ndarray) -> np.ndarray:
+    """Every row of a 2-d array scaled to unit L2 norm: ``row /
+    np.linalg.norm(row)`` where its sum of squares lies in [_SQ_MIN,
+    _SQ_MAX], :func:`normalize_rows` for the rows outside that range.
+
+    Unit anchors and index rows are made this way because
+    :func:`normalize_rows` rounds some in-range rows differently, and
+    prefixes and graphs depend on those bits.  Raises ValueError where
+    :func:`normalize_rows` does.
+    """
+    arr = np.asarray(rows, dtype=np.float64)
+    sq = np.add.reduce(arr * arr, axis=1)  # the sum np.linalg.norm takes
+    inside = (sq >= _SQ_MIN) & (sq <= _SQ_MAX)  # False for NaN
+    if inside.all():
+        return arr / np.sqrt(sq)[:, None]
+    out = np.empty_like(arr)
+    out[inside] = arr[inside] / np.sqrt(sq[inside])[:, None]
+    out[~inside] = normalize_rows(arr[~inside])
+    return out
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:

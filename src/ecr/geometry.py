@@ -3,9 +3,8 @@
 Manifolds are groups of samples (gold factor labels or top-1 anchor
 assignments).  The module reports within-manifold compactness, between-
 manifold separation and their ratio, a variance-based spread statistic,
-nearest-prototype language purity, teacher/student cosine agreement, and
-two selection-consistency rates (teacher vs student, and cross-lingual
-variants of one record).
+nearest-prototype language purity, and how consistently the cross-lingual
+variants of one record select the same manifold subset.
 
 All statistics are plain Euclidean/cosine quantities computed directly
 from differences, so brute-force double-loop evaluation reproduces them
@@ -235,82 +234,6 @@ def purity(embeddings: EmbeddingMatrix, languages: list[str]) -> PurityReport:
 
 
 # ---------------------------------------------------------------------------
-# Teacher/student agreement
-
-
-@dataclass(frozen=True)
-class TeacherSimilarityReport:
-    per_language: dict[str, float]
-    overall: float
-    n_pairs: int
-    shared_dim: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "per_language": self.per_language,
-            "overall": self.overall,
-            "n_pairs": self.n_pairs,
-            "shared_dim": self.shared_dim,
-        }
-
-
-def teacher_similarity(
-    teacher: EmbeddingMatrix,
-    student: EmbeddingMatrix,
-    language_of: dict[str, str],
-    shared_dim: int | None = None,
-) -> TeacherSimilarityReport:
-    """Mean cosine between teacher and student vectors paired by id.
-
-    Unequal dimensions require ``shared_dim``: each side is reduced with
-    its own PCA to that dimension before comparison (raw cosine across
-    unequal dimensions is undefined).
-    """
-    t_ids, s_ids = set(teacher.ids), set(student.ids)
-    if t_ids != s_ids:
-        odd = sorted(t_ids.symmetric_difference(s_ids))[0]
-        raise GeometryError(f"unpaired sample id {odd!r}")
-    t_data = teacher.data.astype(np.float64)
-    s_data = student.data.astype(np.float64)
-    used_dim: int | None = None
-    if teacher.d != student.d:
-        if shared_dim is None:
-            raise GeometryError(
-                f"dimension mismatch {teacher.d} vs {student.d} "
-                f"needs a configured shared_dim"
-            )
-        from .retrieval import fit_pca, pca_project
-
-        used_dim = shared_dim
-        t_data = pca_project(fit_pca(t_data, shared_dim), t_data)
-        s_data = pca_project(fit_pca(s_data, shared_dim), s_data)
-    s_row = {sid: i for i, sid in enumerate(student.ids)}
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    total = 0.0
-    for i, sid in enumerate(teacher.ids):
-        t_vec = t_data[i]
-        s_vec = s_data[s_row[sid]]
-        denom = float(np.linalg.norm(t_vec)) * float(np.linalg.norm(s_vec))
-        if denom == 0.0:
-            raise GeometryError(f"zero vector for sample {sid!r}")
-        cos = float(t_vec @ s_vec) / denom
-        lang = language_of.get(sid)
-        if lang is None:
-            raise GeometryError(f"sample {sid!r} has no language")
-        sums[lang] = sums.get(lang, 0.0) + cos
-        counts[lang] = counts.get(lang, 0) + 1
-        total += cos
-    per_language = {lang: sums[lang] / counts[lang] for lang in sorted(sums)}
-    return TeacherSimilarityReport(
-        per_language=per_language,
-        overall=total / teacher.n,
-        n_pairs=teacher.n,
-        shared_dim=used_dim,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Selection consistency
 
 
@@ -318,47 +241,6 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     if not a and not b:
         return 1.0
     return len(a & b) / len(a | b)
-
-
-@dataclass(frozen=True)
-class RetrievalAgreement:
-    top1_rate: float
-    mean_jaccard: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return {"top1_rate": self.top1_rate, "mean_jaccard": self.mean_jaccard, "n": self.n}
-
-
-def retrieval_consistency(
-    teacher_selections: dict[str, tuple[int, ...] | list[int]],
-    student_selections: dict[str, tuple[int, ...] | list[int]],
-) -> RetrievalAgreement:
-    """Agreement between two selection maps over identical sample ids.
-
-    The primary rate is top-1 agreement (first selected index equal);
-    mean Jaccard overlap of the full selections is reported alongside.
-    """
-    if set(teacher_selections) != set(student_selections):
-        odd = sorted(set(teacher_selections).symmetric_difference(student_selections))[0]
-        raise GeometryError(f"unpaired sample id {odd!r}")
-    if not teacher_selections:
-        raise GeometryError("empty selection map")
-    hits = 0
-    overlaps = []
-    for sid, t_sel in teacher_selections.items():
-        s_sel = student_selections[sid]
-        if not t_sel or not s_sel:
-            raise GeometryError(f"empty selection for sample {sid!r}")
-        if t_sel[0] == s_sel[0]:
-            hits += 1
-        overlaps.append(_jaccard(frozenset(t_sel), frozenset(s_sel)))
-    n = len(teacher_selections)
-    return RetrievalAgreement(
-        top1_rate=hits / n,
-        mean_jaccard=float(np.mean(overlaps)),
-        n=n,
-    )
 
 
 @dataclass(frozen=True)

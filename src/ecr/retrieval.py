@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import ByteReader, ByteWriter, read_envelope, write_envelope
-from .corpus import normalize
+from .corpus import _rows_over_norms, normalize
 
 PCA_MAGIC = b"ECRP"
 PCA_VERSION = 1
@@ -255,12 +255,12 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise RetrievalError("index vectors must form a non-empty 2-d matrix")
-    norms = np.linalg.norm(data, axis=1, keepdims=True)
-    if not np.isfinite(norms).all():
-        raise RetrievalError("index vectors must be finite, with norms that do not overflow")
-    if np.any(norms == 0.0):
-        raise RetrievalError("cannot index a zero vector under cosine similarity")
-    return np.ascontiguousarray(data / norms)
+    try:
+        return np.ascontiguousarray(_rows_over_norms(data))
+    except ValueError:
+        if not np.isfinite(data).all():
+            raise RetrievalError("index vectors must be finite") from None
+        raise RetrievalError("cannot index a zero vector under cosine similarity") from None
 
 
 def _unit_query(v: np.ndarray, d: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from ecr.anchors import (
     load_anchors,
     save_anchors,
 )
+from ecr.codec import encode, project
 from ecr.corpus import EmbeddingMatrix
 
 
@@ -236,16 +237,38 @@ def test_zero_centroid_rejected():
         )
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_extreme_scale_rows_encode_like_unscaled(tmp_path):
+    # a row times 1e200 has a sum of squares that overflows, and one times
+    # 1e-200 one that underflows to zero; both still point the same way
+    rng = np.random.default_rng(21)
+    cents = rng.normal(size=(3, 6))
+    plain = AnchorSet(groups=(FactorGroup(factor="T", centroids=cents),), d=6)
+    scaled = cents * np.array([[1e200], [1e-200], [1.0]])
+    path = str(tmp_path / "scaled.bin")
+    save_anchors(AnchorSet(groups=(FactorGroup(factor="T", centroids=scaled),), d=6), path)
+    loaded = load_anchors(path)
+    assert np.allclose(loaded.stacked_unit(), plain.stacked_unit(), rtol=0, atol=1e-15)
+    for h in rng.normal(size=(50, 6)):
+        pos = (project(h, plain).values + 1.0) / 2.0 * 8
+        if np.abs(pos - np.round(pos)).min() > 1e-3:  # away from every bin edge
+            break
+    else:
+        pytest.fail("no probe away from the bin edges")
+    assert encode(h, loaded, n_bins=8).text == encode(h, plain, n_bins=8).text
+
+
 def test_group_offsets_and_stacking():
     m, corpus = _toy_anchor_set()
     anchors = build_anchor_set(m, corpus, ("T", "L", "E", "I"), mode="label")
-    offsets = anchors.group_offsets()
-    sizes = dict(zip(anchors.factors, anchors.group_sizes))
-    assert offsets[anchors.factors[0]] == 0
-    last = anchors.factors[-1]
-    assert offsets[last] + sizes[last] == anchors.total_k
     stacked = anchors.stacked_unit()
     assert stacked.shape == (anchors.total_k, anchors.d)
+    # each factor block starts where the one before it ends
+    offset = 0
+    for g in anchors.groups:
+        assert np.array_equal(stacked[offset : offset + g.k], g.unit_centroids)
+        offset += g.k
+    assert offset == anchors.total_k
 
 
 def test_checksum_stable_and_fresh():

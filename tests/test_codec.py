@@ -1,7 +1,7 @@
 """Control-token codec: projection, quantization, rendering, prefixes."""
 
-import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,18 +12,14 @@ from ecr.anchors import build_anchor_set
 from ecr.codec import (
     CodecError,
     ControlToken,
-    build_input,
-    decode_tokens,
-    emit_tokens,
     encode,
     encode_batch,
     parse_token,
     project,
     project_batch,
-    quantize,
     quantize_value,
+    rank_anchors,
     token_vocabulary,
-    topk_anchors,
 )
 
 
@@ -38,6 +34,12 @@ def _anchor_set(factors=("T", "L"), d=6, seed=0, k=None, mode="label"):
     )
     m = embeddings_for([r.dialog_id for r in corpus.records], d=d, seed=seed)
     return build_anchor_set(m, corpus, factors, mode=mode, k=k, seed=seed)
+
+
+def _flat_index(anchors, token):
+    """Row of ``token``'s anchor in the stacked anchor matrix."""
+    pos = anchors.factors.index(token.factor)
+    return sum(anchors.group_sizes[:pos]) + token.anchor
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +90,6 @@ def test_quantizer_monotone_property(c, n_bins):
     assert quantize_value(c_up, n_bins) >= b
 
 
-def test_quantize_vector_applies_scalar_rule():
-    anchors = _anchor_set()
-    rng = np.random.default_rng(0)
-    affinity = project(rng.normal(size=anchors.d), anchors)
-    code = quantize(affinity, 8)
-    for i, c in enumerate(affinity.values):
-        assert code.bins[i] == quantize_value(float(c), 8)
-
-
 # ---------------------------------------------------------------------------
 # projection
 
@@ -145,18 +138,6 @@ def test_projection_zero_vector_rejected():
         project(np.zeros(6), anchors)
 
 
-def test_affinity_group_slice_layout():
-    anchors = _anchor_set(("T", "L"), d=6)
-    affinity = project(np.ones(6), anchors)
-    t = affinity.group_slice("T")
-    l = affinity.group_slice("L")
-    assert t.start == 0
-    assert l.start == t.stop
-    assert l.stop == affinity.k
-    with pytest.raises(CodecError):
-        affinity.group_slice("P")
-
-
 # ---------------------------------------------------------------------------
 # token text form
 
@@ -181,53 +162,7 @@ def test_parse_rejects_malformed():
 
 
 # ---------------------------------------------------------------------------
-# emit / decode
-
-
-def test_emit_decode_round_trip():
-    anchors = _anchor_set(("T", "L", "E"), d=6, seed=7)
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        code = quantize(project(rng.normal(size=6), anchors), 8)
-        prefix = emit_tokens(code, anchors)
-        back = decode_tokens(list(prefix.tokens), anchors, 8)
-        assert np.array_equal(back.bins, code.bins)
-
-
-def test_codec_bijective_small_space():
-    # every code word in a 2-anchor space round-trips to itself and
-    # distinct codes render to distinct token strings
-    anchors = _anchor_set(("T",), d=6, mode="auto", k=2, seed=1)
-    n_bins = 8
-    assert anchors.total_k == 3  # booking, billing, support labels
-    texts = set()
-    for bins in itertools.product(range(n_bins), repeat=anchors.total_k):
-        code = quantize(project(np.ones(6), anchors), n_bins)
-        code = type(code)(
-            bins=np.array(bins, dtype=np.int64),
-            n_bins=n_bins,
-            factors=code.factors,
-            group_sizes=code.group_sizes,
-        )
-        prefix = emit_tokens(code, anchors)
-        back = decode_tokens(list(prefix.tokens), anchors, n_bins)
-        assert tuple(back.bins) == bins
-        texts.add(prefix.text)
-    assert len(texts) == n_bins**anchors.total_k
-
-
-def test_decode_rejects_duplicates_and_out_of_range():
-    anchors = _anchor_set(("T",), d=6)
-    k = anchors.total_k
-    toks = [ControlToken("T", 0, 0)] * k
-    with pytest.raises(CodecError, match="duplicate"):
-        decode_tokens(toks, anchors, 4)
-    with pytest.raises(CodecError, match="out of range"):
-        decode_tokens([ControlToken("T", k + 5, 0)] + [ControlToken("T", i, 0) for i in range(1, k)], anchors, 4)
-    with pytest.raises(CodecError, match="bin"):
-        decode_tokens([ControlToken("T", i, 9) for i in range(k)], anchors, 4)
-    with pytest.raises(CodecError):
-        decode_tokens([ControlToken("T", 0, 0)], anchors, 4)
+# rendering
 
 
 def test_emit_canonical_order():
@@ -244,12 +179,16 @@ def test_emit_canonical_order():
 # top-k selection
 
 
+def _topk(h, anchors, k):
+    return rank_anchors(project_batch(np.asarray(h)[None, :], anchors), k)[0].tolist()
+
+
 def test_topk_returns_descending_affinity():
     anchors = _anchor_set(("T", "L"), d=6, seed=9)
     rng = np.random.default_rng(5)
     h = rng.normal(size=6)
     affinity = project(h, anchors).values
-    got = topk_anchors(h, anchors, 3)
+    got = _topk(h, anchors, 3)
     assert len(got) == 3
     vals = affinity[got]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -259,14 +198,14 @@ def test_topk_returns_descending_affinity():
 def test_topk_bounds_checked():
     anchors = _anchor_set(("T",), d=6)
     with pytest.raises(CodecError):
-        topk_anchors(np.ones(6), anchors, 0)
+        _topk(np.ones(6), anchors, 0)
     with pytest.raises(CodecError):
-        topk_anchors(np.ones(6), anchors, anchors.total_k + 1)
+        _topk(np.ones(6), anchors, anchors.total_k + 1)
 
 
 def test_topk_full_k_is_permutation():
     anchors = _anchor_set(("T", "L"), d=6, seed=11)
-    got = topk_anchors(np.arange(1.0, 7.0), anchors, anchors.total_k)
+    got = _topk(np.arange(1.0, 7.0), anchors, anchors.total_k)
     assert sorted(got) == list(range(anchors.total_k))
 
 
@@ -302,9 +241,8 @@ def test_encode_retrieval_all_scope():
     h = rng.normal(size=6)
     prefix = encode(h, anchors, n_bins=8, mode="retrieval", k=2, scope="all")
     assert len(prefix) == 2
-    flat = topk_anchors(h, anchors, 2)
-    offsets = anchors.group_offsets()
-    got_flat = sorted(offsets[t.factor] + t.anchor for t in prefix.tokens)
+    flat = _topk(h, anchors, 2)
+    got_flat = sorted(_flat_index(anchors, t) for t in prefix.tokens)
     assert got_flat == sorted(flat)
 
 
@@ -348,7 +286,6 @@ def test_vocabulary_round_trip_every_token():
                 tok = ControlToken(factor, a, b)
                 tid = vocab.token_id(tok)
                 assert tid >= 100
-                assert vocab.is_control_id(tid)
                 assert vocab.token_of(tid) == tok
                 seen.add(tid)
     assert len(seen) == anchors.total_k * 4
@@ -360,30 +297,12 @@ def test_vocabulary_round_trip_every_token():
 def test_vocabulary_rejects_foreign_ids():
     anchors = _anchor_set(("T",), d=6)
     vocab = token_vocabulary(anchors, n_bins=4, base_size=10)
-    assert not vocab.is_control_id(3)
     with pytest.raises(CodecError):
         vocab.token_of(3)
     with pytest.raises(CodecError):
         vocab.token_of(vocab.base_size + vocab.size)
     with pytest.raises(CodecError):
         vocab.token_id(ControlToken("L", 0, 0))
-
-
-def test_build_input_prepends_control_ids():
-    anchors = _anchor_set(("T", "L"), d=6)
-    vocab = token_vocabulary(anchors, n_bins=4, base_size=50)
-    prefix = encode(np.ones(6), anchors, n_bins=4, vocab=vocab)
-    x = [7, 8, 9]
-    joined = build_input(prefix, x)
-    assert joined.tolist()[: len(prefix)] == list(prefix.token_ids)
-    assert joined.tolist()[len(prefix) :] == x
-
-
-def test_build_input_requires_ids():
-    anchors = _anchor_set(("T",), d=6)
-    prefix = encode(np.ones(6), anchors, n_bins=4)  # no vocab, no ids
-    with pytest.raises(CodecError, match="vocabulary"):
-        build_input(prefix, [1, 2])
 
 
 def test_vocab_bin_mismatch_rejected():
@@ -399,9 +318,14 @@ def test_encode_round_trip_property(seed, n_bins):
     anchors = _anchor_set(("T", "L"), d=6, seed=3)
     rng = np.random.default_rng(seed)
     h = rng.normal(size=6)
-    code = quantize(project(h, anchors), n_bins)
-    back = decode_tokens(list(emit_tokens(code, anchors).tokens), anchors, n_bins)
-    assert np.array_equal(back.bins, code.bins)
+    vocab = token_vocabulary(anchors, n_bins=n_bins, base_size=40)
+    prefix = encode(h, anchors, n_bins, vocab=vocab)
+    # the text and the ids each give back the tokens, whose bins are the
+    # quantized affinities
+    assert [parse_token(t) for t in re.findall(r"<[^>]*>", prefix.text)] == list(prefix.tokens)
+    assert [vocab.token_of(tid) for tid in prefix.token_ids] == list(prefix.tokens)
+    values = project(h, anchors).values
+    assert [t.bin for t in prefix.tokens] == [quantize_value(float(c), n_bins) for c in values]
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +383,13 @@ def test_encode_batch_rows_equal_single_encode(seed, n_rows, n_bins, mode, scope
     k = 2 if mode == "retrieval" else None
     batch = encode_batch(H, anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
     values = project_batch(H, anchors)
-    offsets = anchors.group_offsets()
     assert len(batch) == n_rows
     for i, prefix in enumerate(batch):
         assert prefix == encode(H[i], anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
         assert np.array_equal(values[i], project(H[i], anchors).values)
         assert prefix.text == "".join(t.render() for t in prefix.tokens)
         for tok, tid in zip(prefix.tokens, prefix.token_ids):
-            flat = offsets[tok.factor] + tok.anchor
+            flat = _flat_index(anchors, tok)
             assert tok.bin == quantize_value(float(values[i, flat]), n_bins)
             assert tid == vocab.token_id(tok)
 

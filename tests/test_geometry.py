@@ -18,9 +18,7 @@ from ecr.geometry import (
     partition_from_anchors,
     partition_from_labels,
     purity,
-    retrieval_consistency,
     spread,
-    teacher_similarity,
 )
 
 
@@ -310,98 +308,7 @@ def test_purity_validation():
 
 
 # ---------------------------------------------------------------------------
-# teacher similarity
-
-
-def test_teacher_similarity_identical_is_one():
-    m = embeddings_for(["a", "b", "c"], d=5, seed=5)
-    report = teacher_similarity(m, m, {"a": "en", "b": "zh", "c": "en"})
-    assert report.overall == pytest.approx(1.0, abs=1e-12)
-    assert report.per_language["en"] == pytest.approx(1.0, abs=1e-12)
-    assert report.n_pairs == 3
-    assert report.shared_dim is None
-
-
-def test_teacher_similarity_hand_oracle():
-    t = _matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), ids=["a", "b"])
-    s = _matrix(np.array([[1.0, 1.0], [0.0, 2.0]]), ids=["a", "b"])
-    report = teacher_similarity(t, s, {"a": "en", "b": "zh"})
-    want_a = 1.0 / np.sqrt(2.0)
-    assert report.per_language["en"] == pytest.approx(want_a, abs=1e-9)
-    assert report.per_language["zh"] == pytest.approx(1.0, abs=1e-9)
-    assert report.overall == pytest.approx((want_a + 1.0) / 2.0, abs=1e-9)
-
-
-def test_teacher_similarity_row_order_independent():
-    t = embeddings_for(["a", "b", "c"], d=4, seed=6)
-    s_data = t.data[[2, 0, 1]]
-    s = EmbeddingMatrix(data=s_data, ids=["c", "a", "b"])
-    report = teacher_similarity(t, s, {"a": "en", "b": "en", "c": "zh"})
-    assert report.overall == pytest.approx(1.0, abs=1e-12)
-
-
-def test_teacher_similarity_dim_mismatch_needs_shared_dim():
-    t = embeddings_for(["a", "b", "c", "d"], d=6, seed=7)
-    s = embeddings_for(["a", "b", "c", "d"], d=4, seed=8)
-    langs = {"a": "en", "b": "en", "c": "zh", "d": "zh"}
-    with pytest.raises(GeometryError, match="shared_dim"):
-        teacher_similarity(t, s, langs)
-    report = teacher_similarity(t, s, langs, shared_dim=2)
-    assert report.shared_dim == 2
-    assert -1.0 <= report.overall <= 1.0
-
-
-def test_teacher_similarity_shared_dim_preserves_structure():
-    # same cloud embedded in different dimensions: PCA projections agree
-    rng = np.random.default_rng(9)
-    base = rng.normal(size=(30, 3))
-    pad_t = np.hstack([base, np.zeros((30, 2))])
-    pad_s = np.hstack([base, np.zeros((30, 4))])
-    ids = [f"r{i}" for i in range(30)]
-    langs = {sid: "en" for sid in ids}
-    t = _matrix(pad_t, ids=ids)
-    s = _matrix(pad_s, ids=ids)
-    report = teacher_similarity(t, s, langs, shared_dim=3)
-    assert report.overall == pytest.approx(1.0, abs=1e-6)
-
-
-def test_teacher_similarity_validation():
-    t = embeddings_for(["a", "b"], d=3, seed=10)
-    s = embeddings_for(["a", "x"], d=3, seed=11)
-    with pytest.raises(GeometryError, match="unpaired"):
-        teacher_similarity(t, s, {"a": "en", "b": "en", "x": "en"})
-    s2 = embeddings_for(["a", "b"], d=3, seed=12)
-    with pytest.raises(GeometryError, match="language"):
-        teacher_similarity(t, s2, {"a": "en"})
-    z = EmbeddingMatrix(
-        data=np.array([[0.0, 0, 0], [1, 0, 0]], dtype=np.float32), ids=["a", "b"]
-    )
-    with pytest.raises(GeometryError, match="zero"):
-        teacher_similarity(z, s2, {"a": "en", "b": "en"})
-
-
-# ---------------------------------------------------------------------------
 # selection consistency
-
-
-def test_retrieval_consistency_hand_oracle():
-    teacher = {"a": (0, 1), "b": (2, 3), "c": (4, 5)}
-    student = {"a": (0, 9), "b": (3, 2), "c": (4, 5)}
-    report = retrieval_consistency(teacher, student)
-    # top-1 agreement: a yes, b no, c yes
-    assert report.top1_rate == pytest.approx(2 / 3)
-    # jaccard: |{0,1}&{0,9}|/|union| = 1/3; b: 2/2 = 1; c: 1
-    assert report.mean_jaccard == pytest.approx((1 / 3 + 1.0 + 1.0) / 3)
-    assert report.n == 3
-
-
-def test_retrieval_consistency_validation():
-    with pytest.raises(GeometryError, match="unpaired"):
-        retrieval_consistency({"a": (0,)}, {"b": (0,)})
-    with pytest.raises(GeometryError, match="empty selection for"):
-        retrieval_consistency({"a": ()}, {"a": (1,)})
-    with pytest.raises(GeometryError, match="empty"):
-        retrieval_consistency({}, {})
 
 
 def test_crosslingual_exact_match():

@@ -305,6 +305,25 @@ def test_non_finite_index_row_rejected(row):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_extreme_scale_index_rows_accepted():
+    vectors = _cloud(n=200, seed=22)
+    q = vectors[40] + 0.1 * np.random.default_rng(23).normal(size=8)
+    want = brute_force_topk(vectors, q, 5)
+    scaled = vectors.copy()
+    # the two best rows: one whose sum of squares overflows, one whose
+    # sum of squares underflows to zero
+    scaled[int(want.ids[0])] *= 1e200
+    scaled[int(want.ids[1])] *= 1e-200
+    assert brute_force_topk(scaled, q, 5).ids == want.ids
+    index = build_index(scaled, m=6, ef_construction=24, seed=0)
+    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    assert np.allclose(index.data, unit, rtol=0, atol=1e-15)
+    scaled[7] = 0.0
+    with pytest.raises(RetrievalError, match="zero vector"):
+        build_index(scaled, m=6, ef_construction=24, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_query_scale_extremes_match_unscaled():
     vectors = _cloud(n=200, seed=19)
     index = build_index(vectors, m=6, ef_construction=24, seed=0)
