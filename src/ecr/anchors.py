@@ -123,14 +123,17 @@ class AnchorSet:
                 raise AnchorError(
                     f"factor {g.factor}: dimension {g.d} does not match anchor set d={self.d}"
                 )
-        order = [g.factor for g in self.groups]
-        canonical = [c for c in FACTOR_CODES if c in seen]
+        order = tuple(g.factor for g in self.groups)
+        canonical = tuple(c for c in FACTOR_CODES if c in seen)
         if order != canonical:
-            raise AnchorError(f"factor groups out of canonical order: {order}")
+            raise AnchorError(f"factor groups out of canonical order: {list(order)}")
+        # the groups are frozen, so the layout is read from here on every encode
+        self._cache["factors"] = order
+        self._cache["group_sizes"] = tuple(g.k for g in self.groups)
 
     @property
     def factors(self) -> tuple[str, ...]:
-        return tuple(g.factor for g in self.groups)
+        return self._cache["factors"]
 
     @property
     def total_k(self) -> int:
@@ -138,7 +141,7 @@ class AnchorSet:
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
-        return tuple(g.k for g in self.groups)
+        return self._cache["group_sizes"]
 
     def group(self, factor: str) -> FactorGroup:
         for g in self.groups:

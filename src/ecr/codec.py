@@ -17,9 +17,12 @@ factor or over the whole set).  Selected tokens always render in canonical
 order: factors T, L, E, I, P, then ascending anchor index.
 
 Encoding is batched: :func:`encode_batch` projects and quantizes a whole
-matrix of embeddings at once, and the single-row :func:`encode` is a batch
-of one.  Tokens, their text and their ids are looked up in a table of
-every (anchor, bin) token, built once per anchor set and bin count.
+matrix of embeddings at once.  The single-row :func:`encode` is a batch
+of one, and so is the trainer's ``sample_prefix``; a training step
+encodes its whole batch in one call.  Tokens, their text and their ids
+are looked up in a table of every (anchor, bin) token, built once per
+anchor set and bin count; the anchor layout and unit anchors come from
+the anchor set's own cache.
 """
 
 from __future__ import annotations
@@ -123,11 +126,17 @@ def quantize_value(c: float, n_bins: int) -> int:
 
 
 def _bins(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """:func:`quantize_value` applied to every entry at once."""
+    """:func:`quantize_value` applied to every entry of a projection at once.
+
+    (c+1) * (B/2) is the same float as (c+1) / 2 * B, since halving is
+    exact.  The entries are already clipped to [-1, 1], so it is never
+    negative: the integer cast is the floor, and only the top edge needs
+    the clamp.
+    """
     if n_bins < 2:
         raise CodecError(f"n_bins must be at least 2, got {n_bins}")
-    bins = np.floor((values + 1.0) / 2.0 * n_bins).astype(np.int64)
-    return np.minimum(np.maximum(bins, 0, out=bins), n_bins - 1, out=bins)
+    bins = ((values + 1.0) * (n_bins / 2)).astype(np.int64)
+    return np.minimum(bins, n_bins - 1, out=bins)
 
 
 @dataclass(frozen=True)
@@ -305,9 +314,9 @@ def encode_batch(
         raise CodecError(f"unknown top-k scope {scope!r}")
     _check_vocab(vocab, anchors, n_bins)
     values = project_batch(H, anchors)
-    bins = _bins(values, n_bins)
     table = _token_table(anchors, n_bins)
-    flat = table.offsets + bins
+    flat = _bins(values, n_bins)
+    flat += table.offsets
     if mode == "retrieval":
         chosen = _selected(values, anchors.group_sizes, 1 if k is None else k, scope)
         flat = np.take_along_axis(flat, chosen, axis=1)

@@ -314,7 +314,7 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
             raise ValueError("cannot normalize a zero vector")
         arr = np.ldexp(arr, np.where(inside, 0, -np.frexp(peak)[1])[:, None])
         sq = _row_dots(arr)
-    return arr / np.sqrt(sq)[:, None]
+    return arr / np.sqrt(sq, out=sq)[:, None]
 
 
 def _rows_over_norms(rows: np.ndarray) -> np.ndarray:
@@ -328,13 +328,16 @@ def _rows_over_norms(rows: np.ndarray) -> np.ndarray:
     :func:`normalize_rows` does.
     """
     arr = np.asarray(rows, dtype=np.float64)
-    sq = np.add.reduce(arr * arr, axis=1)  # the sum np.linalg.norm takes
-    inside = (sq >= _SQ_MIN) & (sq <= _SQ_MAX)  # False for NaN
-    if inside.all():
-        return arr / np.sqrt(sq)[:, None]
-    out = np.empty_like(arr)
-    out[inside] = arr[inside] / np.sqrt(sq[inside])[:, None]
-    out[~inside] = normalize_rows(arr[~inside])
+    # A sum of squares that overflows only sends its row to the rescaling
+    # of normalize_rows, so the overflow is no news to the caller.
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(arr * arr, axis=1)  # the sum np.linalg.norm takes
+        inside = (sq >= _SQ_MIN) & (sq <= _SQ_MAX)  # False for NaN
+        if inside.all():
+            return arr / np.sqrt(sq)[:, None]
+        out = np.empty_like(arr)
+        out[inside] = arr[inside] / np.sqrt(sq[inside])[:, None]
+        out[~inside] = normalize_rows(arr[~inside])
     return out
 
 

@@ -20,6 +20,13 @@ The harness trains paired baseline/conditioned arms from bit-identical
 base parameters and batch order, evaluates per-language NLL, geometry,
 purity, and cross-lingual consistency per epoch, detects divergence
 instead of crashing, and sweeps factor subsets for ablation tables.
+
+Every path runs on whole batches.  A training step pools its queries
+with one gather and one sum, encodes every prefix with one
+``encode_batch`` and runs one forward/backward over the right-padded
+(B, T) id block; :func:`sample_prefix` is a batch of one of the same
+path, and every float matches a loop over single sequences.  Each
+epoch's diagnostics pool every distinct held-out query once.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .codec import (
     ControlPrefix,
     TokenVocabulary,
     _selected,
-    encode,
+    encode_batch,
     project_batch,
     token_vocabulary,
 )
@@ -326,75 +333,130 @@ def init_model(
 
 def embed_sequence(model: ToyModel, tokens) -> np.ndarray:
     """Mean of the embedding rows of all non-control tokens."""
-    ids = np.asarray(tokens, dtype=np.int64).ravel()
-    if ids.size == 0:
-        raise ToyTrainError("cannot embed an empty sequence")
-    if np.any((ids < 0) | (ids >= model.total_vocab)):
-        bad = int(ids[(ids < 0) | (ids >= model.total_vocab)][0])
-        raise ToyTrainError(f"unknown token id {bad}")
-    keep = ids < model.base_size
-    if not np.any(keep):
-        raise ToyTrainError("sequence has no non-control tokens to embed")
-    return model.emb[ids[keep]].mean(axis=0)
+    return _pooled_queries(model, [np.asarray(tokens, dtype=np.int64).ravel().tolist()])[0]
 
 
-def _sequence_logits(
-    emb: np.ndarray, out: np.ndarray, ids: np.ndarray, prefix_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward pass of one sequence: (context, targets, log-probs).
+def _pad(rows: list, fill: int) -> np.ndarray:
+    """Id sequences as one (B, T) int64 block, right-padded with ``fill``."""
+    pad = (fill,) * max(map(len, rows))
+    return np.array([tuple(r) + pad[len(r) :] for r in rows], dtype=np.int64)
 
-    ``context[j]`` is the running mean of the embeddings at positions
-    0..j and predicts position j+1.  Targets are the positions strictly
-    after both the prefix and the first content token, so conditioned and
-    plain arms score exactly the same target set; ``log_probs`` holds one
-    log-softmax row over the base vocabulary per target.
+
+def _refuse_first(model: ToyModel, queries: list) -> None:
+    """Raise the error :func:`embed_sequence` gives the first query it refuses."""
+    for query in queries:
+        if len(query) == 0:
+            raise ToyTrainError("cannot embed an empty sequence")
+        for t in query:
+            if not 0 <= t < model.total_vocab:
+                raise ToyTrainError(f"unknown token id {t}")
+        if min(query) >= model.base_size:
+            raise ToyTrainError("sequence has no non-control tokens to embed")
+
+
+def _pooled_queries(model: ToyModel, queries: list) -> np.ndarray:
+    """:func:`embed_sequence` of every query, one row each.
+
+    One gather and one sum along the padded block, divided by each query's
+    count of kept ids as np.mean divides, so each row is bit-identical to
+    the query's own mean.  The padding is the first control id, so one test
+    skips it with the control ids; the masked sum starts at -0.0, since
+    -0.0 + x is x for every x, signed zeros included.
     """
-    t_len = ids.shape[0]
-    ctx = np.cumsum(emb[ids], axis=0) / np.arange(1, t_len + 1)[:, None]
-    logits = ctx[prefix_len : t_len - 1] @ out
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
-    return ctx, ids[prefix_len + 1 :], log_probs
+    if not queries:
+        return np.zeros((0, model.d))
+    lows = [min(q, default=-1) for q in queries]  # -1: an empty query
+    top = max(map(max, queries)) if min(lows) >= 0 else -1
+    if min(lows) < 0 or max(lows) >= model.base_size or top >= model.total_vocab:
+        _refuse_first(model, queries)
+    block = _pad(queries, model.base_size)
+    rows = model.emb.take(block, axis=0)
+    if top < model.base_size and min(map(len, queries)) == block.shape[1]:
+        # Nothing to skip, as in every query of the synthetic corpus: the
+        # same sums without the mask, which adds about 15% to a batch of one.
+        return np.add.reduce(rows, axis=1) / block.shape[1]
+    keep = block < model.base_size
+    sums = np.add.reduce(rows, axis=1, where=keep[:, :, None], initial=-0.0)
+    return sums / np.add.reduce(keep, axis=1)[:, None]
+
+
+def _forward(emb: np.ndarray, out: np.ndarray, sequences: list, base_size: int) -> tuple:
+    """The forward pass of a batch of (token ids, prefix length) pairs.
+
+    ``ctx[j, b]``, the running mean of sequence b's embeddings at
+    positions 0..j (np.cumsum's sums, made position by position), predicts
+    position j+1, so right padding never reaches a real context.  Targets
+    are the positions after both the prefix and the first content token,
+    so conditioned and plain arms score the same targets.  Sequences with
+    p targets share one (G, p, d) @ (d, V) head product, which keeps each
+    one's row count: BLAS rounds a row differently in a taller product.
+    Returns (block, real-position mask, ctx, per group (members, positions,
+    context rows, target index, log-softmax rows), NLL sums, target counts).
+    """
+    block = _pad([ids for ids, _ in sequences], 0)
+    lengths = np.array([len(ids) for ids, _ in sequences])
+    real = np.arange(block.shape[1]) < lengths[:, None]
+    counts = np.maximum(lengths - np.array([p for _, p in sequences]) - 1, 0)
+    ctx = emb.take(block.T, axis=0)  # (T, B, d): one contiguous slab per position
+    for j in range(1, len(ctx)):
+        ctx[j] += ctx[j - 1]
+    ctx /= np.arange(1, len(ctx) + 1)[:, None, None]
+    nll = np.zeros(len(sequences))
+    heads = []
+    for p in np.unique(counts[counts > 0]).tolist():
+        members = np.flatnonzero(counts == p)
+        positions = np.array([sequences[b][1] for b in members])[:, None] + np.arange(p)
+        targets = block[members[:, None], positions + 1]
+        if np.any(targets >= base_size):
+            raise ToyTrainError("control token appeared as a prediction target")
+        rows = ctx[positions, members[:, None]]
+        log_probs = rows @ out
+        log_probs -= log_probs.max(axis=2, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=2))[:, :, None]
+        picked = (np.arange(len(members))[:, None], np.arange(p), targets)
+        nll[members] = -np.add.reduce(log_probs[picked], axis=1)
+        heads.append((members, positions, rows, picked, log_probs))
+    return block, real, ctx, heads, nll, counts
 
 
 def _forward_backward(
-    emb: np.ndarray,
-    out: np.ndarray,
-    sequences: list[tuple[np.ndarray, int]],
-    base_size: int,
+    emb: np.ndarray, out: np.ndarray, sequences: list[tuple[np.ndarray, int]], base_size: int
 ) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """Loss and gradients over a batch of (token ids, prefix length) pairs,
-    through :func:`_sequence_logits`."""
-    d_emb = np.zeros_like(emb)
-    d_out = np.zeros_like(out)
-    total = 0.0
-    n_targets = 0
-    deferred: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for ids, prefix_len in sequences:
-        ctx, targets, log_probs = _sequence_logits(emb, out, ids, prefix_len)
-        if targets.size == 0:
-            continue
-        if np.any(targets >= base_size):
-            raise ToyTrainError("control token appeared as a prediction target")
-        picked = (np.arange(targets.shape[0]), targets)
-        total += float(-log_probs[picked].sum())
-        n_targets += targets.shape[0]
-        d_logits = np.exp(log_probs)
-        d_logits[picked] -= 1.0
-        deferred.append((ids, ctx, d_logits))
+    """Loss and gradients over a batch of (token ids, prefix length) pairs.
+
+    One pass over the padded batch: :func:`_forward`, the reversed running
+    sums of the context gradient, then one ``np.bincount`` per table column,
+    which adds rows in sequence order as ``np.add.at`` would.  The loss and
+    the head gradient add up per-sequence terms in sequence order, so every
+    float is the one a loop over the sequences computes.
+    """
+    block, real, ctx, heads, nll, counts = _forward(emb, out, sequences, base_size)
+    n_targets = int(counts.sum())
     if n_targets == 0:
         raise ToyTrainError("batch contains no prediction targets")
     inv = 1.0 / n_targets
-    for ids, ctx, d_logits in deferred:
-        t_len = ids.shape[0]
-        first_target = t_len - d_logits.shape[0]
-        d_logits = d_logits * inv
-        d_out += ctx[first_target - 1 : t_len - 1].T @ d_logits
-        d_ctx = np.zeros_like(ctx)
-        d_ctx[first_target - 1 : t_len - 1] = d_logits @ out.T
-        d_cums = d_ctx / np.arange(1, t_len + 1)[:, None]
-        d_rows = np.cumsum(d_cums[::-1], axis=0)[::-1]
-        np.add.at(d_emb, ids, d_rows)
+    d_ctx = np.zeros_like(ctx)
+    d_outs = []
+    for members, positions, rows, picked, log_probs in heads:
+        d_logits = np.exp(log_probs, out=log_probs)
+        d_logits[picked] -= 1.0
+        d_logits *= inv
+        d_outs.append(rows.transpose(0, 2, 1) @ d_logits)
+        d_ctx[positions, members[:, None]] = d_logits @ out.T
+    total = 0.0
+    for value in nll[counts > 0].tolist():
+        total += value
+    if len(heads) > 1:  # back into sequence order
+        d_outs = [np.concatenate(d_outs)[np.argsort(np.concatenate([h[0] for h in heads]))]]
+    d_out = np.add.reduce(d_outs[0], axis=0, initial=0.0)
+    d_ctx /= np.arange(1, len(d_ctx) + 1)[:, None, None]
+    for j in range(len(d_ctx) - 2, -1, -1):
+        d_ctx[j] += d_ctx[j + 1]
+    ids = block[real]
+    d_rows = d_ctx.transpose(1, 0, 2)[real]  # (n, d), sequence-major like ids
+    d_emb = np.empty_like(emb)
+    for c in range(emb.shape[1]):
+        d_emb[:, c] = np.bincount(ids, weights=d_rows[:, c], minlength=len(emb))
     return total * inv, n_targets, d_emb, d_out
 
 
@@ -492,37 +554,36 @@ class TrainConfig:
 def sample_prefix(
     model: ToyModel, sample: Sample, anchors: AnchorSet, settings: EcrSettings
 ) -> ControlPrefix:
-    """Encode the sample's query segment against the anchors."""
-    h = embed_sequence(model, sample.tokens[: sample.query_len])
-    return encode(
-        h,
-        anchors,
-        settings.n_bins,
-        mode=settings.mode,
-        k=settings.k if settings.mode == "retrieval" else None,
-        scope=settings.scope,
+    """Encode the sample's query segment against the anchors: a batch of
+    one of the prefix path the training step takes."""
+    return _prefixes(model, [sample], anchors, settings)[0]
+
+
+def _prefixes(
+    model: ToyModel, samples: list[Sample], anchors: AnchorSet, settings: EcrSettings
+) -> list[ControlPrefix]:
+    """Every sample's prefix: its query pooled, then one encode of the batch."""
+    pooled = _pooled_queries(model, [s.tokens[: s.query_len] for s in samples])
+    k = settings.k if settings.mode == "retrieval" else None
+    return encode_batch(
+        pooled, anchors, settings.n_bins, mode=settings.mode, k=k, scope=settings.scope,
         vocab=model.vocab,
     )
 
 
-def _conditioned_ids(
-    model: ToyModel,
-    sample: Sample,
-    anchors: AnchorSet | None,
-    settings: EcrSettings,
+def _conditioned(
+    model: ToyModel, samples: list[Sample], anchors: AnchorSet | None, settings: EcrSettings,
     frozen: dict[str, ControlPrefix] | None,
-) -> tuple[np.ndarray, int]:
+) -> list[tuple[tuple[int, ...], int]]:
+    """(prefix ids + sample tokens, prefix length) of every sample."""
     if not settings.enabled:
-        return np.asarray(sample.tokens, dtype=np.int64), 0
+        return [(s.tokens, 0) for s in samples]
     assert anchors is not None
     if frozen is not None:
-        prefix = frozen[f"{sample.dialog_id}:{sample.language}"]
+        prefixes = [frozen[f"{s.dialog_id}:{s.language}"] for s in samples]
     else:
-        prefix = sample_prefix(model, sample, anchors, settings)
-    ids = np.concatenate(
-        [np.asarray(prefix.token_ids, dtype=np.int64), np.asarray(sample.tokens, dtype=np.int64)]
-    )
-    return ids, len(prefix.token_ids)
+        prefixes = _prefixes(model, samples, anchors, settings)
+    return [(p.token_ids + s.tokens, len(p.token_ids)) for p, s in zip(prefixes, samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,18 +625,15 @@ def train_step(
 ) -> float:
     """One optimizer update over a batch; returns the mean target NLL.
 
-    Prefixes are recomputed from the current embedding table unless a
-    frozen prefix map is supplied.  Anchors are plain constants here; the
-    only thing gradients reach is the model's own parameter arrays.
+    One batched pass: one pooling and one encode give every prefix from
+    the current embedding table (unless a frozen prefix map is supplied),
+    then one forward/backward runs over the padded batch.  Anchors are
+    constants here; gradients reach only the model's own parameters.
     """
     if not batch:
         raise ToyTrainError("empty batch")
-    sequences = [
-        _conditioned_ids(model, s, anchors, config.ecr, frozen) for s in batch
-    ]
-    loss, _, d_emb, d_out = _forward_backward(
-        model.emb, model.out, sequences, model.base_size
-    )
+    sequences = _conditioned(model, batch, anchors, config.ecr, frozen)
+    loss, _, d_emb, d_out = _forward_backward(model.emb, model.out, sequences, model.base_size)
     grads = {"emb": d_emb, "out": d_out}
     if config.grad_clip and config.grad_clip > 0:
         clip_gradients(grads, config.grad_clip)
@@ -594,19 +652,18 @@ def nll_eval(
     """Mean target-token NLL per language under the training pipeline."""
     if not samples:
         raise ToyTrainError("empty evaluation set")
+    sequences = _conditioned(model, samples, anchors, settings, frozen)
+    *_, nll, counts = _forward(model.emb, model.out, sequences, model.base_size)
     sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for sample in samples:
-        ids, prefix_len = _conditioned_ids(model, sample, anchors, settings, frozen)
-        _, targets, log_probs = _sequence_logits(model.emb, model.out, ids, prefix_len)
-        nll = float(-log_probs[np.arange(targets.shape[0]), targets].sum())
-        sums[sample.language] = sums.get(sample.language, 0.0) + nll
-        counts[sample.language] = counts.get(sample.language, 0) + targets.shape[0]
+    totals: dict[str, int] = {}
+    for sample, value, count in zip(samples, nll.tolist(), counts.tolist()):
+        sums[sample.language] = sums.get(sample.language, 0.0) + value
+        totals[sample.language] = totals.get(sample.language, 0) + count
     if languages is not None:
-        missing = [lang for lang in languages if lang not in counts]
+        missing = [lang for lang in languages if lang not in totals]
         if missing:
             raise ToyTrainError(f"empty language bucket {missing[0]!r}")
-    return {lang: sums[lang] / counts[lang] for lang in sorted(sums)}
+    return {lang: sums[lang] / totals[lang] for lang in sorted(sums)}
 
 
 def task_accuracy(
@@ -620,52 +677,50 @@ def task_accuracy(
     at the answer position equals the gold answer."""
     if not samples:
         raise ToyTrainError("empty evaluation set")
-    hits = 0
     for sample in samples:
         if sample.answer_pos is None:
             raise ToyTrainError(f"sample {sample.dialog_id!r} has no gold position")
-        ids, prefix_len = _conditioned_ids(model, sample, anchors, settings, frozen)
-        ctx, _, _ = _sequence_logits(model.emb, model.out, ids, prefix_len)
-        # one context row times the head: reading the answer logits off the
-        # all-positions product would round differently
-        logits = ctx[prefix_len + sample.answer_pos - 1] @ model.out
+    sequences = _conditioned(model, samples, anchors, settings, frozen)
+    ctx = _forward(model.emb, model.out, sequences, model.base_size)[2]
+    at = [p + s.answer_pos - 1 for (_, p), s in zip(sequences, samples)]
+    # one context row times the head per sample: reading the answer logits
+    # off the all-positions product would round differently
+    logits = np.matmul(ctx[at, np.arange(len(samples))][:, None, :], model.out)[:, 0]
+    hits = 0
+    for sample, row in zip(samples, logits):
         cand = np.asarray(sample.candidates, dtype=np.int64)
-        picked = int(cand[int(np.argmax(logits[cand]))])
-        if picked == sample.gold:
-            hits += 1
+        hits += int(cand[int(np.argmax(row[cand]))]) == sample.gold
     return hits / len(samples)
 
 
-def _student_embeddings(model: ToyModel, samples: list[Sample]) -> EmbeddingMatrix:
-    """Query-segment embeddings of each sample under the current model."""
-    rows = np.stack(
-        [embed_sequence(model, s.tokens[: s.query_len]) for s in samples]
-    )
-    ids = [f"{s.dialog_id}:{s.language}" for s in samples]
-    return EmbeddingMatrix(data=rows.astype(np.float32), ids=ids)
+def _variant_queries(records: list[CorpusRecord], layout: VocabLayout) -> list[tuple[int, ...]]:
+    """The query of every record in every language, record-major."""
+    samples = (record_sample(rec, lang, layout) for rec in records for lang in LANGUAGES)
+    return [s.tokens[: s.query_len] for s in samples]
 
 
 def eval_crosslingual(
-    model: ToyModel,
-    records: list[CorpusRecord],
-    layout: VocabLayout,
-    anchors: AnchorSet,
+    pooled: np.ndarray, records: list[CorpusRecord], anchors: AnchorSet
 ) -> CrosslingualReport:
     """Cross-lingual consistency of the student space: do a record's three
     language variants select the same per-factor top-1 anchors?
 
-    Always measured against the full diagnostic anchor set, so rows of an
-    ablation table are comparable regardless of which factors condition
-    the training run.  Every variant's pooled query is projected in one
-    batch.
+    ``pooled`` holds the student's pooled query of every record in every
+    language, record-major, as :func:`_variant_queries` lists them; all
+    of them are projected in one batch.  Always measured against the full
+    diagnostic anchor set, so rows of an ablation table are comparable
+    regardless of which factors condition the training run.
     """
-    samples = [record_sample(rec, lang, layout) for rec in records for lang in LANGUAGES]
+    variants = [(rec.dialog_id, lang) for rec in records for lang in LANGUAGES]
+    if len(pooled) != len(variants):
+        raise ToyTrainError(
+            f"{len(pooled)} pooled queries for {len(variants)} record language variants"
+        )
     selections: dict[str, dict[str, frozenset]] = {}
-    if samples:
-        pooled = np.stack([embed_sequence(model, s.tokens[: s.query_len]) for s in samples])
+    if records:
         top1 = _selected(project_batch(pooled, anchors), anchors.group_sizes, 1, "factor")
-        for sample, chosen in zip(samples, top1.tolist()):
-            selections.setdefault(sample.dialog_id, {})[sample.language] = frozenset(chosen)
+        for (dialog_id, lang), chosen in zip(variants, top1.tolist()):
+            selections.setdefault(dialog_id, {})[lang] = frozenset(chosen)
     return crosslingual_consistency(selections)
 
 
@@ -708,10 +763,21 @@ def run_training(
 
     frozen: dict[str, ControlPrefix] | None = None
     if config.ecr.enabled and config.ecr.freeze_prefix:
+        every = train_samples + eval_samples
         frozen = {
-            f"{s.dialog_id}:{s.language}": sample_prefix(model, s, anchors, config.ecr)
-            for s in train_samples + eval_samples
+            f"{s.dialog_id}:{s.language}": prefix
+            for s, prefix in zip(every, _prefixes(model, every, anchors, config.ecr))
         }
+
+    # Each distinct held-out query is pooled once per epoch, for both the
+    # student embeddings (the first n_eval rows) and the language variants.
+    queries = [s.tokens[: s.query_len] for s in eval_samples]
+    queries += _variant_queries(eval_records, layout)
+    slot = {q: i for i, q in enumerate(dict.fromkeys(queries))}
+    rows_of = [slot[q] for q in queries]
+    n_eval = len(eval_samples)
+    student_ids = [f"{s.dialog_id}:{s.language}" for s in eval_samples]
+    langs = [s.language for s in eval_samples]
 
     loss_curve: list[float] = []
     nll_epochs: list[dict[str, float]] = []
@@ -742,14 +808,13 @@ def run_training(
         nll_epochs.append(
             nll_eval(model, eval_samples, anchors, config.ecr, frozen)
         )
-        student = _student_embeddings(model, eval_samples)
-        langs = [s.language for s in eval_samples]
+        pooled = _pooled_queries(model, list(slot))[rows_of]
+        student = EmbeddingMatrix(data=pooled[:n_eval].astype(np.float32), ids=student_ids)
         partition = partition_from_labels(student.ids, langs)
         geometry_epochs.append(compute_geometry(student, partition).to_dict())
         purity_epochs.append(purity(student, langs).to_dict())
-        consistency_epochs.append(
-            eval_crosslingual(model, eval_records, layout, diagnostic_anchors).to_dict()
-        )
+        consistency = eval_crosslingual(pooled[n_eval:], eval_records, diagnostic_anchors)
+        consistency_epochs.append(consistency.to_dict())
 
     accuracy = None
     if not diverged:

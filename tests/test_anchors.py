@@ -237,7 +237,7 @@ def test_zero_centroid_rejected():
         )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_scale_rows_encode_like_unscaled(tmp_path):
     # a row times 1e200 has a sum of squares that overflows, and one times
     # 1e-200 one that underflows to zero; both still point the same way

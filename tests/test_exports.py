@@ -1,14 +1,25 @@
 """Every name in ``ecr.__all__`` is used by the package, its scripts or its
 benchmark, or is listed below with the test that keeps it.
 
-A use is a code token equal to the name (comments and strings do not
-count) in ``src/ecr/``, ``scripts/`` or ``bench/``, outside the name's own
-top-level definition and outside ``src/ecr/__init__.py``, which only
-re-exports.
+A use is code in ``src/ecr/``, ``scripts/`` or ``bench/`` (outside
+``src/ecr/__init__.py``, which only re-exports) that can reach the
+exported object:
+
+- a name that resolves to the module-level binding (an import, or a
+  reference at module level or as a global inside a function or class),
+  outside the name's own top-level definition;
+- an attribute ``.name``, as in ``self.ecr.codec.encode``, unless a class
+  in the package declares an attribute of that name, since
+  ``report.spread`` reads a field and not the function.
+
+So comments and strings do not count, and neither do keyword-argument
+names, class-body field annotations, or function parameters and locals
+that happen to share the name.
 """
 
 import ast
 import io
+import symtable
 import tokenize
 from pathlib import Path
 
@@ -31,6 +42,10 @@ KEPT_FOR_TESTS = {
     # test_geometry_against_loop_oracle
     "intra_compactness": "tests/test_geometry.py",
     "inter_separation": "tests/test_geometry.py",
+    "spread": "tests/test_geometry.py",
+    # the public single-query pooling, read by the test_embed_sequence_*
+    # tests and test_pooled_queries_match_embed_sequence
+    "embed_sequence": "tests/test_toytrain.py",
 }
 
 
@@ -42,29 +57,67 @@ def _files():
 
 
 def _definitions():
-    """Top-level name -> (file, first line, last line) in the package."""
-    spans = {}
+    """Top-level name -> file defining it in the package."""
+    return {
+        node.name: path
+        for path in sorted((ROOT / "src/ecr").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def _class_attributes():
+    """Every attribute a class body in the package declares."""
+    declared = set()
     for path in sorted((ROOT / "src/ecr").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                spans[node.name] = (path, first, node.end_lineno)
-    return spans
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    declared.add(node.name)
+                elif isinstance(node, (ast.AnnAssign, ast.Assign)):
+                    targets = [node.target] if isinstance(node, ast.AnnAssign) else node.targets
+                    declared.update(t.id for t in targets if isinstance(t, ast.Name))
+    return declared
+
+
+def _global_references(source: str, path: Path, names: set, defined_in: dict) -> set:
+    """The names a file's code refers to as module-level bindings."""
+    top = symtable.symtable(source, str(path), "exec")
+    found = set()
+
+    def visit(table, own):
+        for sym in table.get_symbols():
+            name = sym.get_name()
+            if name not in names or (name == own and defined_in.get(name) == path):
+                continue
+            if table is top:
+                if sym.is_referenced() or sym.is_imported():
+                    found.add(name)
+            elif sym.is_referenced() and sym.is_global():
+                found.add(name)
+        for child in table.get_children():
+            visit(child, child.get_name() if table is top else own)
+
+    visit(top, None)
+    return found
 
 
 def _unused_exports():
-    spans = _definitions()
+    names = set(ecr.__all__)
+    defined_in = _definitions()
+    declared = _class_attributes()
     used = set()
     for path in _files():
         source = path.read_text(encoding="utf-8")
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type != tokenize.NAME or tok.string not in ecr.__all__:
-                continue
-            def_path, first, last = spans.get(tok.string, (None, 0, -1))
-            if path == def_path and first <= tok.start[0] <= last:
-                continue
-            used.add(tok.string)
-    return sorted(set(ecr.__all__) - used)
+        used |= _global_references(source, path, names, defined_in)
+        used |= {
+            node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names and node.attr not in declared
+        }
+    return sorted(names - used)
 
 
 def test_every_export_is_used_or_kept_for_a_test():
@@ -83,3 +136,20 @@ def test_kept_names_are_read_by_their_tests():
             if tok.type == tokenize.NAME
         }
         assert name in names, f"{name} is not used in {test_file}"
+
+
+def test_guard_ignores_fields_keywords_and_locals(tmp_path):
+    # each line of the probe shares a name with an export without using it
+    path = tmp_path / "probe.py"
+    source = (
+        "class Report:\n"
+        "    spread: float\n"
+        "def make(rows, spread):\n"
+        "    local = rows.spread + spread\n"
+        "    return Report(spread=local)\n"
+        "# spread(rows) in a comment\n"
+        "TEXT = 'spread(rows)'\n"
+    )
+    assert _global_references(source, path, {"spread"}, {}) == set()
+    assert _global_references("def f(x):\n    return spread(x)\n", path, {"spread"}, {}) == {"spread"}
+    assert _global_references("from m import spread\n", path, {"spread"}, {}) == {"spread"}

@@ -304,7 +304,7 @@ def test_non_finite_index_row_rejected(row):
         build_index(vectors, m=6, ef_construction=24, seed=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_scale_index_rows_accepted():
     vectors = _cloud(n=200, seed=22)
     q = vectors[40] + 0.1 * np.random.default_rng(23).normal(size=8)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ecr.codec import CodecError, encode, encode_batch
 from ecr.corpus import LANGUAGES
 from ecr.geometry import purity
 from ecr.toytrain import (
@@ -16,6 +17,8 @@ from ecr.toytrain import (
     TrainConfig,
     VocabLayout,
     _forward_backward,
+    _pooled_queries,
+    _variant_queries,
     build_toy_anchors,
     clip_gradients,
     embed_sequence,
@@ -349,6 +352,247 @@ def test_prefix_positions_excluded_from_targets():
 
 
 # ---------------------------------------------------------------------------
+# the batched path against a loop over single sequences
+
+
+def _reference_embed(model, tokens):
+    """The per-query pooling: the mean of the query's non-control rows."""
+    ids = np.asarray(tokens, dtype=np.int64).ravel()
+    if ids.size == 0:
+        raise ToyTrainError("cannot embed an empty sequence")
+    if np.any((ids < 0) | (ids >= model.total_vocab)):
+        bad = int(ids[(ids < 0) | (ids >= model.total_vocab)][0])
+        raise ToyTrainError(f"unknown token id {bad}")
+    keep = ids < model.base_size
+    if not np.any(keep):
+        raise ToyTrainError("sequence has no non-control tokens to embed")
+    return model.emb[ids[keep]].mean(axis=0)
+
+
+def _reference_prefix(model, sample, anchors, settings):
+    return encode(
+        _reference_embed(model, sample.tokens[: sample.query_len]),
+        anchors,
+        settings.n_bins,
+        mode=settings.mode,
+        k=settings.k if settings.mode == "retrieval" else None,
+        scope=settings.scope,
+        vocab=model.vocab,
+    )
+
+
+def _reference_logits(emb, out, ids, prefix_len):
+    """One sequence's forward pass: (context, targets, log-probs)."""
+    t_len = ids.shape[0]
+    ctx = np.cumsum(emb[ids], axis=0) / np.arange(1, t_len + 1)[:, None]
+    logits = ctx[prefix_len : t_len - 1] @ out
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
+    return ctx, ids[prefix_len + 1 :], log_probs
+
+
+def _reference_forward_backward(emb, out, sequences, base_size):
+    """Loss and gradients by a loop over the sequences, one at a time."""
+    d_emb = np.zeros_like(emb)
+    d_out = np.zeros_like(out)
+    total = 0.0
+    n_targets = 0
+    deferred = []
+    for ids, prefix_len in sequences:
+        ctx, targets, log_probs = _reference_logits(emb, out, ids, prefix_len)
+        if targets.size == 0:
+            continue
+        if np.any(targets >= base_size):
+            raise ToyTrainError("control token appeared as a prediction target")
+        picked = (np.arange(targets.shape[0]), targets)
+        total += float(-log_probs[picked].sum())
+        n_targets += targets.shape[0]
+        d_logits = np.exp(log_probs)
+        d_logits[picked] -= 1.0
+        deferred.append((ids, ctx, d_logits))
+    if n_targets == 0:
+        raise ToyTrainError("batch contains no prediction targets")
+    inv = 1.0 / n_targets
+    for ids, ctx, d_logits in deferred:
+        t_len = ids.shape[0]
+        first_target = t_len - d_logits.shape[0]
+        d_logits = d_logits * inv
+        d_out += ctx[first_target - 1 : t_len - 1].T @ d_logits
+        d_ctx = np.zeros_like(ctx)
+        d_ctx[first_target - 1 : t_len - 1] = d_logits @ out.T
+        d_cums = d_ctx / np.arange(1, t_len + 1)[:, None]
+        d_rows = np.cumsum(d_cums[::-1], axis=0)[::-1]
+        np.add.at(d_emb, ids, d_rows)
+    return total * inv, n_targets, d_emb, d_out
+
+
+def _random_batch(rng, base, total, size, ragged):
+    """(ids, prefix length) pairs: control-block prefixes, base-vocabulary
+    bodies and, when ragged, lengths from 1 to 14 and prefixes of 0 to 4."""
+    sequences = []
+    for _ in range(size):
+        prefix_len = int(rng.integers(0, 5)) if ragged else 3
+        body = int(rng.integers(1, 11)) if ragged else 9
+        ids = np.concatenate(
+            [rng.integers(base, total, size=prefix_len), rng.integers(0, base, size=body)]
+        )
+        sequences.append((ids.astype(np.int64), prefix_len))
+    return sequences
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ragged", [False, True])
+def test_batched_step_bit_identical_to_sequence_loop(seed, ragged):
+    rng = np.random.default_rng(100 + seed)
+    base, d = 50, 24
+    total = base + 29 * 8
+    emb = rng.normal(0.0, 0.5, size=(total, d))
+    out = rng.normal(0.0, 0.5, size=(d, base))
+    sequences = _random_batch(rng, base, total, 32, ragged)
+    # a sequence whose only tokens are its prefix and one content token
+    # has no target; it must be skipped, not padded into the loss
+    sequences[5] = (np.array([base + 3, base + 9, 7], dtype=np.int64), 2)
+    loss, n_targets, d_emb, d_out = _forward_backward(emb, out, sequences, base)
+    want = _reference_forward_backward(emb, out, sequences, base)
+    assert loss == want[0]
+    assert n_targets == want[1]
+    assert np.array_equal(d_emb, want[2])
+    assert np.array_equal(d_out, want[3])
+    if ragged:
+        assert len({ids.shape[0] for ids, _ in sequences}) > 1
+        assert len({p for _, p in sequences}) > 1
+
+
+def test_batched_step_rejects_control_target_anywhere():
+    rng = np.random.default_rng(7)
+    base, total = 20, 36
+    emb = rng.normal(size=(total, 4))
+    out = rng.normal(size=(4, base))
+    sequences = _random_batch(rng, base, total, 8, ragged=True)
+    ids, prefix_len = sequences[6]
+    sequences[6] = (np.append(ids, base + 1), prefix_len)  # a control id as the last target
+    for step in (_forward_backward, _reference_forward_backward):
+        with pytest.raises(ToyTrainError, match="control token appeared"):
+            step(emb, out, sequences, base)
+
+
+def _mixed_length_samples(n_per_lang=6):
+    # two corpora of different query lengths make a ragged sample list
+    short = make_samples(_tiny_data(seed=0, n_per_lang=n_per_lang))
+    long = make_samples(_tiny_data(seed=1, n_per_lang=n_per_lang, marker_repeat=3))
+    return [s for pair in zip(short, long) for s in pair]
+
+
+def test_pooled_queries_match_embed_sequence():
+    data, anchors = _tiny_setup()
+    model = init_model(data.layout.base_size, anchors.d, anchors, 8, seed=2)
+    queries = [s.tokens[: s.query_len] for s in _mixed_length_samples()]
+    ctrl = model.base_size
+    queries += [(ctrl, 3, ctrl + 5, 4), (5,), (ctrl + 1, 6, 6)]  # control ids are skipped
+    pooled = _pooled_queries(model, queries)
+    for row, query in zip(pooled, queries):
+        assert np.array_equal(row, _reference_embed(model, query))
+        assert np.array_equal(row, embed_sequence(model, query))
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        EcrSettings(enabled=True, n_bins=8),
+        EcrSettings(enabled=True, n_bins=5, mode="retrieval", k=2),
+        EcrSettings(enabled=True, n_bins=8, mode="retrieval", k=3, scope="all"),
+    ],
+    ids=["global", "retrieval", "retrieval-all"],
+)
+def test_encode_batch_over_pooled_rows_equals_sample_prefix(settings):
+    data, anchors = _tiny_setup()
+    model = init_model(data.layout.base_size, anchors.d, anchors, settings.n_bins, seed=4)
+    samples = _mixed_length_samples()
+    batch = encode_batch(
+        _pooled_queries(model, [s.tokens[: s.query_len] for s in samples]),
+        anchors,
+        settings.n_bins,
+        mode=settings.mode,
+        k=settings.k if settings.mode == "retrieval" else None,
+        scope=settings.scope,
+        vocab=model.vocab,
+    )
+    assert len(batch) == len(samples)
+    for prefix, sample in zip(batch, samples):
+        assert prefix == sample_prefix(model, sample, anchors, settings)
+        assert prefix == _reference_prefix(model, sample, anchors, settings)
+
+
+def test_nll_eval_and_task_accuracy_match_sample_loop():
+    data, anchors = _tiny_setup()
+    model = init_model(data.layout.base_size, anchors.d, anchors, 8, seed=6)
+    samples = _mixed_length_samples()
+    settings = EcrSettings(enabled=True, n_bins=8, mode="retrieval", k=2)
+    sums, counts, hits = {}, {}, 0
+    for s in samples:
+        prefix = _reference_prefix(model, s, anchors, settings)
+        ids = np.asarray(prefix.token_ids + s.tokens, dtype=np.int64)
+        ctx, targets, log_probs = _reference_logits(model.emb, model.out, ids, len(prefix))
+        nll = float(-log_probs[np.arange(targets.shape[0]), targets].sum())
+        sums[s.language] = sums.get(s.language, 0.0) + nll
+        counts[s.language] = counts.get(s.language, 0) + targets.shape[0]
+        logits = ctx[len(prefix) + s.answer_pos - 1] @ model.out
+        cand = np.asarray(s.candidates)
+        hits += int(cand[int(np.argmax(logits[cand]))]) == s.gold
+    want = {lang: sums[lang] / counts[lang] for lang in sorted(sums)}
+    assert nll_eval(model, samples, anchors, settings) == want
+    assert task_accuracy(model, samples, anchors, settings) == hits / len(samples)
+
+
+def _faulty(sample, fault, model):
+    """The sample with its query broken in one way, and the model to read it."""
+    answer = sample.tokens[-1:]
+    query = {
+        "unknown id": sample.tokens[: sample.query_len - 1] + (model.total_vocab + 5,),
+        "empty query": (),
+        "control-only query": (model.base_size, model.base_size + 9),
+        "zero row": (2, 2, 2),
+        "nan row": (3, 2),
+        "inf row": (3, 3),
+    }[fault]
+    if fault == "zero row":
+        model.emb[2] = 0.0
+    elif fault in ("nan row", "inf row"):
+        model.emb[3] = np.nan if fault == "nan row" else np.inf
+    return dataclasses.replace(
+        sample, tokens=query + answer, query_len=len(query), answer_pos=len(query)
+    )
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["unknown id", "empty query", "control-only query", "zero row", "nan row", "inf row"],
+)
+@pytest.mark.parametrize("batch_size", [1, 32])
+def test_pooled_path_raises_the_per_query_error(fault, batch_size):
+    data, anchors = _tiny_setup(n_per_lang=12)
+    settings = EcrSettings(enabled=True, n_bins=8)
+    model = init_model(data.layout.base_size, anchors.d, anchors, 8, seed=0)
+    batch = make_samples(data)[:batch_size]
+    bad = _faulty(batch[batch_size // 2], fault, model)
+    batch[batch_size // 2] = bad
+    with pytest.raises((ToyTrainError, CodecError)) as want:
+        _reference_prefix(model, bad, anchors, settings)
+    cfg = _fast_config(ecr=settings)
+    opt = AdamW(lr=cfg.learning_rate)
+    calls = [
+        lambda: train_step(model, batch, anchors, cfg, opt),
+        lambda: nll_eval(model, batch, anchors, settings),
+    ]
+    if batch_size == 1:
+        calls.append(lambda: sample_prefix(model, bad, anchors, settings))
+    for call in calls:
+        with pytest.raises(want.type) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 
@@ -495,9 +739,12 @@ def test_eval_crosslingual_covers_all_records():
     data, anchors = _tiny_setup()
     model = init_model(data.layout.base_size, anchors.d, anchors, 8, seed=0)
     recs = data.corpus.records[:5]
-    report = eval_crosslingual(model, recs, data.layout, anchors)
+    pooled = _pooled_queries(model, _variant_queries(recs, data.layout))
+    report = eval_crosslingual(pooled, recs, anchors)
     assert report.n_records == 5
     assert 0.0 <= report.exact_match_rate <= 1.0
+    with pytest.raises(ToyTrainError, match="14 pooled queries for 15 record language variants"):
+        eval_crosslingual(pooled[:-1], recs, anchors)
 
 
 # ---------------------------------------------------------------------------
