@@ -205,13 +205,13 @@ def _weighted_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def kmeans_fit(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-) -> KMeansResult:
+# Lloyd iterations stop after this many rounds, or once no centroid
+# coordinate moves by KMEANS_TOL or more.
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-6
+
+
+def kmeans_fit(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Plain Lloyd iteration with distance-weighted seeding.
 
     The per-iteration objective is recorded and asserted non-increasing.
@@ -238,7 +238,7 @@ def kmeans_fit(
     centroids = _weighted_init(points, k, rng)
     objective: list[float] = []
     assignments = np.zeros(n, dtype=np.int64)
-    for it in range(max_iter):
+    for it in range(KMEANS_MAX_ITER):
         d2 = _squared_distances(points, centroids)
         assignments = d2.argmin(axis=1)
         member_d2 = d2[np.arange(n), assignments]
@@ -260,7 +260,7 @@ def kmeans_fit(
             new_centroids[j] = points[assignments == j].mean(axis=0)
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     d2 = _squared_distances(points, centroids)
     assignments = d2.argmin(axis=1)
@@ -272,16 +272,9 @@ def kmeans_fit(
     )
 
 
-def kmeans(
-    embeddings: EmbeddingMatrix,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    factor: str = "P",
-) -> FactorGroup:
+def kmeans(embeddings: EmbeddingMatrix, k: int, seed: int, factor: str = "P") -> FactorGroup:
     """Derive ``k`` anchors for ``factor`` by clustering all embeddings."""
-    result = kmeans_fit(embeddings.data.astype(np.float64), k, seed, max_iter, tol)
+    result = kmeans_fit(embeddings.data.astype(np.float64), k, seed)
     return FactorGroup(
         factor=factor,
         centroids=result.centroids,
@@ -344,8 +337,6 @@ def build_anchor_set(
     mode: str = "auto",
     k: int | dict[str, int] | None = None,
     seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-6,
 ) -> AnchorSet:
     """Derive anchors for the selected factors, assembled in canonical order.
 
@@ -388,16 +379,7 @@ def build_anchor_set(
             labels = corpus_labels(embeddings, corpus, factor)
             groups.append(label_centroids(embeddings, labels, factor))
         else:
-            groups.append(
-                kmeans(
-                    embeddings,
-                    k_for(factor),
-                    seed=seed + pos,
-                    max_iter=max_iter,
-                    tol=tol,
-                    factor=factor,
-                )
-            )
+            groups.append(kmeans(embeddings, k_for(factor), seed=seed + pos, factor=factor))
     return AnchorSet(groups=tuple(groups), d=embeddings.d)
 
 

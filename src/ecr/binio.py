@@ -98,9 +98,6 @@ class ByteWriter:
     def i64(self, value: int) -> None:
         self._parts.append(struct.pack("<q", value))
 
-    def f64(self, value: float) -> None:
-        self._parts.append(struct.pack("<d", value))
-
     def text(self, value: str) -> None:
         raw = value.encode("utf-8")
         self.u32(len(raw))
@@ -146,9 +143,6 @@ class ByteReader:
 
     def i64(self) -> int:
         return struct.unpack("<q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
 
     def text(self) -> str:
         return self._take(self.u32()).decode("utf-8")

@@ -80,13 +80,33 @@ def _write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_jsonl(path: str, rows: list[dict]) -> None:
+def _write_report(out: str | None, payload: dict) -> None:
+    """The ``--out`` of a report: the JSON file and its ``wrote`` line."""
+    if out:
+        _write_json(out, payload)
+        print(f"wrote {out}")
+
+
+def _emit_rows(out: str | None, rows: list[dict], note: str) -> None:
+    """JSON lines to ``out`` followed by ``note``, or one printed per row."""
     lines = [json.dumps(row, sort_keys=True) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    if out:
+        atomic_write_text(out, "\n".join(lines) + "\n")
+        print(note)
+    else:
+        for line in lines:
+            print(line)
 
 
 def _rows_of(matrix: EmbeddingMatrix) -> np.ndarray:
     return matrix.data.astype(np.float64)
+
+
+def _load_vectors(path: str, pca: str | None) -> tuple[EmbeddingMatrix, np.ndarray]:
+    """An embedding file and its rows, PCA-projected if ``pca`` names a model."""
+    matrix = load_embeddings(path)
+    vectors = _rows_of(matrix)
+    return matrix, pca_project(load_pca(pca), vectors) if pca else vectors
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +174,7 @@ def cmd_encode(args) -> int:
         }
         for row_id, prefix in zip(embeddings.ids, prefixes)
     ]
-    if args.out:
-        _write_jsonl(args.out, rows)
-        print(f"encoded {len(rows)} rows -> {args.out}")
-    else:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+    _emit_rows(args.out, rows, f"encoded {len(rows)} rows -> {args.out}")
     return 0
 
 
@@ -176,12 +191,7 @@ def cmd_topk(args) -> int:
         }
         for row_id, chosen, row in zip(embeddings.ids, ranked, values)
     ]
-    if args.out:
-        _write_jsonl(args.out, rows)
-        print(f"wrote {args.out}")
-    else:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+    _emit_rows(args.out, rows, f"wrote {args.out}")
     return 0
 
 
@@ -197,11 +207,7 @@ def cmd_pca_fit(args) -> int:
 
 
 def cmd_index_build(args) -> int:
-    embeddings = load_embeddings(args.embeddings)
-    vectors = _rows_of(embeddings)
-    if args.pca:
-        model = load_pca(args.pca)
-        vectors = pca_project(model, vectors)
+    embeddings, vectors = _load_vectors(args.embeddings, args.pca)
     index = build_index(
         vectors,
         ids=list(embeddings.ids),
@@ -221,11 +227,7 @@ def cmd_index_build(args) -> int:
 
 def cmd_index_query(args) -> int:
     index = load_index(args.index)
-    queries = load_embeddings(args.queries)
-    vectors = _rows_of(queries)
-    if args.pca:
-        model = load_pca(args.pca)
-        vectors = pca_project(model, vectors)
+    queries, vectors = _load_vectors(args.queries, args.pca)
     rows = []
     for i, row_id in enumerate(queries.ids):
         result = query(index, vectors[i], args.k, ef_search=args.ef)
@@ -237,22 +239,13 @@ def cmd_index_query(args) -> int:
                 "visited": result.visited,
             }
         )
-    if args.out:
-        _write_jsonl(args.out, rows)
-        print(f"wrote {args.out}")
-    else:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+    _emit_rows(args.out, rows, f"wrote {args.out}")
     return 0
 
 
 def cmd_bench(args) -> int:
     index = load_index(args.index)
-    queries = load_embeddings(args.queries)
-    vectors = _rows_of(queries)
-    if args.pca:
-        model = load_pca(args.pca)
-        vectors = pca_project(model, vectors)
+    _, vectors = _load_vectors(args.queries, args.pca)
     report = bench_query_latency(
         index,
         vectors,
@@ -278,9 +271,7 @@ def cmd_bench(args) -> int:
         f"p95={report.p95_us:.1f} p99={report.p99_us:.1f}"
     )
     print(f"mean visited: {report.mean_visited:.1f}")
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
+    _write_report(args.out, payload)
     return 0
 
 
@@ -303,9 +294,7 @@ def cmd_geometry(args) -> int:
         f"intra={report.intra:.6f} inter={report.inter:.6f} "
         f"ratio={report.ratio:.6f} spread={report.spread:.6f}"
     )
-    if args.out:
-        _write_json(args.out, report.to_dict())
-        print(f"wrote {args.out}")
+    _write_report(args.out, report.to_dict())
     return 0
 
 
@@ -317,9 +306,7 @@ def cmd_purity(args) -> int:
     for lang in sorted(report.per_language):
         print(f"purity[{lang}] = {report.per_language[lang]:.6f}")
     print(f"purity overall = {report.overall:.6f} over {report.n} samples")
-    if args.out:
-        _write_json(args.out, report.to_dict())
-        print(f"wrote {args.out}")
+    _write_report(args.out, report.to_dict())
     return 0
 
 
@@ -342,9 +329,7 @@ def cmd_consistency(args) -> int:
     print(f"records: {report.n_records}")
     print(f"exact match rate: {report.exact_match_rate:.6f}")
     print(f"mean pairwise jaccard: {report.mean_pairwise_jaccard:.6f}")
-    if args.out:
-        _write_json(args.out, report.to_dict())
-        print(f"wrote {args.out}")
+    _write_report(args.out, report.to_dict())
     return 0
 
 
@@ -514,9 +499,7 @@ def cmd_train_toy(args) -> int:
 
     text = render_report(payload)
     sys.stdout.write(text)
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
+    _write_report(args.out, payload)
     return 0
 
 

@@ -129,13 +129,6 @@ class Corpus:
         except KeyError:
             raise CorpusError(f"unknown dialog_id {dialog_id!r}") from None
 
-    def counts_by(self, field_name: str) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.records:
-            label = getattr(rec, field_name)
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
 
 def validate_record(rec: CorpusRecord, header: CorpusHeader, where: str = "") -> None:
     ctx = f" ({where})" if where else ""
@@ -223,7 +216,6 @@ class EmbeddingMatrix:
 
     data: np.ndarray
     ids: list[str]
-    _row_of: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -233,8 +225,6 @@ class EmbeddingMatrix:
             raise CorpusError(
                 f"id count {len(self.ids)} does not match row count {self.data.shape[0]}"
             )
-        if not self._row_of:
-            self._row_of = {i: r for r, i in enumerate(self.ids)}
 
     @property
     def n(self) -> int:
@@ -243,12 +233,6 @@ class EmbeddingMatrix:
     @property
     def d(self) -> int:
         return self.data.shape[1]
-
-    def row(self, sample_id: str) -> np.ndarray:
-        try:
-            return self.data[self._row_of[sample_id]]
-        except KeyError:
-            raise CorpusError(f"unknown sample id {sample_id!r}") from None
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:

@@ -1,7 +1,8 @@
 """Representation-quality metrics for embedding collections.
 
 Manifolds are groups of samples (gold factor labels or top-1 anchor
-assignments).  The module reports within-manifold compactness, between-
+assignments).  One pass over them gives every per-manifold statistic and
+centroid; from it the module reports within-manifold compactness, between-
 manifold separation and their ratio, a variance-based spread statistic,
 nearest-prototype language purity, and how consistently the cross-lingual
 variants of one record select the same manifold subset.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .anchors import AnchorSet
 from .codec import project_batch
-from .corpus import EmbeddingMatrix
+from .corpus import LANGUAGES, EmbeddingMatrix
 
 
 class GeometryError(ValueError):
@@ -74,17 +75,21 @@ class _Manifold(NamedTuple):
 
 
 def _manifold_stats(
-    embeddings: EmbeddingMatrix, partition: ManifoldPartition
+    data: np.ndarray, labels: list[str], inventory: tuple[str, ...]
 ) -> dict[str, _Manifold]:
-    """One pass over the manifolds in label order; errors on uncovered rows
-    or empty manifolds."""
-    rows: dict[str, list[int]] = {label: [] for label in partition.labels}
-    for idx, sample_id in enumerate(embeddings.ids):
-        rows[partition.label_of(sample_id)].append(idx)
+    """The one pass over the manifolds, in inventory order.
+
+    ``labels`` names each row's manifold.  Errors on a label count other
+    than the row count and on an empty manifold.
+    """
+    if len(labels) != len(data):
+        raise GeometryError(f"{len(labels)} labels for {len(data)} rows")
+    rows: dict[str, list[int]] = {label: [] for label in inventory}
+    for idx, label in enumerate(labels):
+        rows[label].append(idx)
     empty = [label for label, members in rows.items() if not members]
     if empty:
         raise GeometryError(f"empty manifold {empty[0]!r}")
-    data = embeddings.data.astype(np.float64)
     stats = {}
     for label, members in rows.items():
         member_rows = data[members]
@@ -97,6 +102,7 @@ def _manifold_stats(
 
 
 def _separation(stats: dict[str, _Manifold]) -> float:
+    """Mean pairwise Euclidean distance between manifold centroids."""
     if len(stats) < 2:
         raise GeometryError(f"need at least 2 manifolds, got {len(stats)}")
     centroids = [m.centroid for m in stats.values()]
@@ -107,28 +113,10 @@ def _separation(stats: dict[str, _Manifold]) -> float:
     return float(np.mean(dists))
 
 
-def intra_compactness(embeddings: EmbeddingMatrix, partition: ManifoldPartition) -> float:
-    """Mean over manifolds of the mean member-to-centroid distance."""
-    stats = _manifold_stats(embeddings, partition)
-    return float(np.mean([m.intra for m in stats.values()]))
-
-
-def inter_separation(embeddings: EmbeddingMatrix, partition: ManifoldPartition) -> float:
-    """Mean pairwise Euclidean distance between manifold centroids."""
-    return _separation(_manifold_stats(embeddings, partition))
-
-
 def geometry_ratio(intra: float, inter: float) -> float:
     if inter <= 0:
         raise GeometryError(f"inter separation must be positive, got {inter}")
     return intra / inter
-
-
-def spread(embeddings: EmbeddingMatrix, partition: ManifoldPartition) -> float:
-    """Mean over manifolds of within-manifold variance (mean squared
-    distance to the centroid)."""
-    stats = _manifold_stats(embeddings, partition)
-    return float(np.mean([m.spread for m in stats.values()]))
 
 
 @dataclass(frozen=True)
@@ -154,7 +142,12 @@ class GeometryReport:
 def compute_geometry(
     embeddings: EmbeddingMatrix, partition: ManifoldPartition
 ) -> GeometryReport:
-    stats = _manifold_stats(embeddings, partition)
+    """Compactness (``intra``: mean over manifolds of the mean
+    member-to-centroid distance), separation (``inter``: mean pairwise
+    centroid distance), their ratio and Spread (mean within-manifold
+    variance), every one from a single manifold pass."""
+    labels = [partition.label_of(sample_id) for sample_id in embeddings.ids]
+    stats = _manifold_stats(embeddings.data.astype(np.float64), labels, partition.labels)
     intra = float(np.mean([m.intra for m in stats.values()]))
     inter = _separation(stats)
     return GeometryReport(
@@ -174,21 +167,6 @@ def compute_geometry(
 # Purity
 
 
-def language_prototypes(
-    embeddings: EmbeddingMatrix, languages: list[str]
-) -> dict[str, np.ndarray]:
-    """Per-language mean embedding, keyed by language."""
-    if len(languages) != embeddings.n:
-        raise GeometryError(f"{len(languages)} language labels for {embeddings.n} rows")
-    if embeddings.n == 0:
-        raise GeometryError("cannot build prototypes from an empty matrix")
-    rows: dict[str, list[int]] = {}
-    for idx, lang in enumerate(languages):
-        rows.setdefault(lang, []).append(idx)
-    data = embeddings.data.astype(np.float64)
-    return {lang: data[members].mean(axis=0) for lang, members in sorted(rows.items())}
-
-
 @dataclass(frozen=True)
 class PurityReport:
     per_language: dict[str, float]
@@ -205,25 +183,23 @@ def purity(embeddings: EmbeddingMatrix, languages: list[str]) -> PurityReport:
 
     Each sample is assigned to the language whose prototype is nearest in
     L2; distance ties resolve to the lexicographically first language.
+    The prototypes are the language manifolds' centroids.
     """
-    protos = language_prototypes(embeddings, languages)
-    if len(protos) < 2:
-        raise GeometryError(f"purity needs at least 2 languages, got {len(protos)}")
-    names = sorted(protos)
-    proto_mat = np.stack([protos[lang] for lang in names])
+    names = tuple(sorted(set(languages)))
     data = embeddings.data.astype(np.float64)
+    stats = _manifold_stats(data, languages, names)
+    if len(stats) < 2:
+        raise GeometryError(f"purity needs at least 2 languages, got {len(stats)}")
+    proto_mat = np.stack([m.centroid for m in stats.values()])
     # direct differences; argmin picks the first (lexicographically
     # smallest) language on exact ties
     d2 = ((data[:, None, :] - proto_mat[None, :, :]) ** 2).sum(axis=2)
     picked = d2.argmin(axis=1)
     assigned = tuple(names[int(i)] for i in picked)
-    correct: dict[str, int] = {lang: 0 for lang in names}
-    totals: dict[str, int] = {lang: 0 for lang in names}
+    correct = {lang: 0 for lang in names}
     for true, got in zip(languages, assigned):
-        totals[true] += 1
-        if true == got:
-            correct[true] += 1
-    per_language = {lang: correct[lang] / totals[lang] for lang in names}
+        correct[true] += true == got
+    per_language = {lang: correct[lang] / m.size for lang, m in stats.items()}
     overall = sum(correct.values()) / len(languages)
     return PurityReport(
         per_language=per_language,
@@ -259,21 +235,21 @@ class CrosslingualReport:
 
 def crosslingual_consistency(
     selections: dict[str, dict[str, frozenset | set | tuple | list]],
-    languages: tuple[str, ...] = ("en", "zh", "hi"),
 ) -> CrosslingualReport:
-    """Rate at which all language variants of a record select the same
-    manifold subset, plus the mean pairwise Jaccard overlap."""
+    """Rate at which all language variants of a record (one per corpus
+    language) select the same manifold subset, plus the mean pairwise
+    Jaccard overlap."""
     if not selections:
         raise GeometryError("empty record set")
     exact = 0
     overlaps = []
     for rec_id, per_lang in selections.items():
-        missing = [lang for lang in languages if lang not in per_lang]
+        missing = [lang for lang in LANGUAGES if lang not in per_lang]
         if missing:
             raise GeometryError(
                 f"record {rec_id!r} is missing language variant {missing[0]!r}"
             )
-        sets = [frozenset(per_lang[lang]) for lang in languages]
+        sets = [frozenset(per_lang[lang]) for lang in LANGUAGES]
         if all(s == sets[0] for s in sets[1:]):
             exact += 1
         for i in range(len(sets)):

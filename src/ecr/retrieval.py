@@ -239,10 +239,6 @@ class HnswIndex:
         return len(self.layers) - 1
 
     @property
-    def adj0(self) -> np.ndarray:
-        return self.layers[0]
-
-    @property
     def deg0(self) -> np.ndarray:
         return np.count_nonzero(self.layers[0] >= 0, axis=1).astype(np.int32)
 

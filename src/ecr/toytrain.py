@@ -38,6 +38,7 @@ import numpy as np
 
 from .anchors import AnchorSet, build_anchor_set
 from .codec import (
+    CodecError,
     ControlPrefix,
     TokenVocabulary,
     _selected,
@@ -113,12 +114,18 @@ class Sample:
 
     dialog_id: str
     language: str
-    task: str
     tokens: tuple[int, ...]
     query_len: int  # tokens[:query_len] form the query segment
     answer_pos: int | None  # position of the gold answer token
     gold: int
     candidates: tuple[int, ...]  # legal answer token ids for this sample
+
+
+# Teacher-space scales: language directions, each factor direction, and
+# the per-record noise.
+_LANG_SCALE = 10.0
+_FACTOR_SCALE = 2.5
+_NOISE_SCALE = 0.25
 
 
 @dataclass
@@ -138,9 +145,6 @@ def make_synthetic_corpus(
     query_content: int = 6,
     marker_repeat: int = 1,
     answer_noise: float = 0.1,
-    lang_scale: float = 10.0,
-    factor_scale: float = 2.5,
-    noise_scale: float = 0.25,
 ) -> SyntheticData:
     """Generate an aligned multilingual corpus plus teacher embeddings.
 
@@ -221,12 +225,12 @@ def make_synthetic_corpus(
                 )
             )
             center = (
-                lang_scale * lang_dirs[lang_index]
-                + factor_scale * task_dirs[task_index]
-                + factor_scale * emo_dirs[emo_index]
-                + factor_scale * intent_dirs[intent_index]
+                _LANG_SCALE * lang_dirs[lang_index]
+                + _FACTOR_SCALE * task_dirs[task_index]
+                + _FACTOR_SCALE * emo_dirs[emo_index]
+                + _FACTOR_SCALE * intent_dirs[intent_index]
             )
-            vectors[row] = center + noise_scale * rng.standard_normal(d)
+            vectors[row] = center + _NOISE_SCALE * rng.standard_normal(d)
             ids.append(dialog_id)
             row += 1
 
@@ -244,7 +248,6 @@ def record_sample(record: CorpusRecord, language: str, layout: VocabLayout) -> S
     return Sample(
         dialog_id=record.dialog_id,
         language=language,
-        task=record.task,
         tokens=tokens,
         query_len=len(query_ids),
         answer_pos=len(tokens) - 1,
@@ -279,6 +282,15 @@ def split_records(
     return train, hold
 
 
+def _split_samples(
+    data: SyntheticData, holdout_fraction: float
+) -> tuple[list[Sample], list[Sample], list[CorpusRecord]]:
+    """Training samples, held-out samples and held-out records of the
+    standard split."""
+    train_recs, eval_recs = split_records(data, holdout_fraction)
+    return make_samples(data, train_recs), make_samples(data, eval_recs), eval_recs
+
+
 # ---------------------------------------------------------------------------
 # Model
 
@@ -295,7 +307,6 @@ class ToyModel:
     out: np.ndarray  # (d, base_size)
     base_size: int
     vocab: TokenVocabulary
-    seed: int
 
     @property
     def d(self) -> int:
@@ -306,28 +317,27 @@ class ToyModel:
         return self.emb.shape[0]
 
 
+_INIT_SCALE = 0.02
+
+
 def init_model(
     base_size: int,
     d: int,
     anchors: AnchorSet,
     n_bins: int,
     seed: int,
-    init_scale: float = 0.02,
 ) -> ToyModel:
-    """Base table and head are drawn before the control rows, so models
-    sharing (base_size, d, seed) have bit-identical base parameters
-    regardless of the control block size."""
+    """Parameters drawn from a normal with standard deviation
+    ``_INIT_SCALE``.  Base table and head are drawn before the control rows,
+    so models sharing (base_size, d, seed) have bit-identical base
+    parameters regardless of the control block size."""
     vocab = token_vocabulary(anchors, n_bins, base_size)
     rng = np.random.default_rng(seed)
-    emb_base = rng.normal(0.0, init_scale, size=(base_size, d))
-    out = rng.normal(0.0, init_scale, size=(d, base_size))
-    emb_ctrl = rng.normal(0.0, init_scale, size=(vocab.size, d))
+    emb_base = rng.normal(0.0, _INIT_SCALE, size=(base_size, d))
+    out = rng.normal(0.0, _INIT_SCALE, size=(d, base_size))
+    emb_ctrl = rng.normal(0.0, _INIT_SCALE, size=(vocab.size, d))
     return ToyModel(
-        emb=np.vstack([emb_base, emb_ctrl]),
-        out=out,
-        base_size=base_size,
-        vocab=vocab,
-        seed=seed,
+        emb=np.vstack([emb_base, emb_ctrl]), out=out, base_size=base_size, vocab=vocab
     )
 
 
@@ -538,6 +548,11 @@ class TrainConfig:
     divergence_patience: int = 5
     ecr: EcrSettings = EcrSettings()
 
+    def __post_init__(self) -> None:
+        for name, low in (("batch_size", 1), ("epochs", 0), ("divergence_patience", 1)):
+            if getattr(self, name) < low:
+                raise ToyTrainError(f"{name} must be at least {low}, got {getattr(self, name)}")
+
     def to_dict(self) -> dict:
         cfg = {
             k: v for k, v in self.__dict__.items() if k != "ecr"
@@ -647,7 +662,6 @@ def nll_eval(
     anchors: AnchorSet | None = None,
     settings: EcrSettings = EcrSettings(),
     frozen: dict[str, ControlPrefix] | None = None,
-    languages: tuple[str, ...] | None = None,
 ) -> dict[str, float]:
     """Mean target-token NLL per language under the training pipeline."""
     if not samples:
@@ -659,10 +673,6 @@ def nll_eval(
     for sample, value, count in zip(samples, nll.tolist(), counts.tolist()):
         sums[sample.language] = sums.get(sample.language, 0.0) + value
         totals[sample.language] = totals.get(sample.language, 0) + count
-    if languages is not None:
-        missing = [lang for lang in languages if lang not in totals]
-        if missing:
-            raise ToyTrainError(f"empty language bucket {missing[0]!r}")
     return {lang: sums[lang] / totals[lang] for lang in sorted(sums)}
 
 
@@ -739,8 +749,9 @@ def run_training(
     ``anchors`` condition the run (subset under ablation); the
     ``diagnostic_anchors`` are the full set used for consistency
     measurement.  The divergence detector flags ``divergence_patience``
-    consecutive bad steps (loss above threshold or non-finite) and stops
-    the run; it never raises.
+    consecutive bad steps (loss above threshold or non-finite), or
+    parameters gone non-finite before that (the pooled queries of a step
+    or of the epoch's diagnostics), and stops the run; it never raises.
     """
     if not train_samples:
         raise ToyTrainError("empty training set")
@@ -787,28 +798,33 @@ def run_training(
     diverged = False
     divergence_step: int | None = None
     bad_streak = 0
-    step_index = 0
 
     n = len(train_samples)
     for _epoch in range(config.epochs):
         order = data_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = [train_samples[i] for i in order[start : start + config.batch_size]]
-            loss = train_step(model, batch, anchors, config, optimizer, frozen)
+            try:
+                loss = train_step(model, batch, anchors, config, optimizer, frozen)
+            except CodecError:
+                # live prefixes cannot be encoded from a non-finite table
+                if np.isfinite(model.emb).all():
+                    raise
+                diverged = True
+                break
             loss_curve.append(loss)
-            step_index += 1
             bad = (not np.isfinite(loss)) or loss > config.divergence_threshold
             bad_streak = bad_streak + 1 if bad else 0
             if bad_streak >= config.divergence_patience:
                 diverged = True
-                divergence_step = step_index
                 break
+        if not diverged:
+            pooled = _pooled_queries(model, list(slot))[rows_of]
+            diverged = not np.isfinite(pooled).all()
         if diverged:
+            divergence_step = len(loss_curve)
             break
-        nll_epochs.append(
-            nll_eval(model, eval_samples, anchors, config.ecr, frozen)
-        )
-        pooled = _pooled_queries(model, list(slot))[rows_of]
+        nll_epochs.append(nll_eval(model, eval_samples, anchors, config.ecr, frozen))
         student = EmbeddingMatrix(data=pooled[:n_eval].astype(np.float32), ids=student_ids)
         partition = partition_from_labels(student.ids, langs)
         geometry_epochs.append(compute_geometry(student, partition).to_dict())
@@ -846,14 +862,12 @@ def run_training(
 def build_toy_anchors(
     data: SyntheticData,
     factors: tuple[str, ...] = ("T", "L", "E", "I"),
-    k_strategy: int = 4,
     seed: int = 0,
 ) -> AnchorSet:
-    """Label-centroid anchors from the teacher embeddings (k-means for the
-    unlabeled tone/strategy factor)."""
-    k = {f: k_strategy for f in factors}
+    """Label-centroid anchors from the teacher embeddings (four k-means
+    anchors for the unlabeled tone/strategy factor)."""
     return build_anchor_set(
-        data.embeddings, data.corpus, factors, mode="auto", k=k, seed=seed
+        data.embeddings, data.corpus, factors, mode="auto", k=4, seed=seed
     )
 
 
@@ -915,9 +929,7 @@ def run_experiment(
         )
     if base_cfg.ecr.enabled:
         raise ToyTrainError("the baseline arm must have ecr disabled")
-    train_recs, eval_recs = split_records(data, base_cfg.holdout_fraction)
-    train_samples = make_samples(data, train_recs)
-    eval_samples = make_samples(data, eval_recs)
+    train_samples, eval_samples, eval_recs = _split_samples(data, base_cfg.holdout_fraction)
     _, base_report = run_training(
         train_samples, eval_samples, eval_recs, data.layout,
         anchors, anchors, base_cfg, arm="baseline",
@@ -955,9 +967,7 @@ def run_ablation(
     empty subset is the unconditioned baseline.  Consistency always uses
     the full anchor set as the measuring stick.
     """
-    train_recs, eval_recs = split_records(data, config.holdout_fraction)
-    train_samples = make_samples(data, train_recs)
-    eval_samples = make_samples(data, eval_recs)
+    train_samples, eval_samples, eval_recs = _split_samples(data, config.holdout_fraction)
     rows = []
     for subset in subsets:
         if subset:
@@ -981,17 +991,10 @@ def run_single_arm(
     data: SyntheticData, anchors: AnchorSet, config: TrainConfig
 ) -> tuple[ToyModel, ExperimentReport]:
     """One arm trained on the standard split of a synthetic dataset."""
-    train_recs, eval_recs = split_records(data, config.holdout_fraction)
+    train_samples, eval_samples, eval_recs = _split_samples(data, config.holdout_fraction)
     arm = "ecr" if config.ecr.enabled else "baseline"
     return run_training(
-        make_samples(data, train_recs),
-        make_samples(data, eval_recs),
-        eval_recs,
-        data.layout,
-        anchors,
-        anchors,
-        config,
-        arm=arm,
+        train_samples, eval_samples, eval_recs, data.layout, anchors, anchors, config, arm=arm
     )
 
 

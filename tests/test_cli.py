@@ -504,6 +504,15 @@ def test_train_toy_rejects_bare_ecr_key(capsys, tmp_path):
     assert "unknown config key 'ecr'" in err
 
 
+def test_train_toy_rejects_zero_batch_size(capsys, tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("batch_size = 0\n")
+    code, out, err = _run(capsys, "train-toy", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == "error: toytrain: batch_size must be at least 1, got 0\n"
+
+
 def test_config_file_syntax_errors_name_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = 2\nnot a pair\n")

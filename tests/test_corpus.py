@@ -51,11 +51,6 @@ def test_get_by_dialog_id(tiny_corpus):
         tiny_corpus.get("d999")
 
 
-def test_counts_by_factor(tiny_corpus):
-    assert tiny_corpus.counts_by("task") == {"booking": 2, "support": 2}
-    assert tiny_corpus.counts_by("language") == {"en": 2, "hi": 1, "zh": 1}
-
-
 def test_duplicate_dialog_id_rejected(tmp_path, tiny_corpus):
     path = str(tmp_path / "c.jsonl")
     save_corpus(tiny_corpus, path)
@@ -137,13 +132,6 @@ def test_embeddings_round_trip(tmp_path):
     assert loaded.ids == m.ids
     assert loaded.data.dtype == np.float32
     assert np.array_equal(loaded.data, m.data)
-
-
-def test_embeddings_row_lookup():
-    m = embeddings_for(["a", "b"], d=4)
-    assert np.array_equal(m.row("b"), m.data[1])
-    with pytest.raises(CorpusError, match="zz"):
-        m.row("zz")
 
 
 def test_embeddings_non_finite_rejected(tmp_path):

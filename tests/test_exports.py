@@ -1,4 +1,5 @@
-"""Every name in ``ecr.__all__`` is used by the package, its scripts or its
+"""Every name in ``ecr.__all__``, and every public method and property of
+a class in the package, is used by the package, its scripts or its
 benchmark, or is listed below with the test that keeps it.
 
 A use is code in ``src/ecr/``, ``scripts/`` or ``bench/`` (outside
@@ -15,6 +16,11 @@ exported object:
 So comments and strings do not count, and neither do keyword-argument
 names, class-body field annotations, or function parameters and locals
 that happen to share the name.
+
+A method or property ``Class.name`` is used if any program file reads an
+attribute ``.name``; dunders are exempt.  The check cannot tell apart two
+members, or a member and a library attribute, that share a name: the
+``m.group(...)`` of a regex match in ``ecr.codec`` keeps ``AnchorSet.group``.
 """
 
 import ast
@@ -38,14 +44,18 @@ KEPT_FOR_TESTS = {
     "parse_token": "tests/test_acceptance.py",
     # test_acceptance_10_pca_orthonormal_and_lossless
     "pca_reconstruct": "tests/test_acceptance.py",
-    # oracles of test_compute_geometry_aggregates_consistently and
-    # test_geometry_against_loop_oracle
-    "intra_compactness": "tests/test_geometry.py",
-    "inter_separation": "tests/test_geometry.py",
-    "spread": "tests/test_geometry.py",
     # the public single-query pooling, read by the test_embed_sequence_*
     # tests and test_pooled_queries_match_embed_sequence
     "embed_sequence": "tests/test_toytrain.py",
+}
+
+
+# Public methods and properties that no program file reads, each kept for
+# the test named.
+KEPT_MEMBERS = {
+    # the bijection oracles of test_vocabulary_round_trip_every_token
+    "TokenVocabulary.token_id": "tests/test_codec.py",
+    "TokenVocabulary.token_of": "tests/test_codec.py",
 }
 
 
@@ -108,16 +118,32 @@ def _unused_exports():
     names = set(ecr.__all__)
     defined_in = _definitions()
     declared = _class_attributes()
-    used = set()
+    used = (_attribute_reads(_files()) & names) - declared
     for path in _files():
-        source = path.read_text(encoding="utf-8")
-        used |= _global_references(source, path, names, defined_in)
-        used |= {
-            node.attr
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr in names and node.attr not in declared
-        }
+        used |= _global_references(path.read_text(encoding="utf-8"), path, names, defined_in)
     return sorted(names - used)
+
+
+def _class_members():
+    """``Class.name`` -> ``name`` for every public method and property."""
+    return {
+        f"{cls.name}.{node.name}": node.name
+        for path in sorted((ROOT / "src/ecr").glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _attribute_reads(paths) -> set:
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
 
 
 def test_every_export_is_used_or_kept_for_a_test():
@@ -153,3 +179,17 @@ def test_guard_ignores_fields_keywords_and_locals(tmp_path):
     assert _global_references(source, path, {"spread"}, {}) == set()
     assert _global_references("def f(x):\n    return spread(x)\n", path, {"spread"}, {}) == {"spread"}
     assert _global_references("from m import spread\n", path, {"spread"}, {}) == {"spread"}
+
+
+def test_every_member_is_read_or_kept_for_a_test():
+    read = _attribute_reads(_files())
+    unread = sorted(key for key, name in _class_members().items() if name not in read)
+    assert [key for key in unread if key not in KEPT_MEMBERS] == []
+    # an entry whose member is read, or no longer exists, is stale
+    assert sorted(KEPT_MEMBERS) == unread
+
+
+def test_kept_members_are_read_by_their_tests():
+    for key, test_file in KEPT_MEMBERS.items():
+        name = key.split(".", 1)[1]
+        assert name in _attribute_reads([ROOT / test_file]), f"{key} is not read in {test_file}"

@@ -12,13 +12,9 @@ from ecr.geometry import (
     compute_geometry,
     crosslingual_consistency,
     geometry_ratio,
-    inter_separation,
-    intra_compactness,
-    language_prototypes,
     partition_from_anchors,
     partition_from_labels,
     purity,
-    spread,
 )
 
 
@@ -43,22 +39,38 @@ def _two_cluster_case():
 # core metrics against handmade numbers
 
 
+def _geometry(m, labels):
+    return compute_geometry(m, partition_from_labels(m.ids, labels))
+
+
 def test_intra_matches_hand_computation():
     m, part = _two_cluster_case()
+    report = compute_geometry(m, part)
     # mean of per-cluster mean distances: (1 + 3) / 2
-    assert intra_compactness(m, part) == pytest.approx(2.0, abs=1e-9)
+    assert report.intra == pytest.approx(2.0, abs=1e-9)
+    assert report.per_manifold["A"]["size"] == 2.0
+    assert report.per_manifold["A"]["intra"] == pytest.approx(1.0)
+    assert report.per_manifold["B"]["intra"] == pytest.approx(3.0)
+    assert set(report.to_dict()) == {
+        "intra", "inter", "ratio", "spread", "source", "per_manifold",
+    }
 
 
 def test_inter_matches_hand_computation():
     m, part = _two_cluster_case()
     # centroids [1, 0] and [0, 10]: distance sqrt(101)
-    assert inter_separation(m, part) == pytest.approx(np.sqrt(101.0), abs=1e-9)
+    report = compute_geometry(m, part)
+    assert report.inter == pytest.approx(np.sqrt(101.0), abs=1e-9)
+    assert report.ratio == pytest.approx(2.0 / np.sqrt(101.0), abs=1e-12)
 
 
 def test_spread_matches_hand_computation():
     m, part = _two_cluster_case()
     # per-cluster mean squared distances 1 and 9
-    assert spread(m, part) == pytest.approx(5.0, abs=1e-9)
+    report = compute_geometry(m, part)
+    assert report.spread == pytest.approx(5.0, abs=1e-9)
+    assert report.per_manifold["A"]["spread"] == pytest.approx(1.0)
+    assert report.per_manifold["B"]["spread"] == pytest.approx(9.0)
 
 
 def test_ratio_is_plain_division():
@@ -74,22 +86,7 @@ def test_inter_three_clusters_mean_pairwise():
     m = _matrix(pts)
     part = partition_from_labels(m.ids, ["a", "a", "b", "b", "c", "c"])
     want = (3.0 + 4.0 + 5.0) / 3.0
-    assert inter_separation(m, part) == pytest.approx(want, abs=1e-9)
-
-
-def test_compute_geometry_aggregates_consistently():
-    m, part = _two_cluster_case()
-    report = compute_geometry(m, part)
-    assert report.intra == pytest.approx(intra_compactness(m, part), abs=1e-12)
-    assert report.inter == pytest.approx(inter_separation(m, part), abs=1e-12)
-    assert report.ratio == pytest.approx(report.intra / report.inter, abs=1e-12)
-    assert report.spread == pytest.approx(spread(m, part), abs=1e-12)
-    assert report.per_manifold["A"]["size"] == 2.0
-    assert report.per_manifold["A"]["intra"] == pytest.approx(1.0)
-    assert report.per_manifold["B"]["spread"] == pytest.approx(9.0)
-    assert set(report.to_dict()) == {
-        "intra", "inter", "ratio", "spread", "source", "per_manifold",
-    }
+    assert compute_geometry(m, part).inter == pytest.approx(want, abs=1e-9)
 
 
 def test_geometry_against_loop_oracle():
@@ -116,9 +113,14 @@ def test_geometry_against_loop_oracle():
     for i in range(len(centroids)):
         for j in range(i + 1, len(centroids)):
             pair.append(float(np.linalg.norm(centroids[i] - centroids[j])))
-    assert intra_compactness(m, part) == pytest.approx(np.mean(intra_terms), abs=1e-9)
-    assert inter_separation(m, part) == pytest.approx(np.mean(pair), abs=1e-9)
-    assert spread(m, part) == pytest.approx(np.mean(spread_terms), abs=1e-9)
+    report = compute_geometry(m, part)
+    assert report.intra == pytest.approx(np.mean(intra_terms), abs=1e-9)
+    assert report.inter == pytest.approx(np.mean(pair), abs=1e-9)
+    assert report.spread == pytest.approx(np.mean(spread_terms), abs=1e-9)
+    for label, terms in zip(sorted(groups), zip(intra_terms, spread_terms)):
+        stats = report.per_manifold[label]
+        assert stats["size"] == len(groups[label])
+        assert (stats["intra"], stats["spread"]) == pytest.approx(terms, abs=1e-9)
 
 
 def test_partition_validation():
@@ -127,7 +129,7 @@ def test_partition_validation():
         partition_from_labels(m.ids, ["A"])  # length mismatch
     part = partition_from_labels(["x0", "x1"], ["A", "B"])
     with pytest.raises(GeometryError, match="assignment"):
-        intra_compactness(m, part)  # m's ids are not covered
+        compute_geometry(m, part)  # m's ids are not covered
     # empty manifold: declared label with no members
     from ecr.geometry import ManifoldPartition
 
@@ -135,7 +137,7 @@ def test_partition_validation():
         assignment={sid: "A" for sid in m.ids}, labels=("A", "B")
     )
     with pytest.raises(GeometryError, match="empty manifold"):
-        intra_compactness(m, sparse)
+        compute_geometry(m, sparse)
     with pytest.raises(GeometryError, match="outside the inventory"):
         ManifoldPartition(assignment={"s0": "Z"}, labels=("A",))
 
@@ -145,8 +147,7 @@ def test_single_manifold_rejected_for_inter():
     m = _matrix(pts)
     part = partition_from_labels(m.ids, ["A"] * 4)
     with pytest.raises(GeometryError, match="at least 2"):
-        inter_separation(m, part)
-    assert intra_compactness(m, part) > 0  # intra is still defined
+        compute_geometry(m, part)
 
 
 def test_partition_from_anchors_top1():
@@ -175,15 +176,10 @@ def test_metrics_translation_invariant():
     shift = rng.normal(size=4) * 50
     a = _matrix(pts)
     b = _matrix(pts + shift)
-    part_a = partition_from_labels(a.ids, labels)
-    part_b = partition_from_labels(b.ids, labels)
-    assert intra_compactness(a, part_a) == pytest.approx(
-        intra_compactness(b, part_b), abs=1e-6
-    )
-    assert inter_separation(a, part_a) == pytest.approx(
-        inter_separation(b, part_b), abs=1e-6
-    )
-    assert spread(a, part_a) == pytest.approx(spread(b, part_b), abs=1e-5)
+    ga, gb = _geometry(a, labels), _geometry(b, labels)
+    assert ga.intra == pytest.approx(gb.intra, abs=1e-6)
+    assert ga.inter == pytest.approx(gb.inter, abs=1e-6)
+    assert ga.spread == pytest.approx(gb.spread, abs=1e-5)
 
 
 def test_metrics_scale_covariant():
@@ -194,21 +190,12 @@ def test_metrics_scale_covariant():
     pts = pts.astype(np.float32)
     a = _matrix(pts)
     b = _matrix(alpha * pts)
-    part_a = partition_from_labels(a.ids, labels)
-    part_b = partition_from_labels(b.ids, labels)
-    assert intra_compactness(b, part_b) == pytest.approx(
-        alpha * intra_compactness(a, part_a), rel=1e-6
-    )
-    assert inter_separation(b, part_b) == pytest.approx(
-        alpha * inter_separation(a, part_a), rel=1e-6
-    )
-    assert spread(b, part_b) == pytest.approx(
-        alpha**2 * spread(a, part_a), rel=1e-6
-    )
+    ga, gb = _geometry(a, labels), _geometry(b, labels)
+    assert gb.intra == pytest.approx(alpha * ga.intra, rel=1e-6)
+    assert gb.inter == pytest.approx(alpha * ga.inter, rel=1e-6)
+    assert gb.spread == pytest.approx(alpha**2 * ga.spread, rel=1e-6)
     # the ratio is scale free
-    ra = compute_geometry(a, part_a).ratio
-    rb = compute_geometry(b, part_b).ratio
-    assert ra == pytest.approx(rb, rel=1e-9)
+    assert ga.ratio == pytest.approx(gb.ratio, rel=1e-9)
 
 
 @settings(max_examples=30)
@@ -219,15 +206,11 @@ def test_ratio_scale_free_property(seed, alpha):
     labels = ["a"] * 6 + ["b"] * 6
     a = _matrix(pts)
     b = _matrix(alpha * pts)
-    ra = geometry_ratio(
-        intra_compactness(a, partition_from_labels(a.ids, labels)),
-        inter_separation(a, partition_from_labels(a.ids, labels)),
+    ga, gb = _geometry(a, labels), _geometry(b, labels)
+    assert geometry_ratio(gb.intra, gb.inter) == pytest.approx(
+        geometry_ratio(ga.intra, ga.inter), rel=1e-6
     )
-    rb = geometry_ratio(
-        intra_compactness(b, partition_from_labels(b.ids, labels)),
-        inter_separation(b, partition_from_labels(b.ids, labels)),
-    )
-    assert rb == pytest.approx(ra, rel=1e-6)
+    assert gb.ratio == pytest.approx(ga.ratio, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +286,8 @@ def test_purity_validation():
     m = _matrix(np.ones((3, 2)))
     with pytest.raises(GeometryError):
         purity(m, ["en", "en", "en"])  # single language
-    with pytest.raises(GeometryError):
-        language_prototypes(m, ["en", "zh"])  # length mismatch
+    with pytest.raises(GeometryError, match="2 labels for 3 rows"):
+        purity(m, ["en", "zh"])  # length mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +311,6 @@ def test_crosslingual_incomplete_triplet_rejected():
         crosslingual_consistency({"r1": {"en": {0}, "zh": {0}}})
     with pytest.raises(GeometryError, match="empty record"):
         crosslingual_consistency({})
-
-
-def test_crosslingual_custom_language_tuple():
-    selections = {"r1": {"en": {0}, "fr": {0}}}
-    report = crosslingual_consistency(selections, languages=("en", "fr"))
-    assert report.exact_match_rate == 1.0
 
 
 @settings(max_examples=40)

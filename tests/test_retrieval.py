@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecr.retrieval
 from ecr.binio import FileFormatError
 from ecr.retrieval import (
     INDEX_MAGIC,
     RetrievalError,
+    _eigh_pca,
     _greedy_step,
     bench_query_latency,
     brute_force_topk,
@@ -159,6 +161,27 @@ def test_pca_large_dimension_subspace_path():
     back = pca_reconstruct(model, pca_project(model, X))
     residual = np.linalg.norm(X - back) / np.linalg.norm(X - X.mean(axis=0))
     assert residual < 0.01
+
+
+def test_pca_subspace_path_matches_dense_eigh(monkeypatch):
+    # a rank-4 signal with variances 64, 25, 9, 4 over noise of variance
+    # 1e-4 per coordinate: a clear gap after the fourth component
+    rng = np.random.default_rng(11)
+    basis, _ = np.linalg.qr(rng.normal(size=(1100, 4)))
+    coeffs = rng.normal(size=(120, 4)) * np.array([8.0, 5.0, 3.0, 2.0])
+    X = coeffs @ basis.T + rng.normal(scale=1e-2, size=(120, 1100))
+    want_vecs, want_vals = _eigh_pca(X - X.mean(axis=0), 4)
+    with monkeypatch.context() as patch:
+        # d = 1100 must take the subspace iteration, never the dense path
+        patch.setattr(ecr.retrieval, "_eigh_pca", None)
+        model = fit_pca(X, 4, seed=3)
+        again = fit_pca(X, 4, seed=3)
+    # each component equals the dense one up to sign
+    dots = np.einsum("ij,ij->j", model.components, want_vecs)
+    assert np.abs(np.abs(dots) - 1.0).max() < 1e-10
+    assert np.allclose(model.explained_variance, want_vals, rtol=1e-10, atol=0)
+    assert np.array_equal(again.components, model.components)
+    assert np.array_equal(again.explained_variance, model.explained_variance)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +383,7 @@ def test_index_deterministic_under_seed():
     a = build_index(vectors, m=8, ef_construction=40, seed=4)
     b = build_index(vectors, m=8, ef_construction=40, seed=4)
     assert np.array_equal(a.levels, b.levels)
-    assert np.array_equal(a.adj0, b.adj0)
+    assert np.array_equal(a.layers[0], b.layers[0])
     assert a.entry_point == b.entry_point
     c = build_index(vectors, m=8, ef_construction=40, seed=5)
     assert not np.array_equal(a.levels, c.levels)
@@ -383,7 +406,7 @@ def test_index_save_load_round_trip(tmp_path):
     assert loaded.n == index.n
     assert loaded.m == index.m
     assert loaded.entry_point == index.entry_point
-    assert np.array_equal(loaded.adj0, index.adj0)
+    assert np.array_equal(loaded.layers[0], index.layers[0])
     assert np.array_equal(loaded.deg0, index.deg0)
     assert loaded.ids == index.ids
     assert len(loaded.layers) == len(index.layers)
