@@ -178,22 +178,28 @@ class KMeansResult:
     n_iter: int
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared L2 distances, one gemm plus row norms
-    p2 = np.einsum("ij,ij->i", points, points)[:, None]
-    c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d2 = p2 + c2 - 2.0 * points @ centroids.T
+def _squared_distances(points: np.ndarray, p2: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared L2 distances from one gemm, given the row norms
+    ``p2`` of ``points``.  The product is doubled, not the points: the
+    doubling is exact, and it needs no (n, d) copy."""
+    c2 = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = p2[:, None] + c2[None, :]
+    cross = points @ centroids.T
+    cross *= 2.0
+    d2 -= cross
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _weighted_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _weighted_init(
+    points: np.ndarray, p2: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     """Distance-weighted seeding: each new seed drawn with p proportional to
     squared distance from the nearest already-chosen seed."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[int(rng.integers(n))]
-    d2 = _squared_distances(points, centroids[:1]).ravel()
+    d2 = _squared_distances(points, p2, centroids[:1]).ravel()
     for j in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -201,8 +207,30 @@ def _weighted_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centroids[j : j + 1]).ravel())
+        d2 = np.minimum(d2, _squared_distances(points, p2, centroids[j : j + 1]).ravel())
     return centroids
+
+
+# Rows a centroid update gathers at a time.
+_MEAN_BLOCK = 256
+
+
+def _cluster_mean(points: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """``points[members].mean(axis=0)``, bit for bit, gathering at most
+    _MEAN_BLOCK rows at a time.
+
+    numpy sums a gathered block along axis 0 row after row, so the running
+    sum is folded into the first row of the next block.  A one-column
+    block is summed pairwise instead, and is gathered whole: it is O(n).
+    """
+    step = members.size if points.shape[1] == 1 else _MEAN_BLOCK
+    total = None
+    for start in range(0, members.size, step):
+        block = points[members[start : start + step]]
+        if total is not None:
+            block[0] += total
+        total = np.add.reduce(block, axis=0)
+    return total / members.size
 
 
 # Lloyd iterations stop after this many rounds, or once no centroid
@@ -222,24 +250,26 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if not np.isfinite(points).all():
-        raise AnchorError("k-means points have a NaN or infinite entry")
     with np.errstate(over="ignore"):
-        # bounds the sum of any n squared distances between points and
-        # centroids, with a factor 2 to spare for rounding
-        reach = 8.0 * n * float(np.einsum("ij,ij->i", points, points).max(initial=0.0))
-    if not np.isfinite(reach):
+        # the row norms every distance pass reuses; their largest bounds
+        # the sum of any n squared distances between points and centroids,
+        # with a factor 2 to spare for rounding
+        p2 = np.einsum("ij,ij->i", points, points)
+        reach = 8.0 * n * float(p2.max(initial=0.0))
+    if not np.isfinite(reach):  # also NaN for a NaN entry
+        if not np.isfinite(points).all():
+            raise AnchorError("k-means points have a NaN or infinite entry")
         raise AnchorError("k-means points are too large: squared distances overflow")
     if k <= 0:
         raise AnchorError(f"k must be positive, got {k}")
     if n < k:
         raise AnchorError(f"cannot fit {k} clusters to {n} points")
     rng = np.random.default_rng(seed)
-    centroids = _weighted_init(points, k, rng)
+    centroids = _weighted_init(points, p2, k, rng)
     objective: list[float] = []
     assignments = np.zeros(n, dtype=np.int64)
     for it in range(KMEANS_MAX_ITER):
-        d2 = _squared_distances(points, centroids)
+        d2 = _squared_distances(points, p2, centroids)
         assignments = d2.argmin(axis=1)
         member_d2 = d2[np.arange(n), assignments]
         obj = float(member_d2.mean())
@@ -249,20 +279,18 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int) -> KMeansResult:
             )
         objective.append(obj)
         new_centroids = centroids.copy()
-        empties = [j for j in range(k) if not np.any(assignments == j)]
-        if empties:
+        counts = np.bincount(assignments, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
             far_order = np.argsort(-member_d2)
-        for rank, j in enumerate(empties):
-            new_centroids[j] = points[far_order[rank]]
-        for j in range(k):
-            if j in empties:
-                continue
-            new_centroids[j] = points[assignments == j].mean(axis=0)
+            new_centroids[empties] = points[far_order[: empties.size]]
+        for j in np.flatnonzero(counts):
+            new_centroids[j] = _cluster_mean(points, np.flatnonzero(assignments == j))
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         if shift < KMEANS_TOL:
             break
-    d2 = _squared_distances(points, centroids)
+    d2 = _squared_distances(points, p2, centroids)
     assignments = d2.argmin(axis=1)
     return KMeansResult(
         centroids=centroids,
@@ -273,8 +301,11 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int) -> KMeansResult:
 
 
 def kmeans(embeddings: EmbeddingMatrix, k: int, seed: int, factor: str = "P") -> FactorGroup:
-    """Derive ``k`` anchors for ``factor`` by clustering all embeddings."""
-    result = kmeans_fit(embeddings.data.astype(np.float64), k, seed)
+    """Derive ``k`` anchors for ``factor`` by clustering all embeddings.
+
+    The fit holds the one float64 copy of the matrix; it is freed when the
+    group is returned."""
+    result = kmeans_fit(embeddings.data, k, seed)
     return FactorGroup(
         factor=factor,
         centroids=result.centroids,
@@ -295,7 +326,8 @@ def label_centroids(
     """One anchor per distinct label: the mean of that label's rows.
 
     ``labels`` aligns with embedding rows.  Labels are processed in
-    sorted order, so the block is invariant to row permutation.
+    sorted order, so the block is invariant to row permutation.  Only one
+    label's rows are widened to float64 at a time.
     """
     if len(labels) != embeddings.n:
         raise AnchorError(
@@ -305,8 +337,10 @@ def label_centroids(
     for idx, label in enumerate(labels):
         rows_by_label.setdefault(label, []).append(idx)
     names = tuple(sorted(rows_by_label))
-    data = embeddings.data.astype(np.float64)
-    cents = np.vstack([data[rows_by_label[lab]].mean(axis=0) for lab in names])
+    data = embeddings.data
+    cents = np.vstack(
+        [data[rows_by_label[lab]].astype(np.float64).mean(axis=0) for lab in names]
+    )
     return FactorGroup(
         factor=factor,
         centroids=cents,

@@ -16,6 +16,7 @@ Writes are atomic (temp file in the target directory + rename).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -24,6 +25,10 @@ from typing import Sequence
 import numpy as np
 
 HEADER_LEN = 4 + 4 + 8 + 32
+
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
 
 
 class FileFormatError(ValueError):
@@ -56,8 +61,9 @@ def write_envelope(path: str, magic: bytes, version: int, payload: bytes) -> Non
     atomic_write_bytes(path, header + payload)
 
 
-def read_envelope(path: str, magic: bytes, version: int) -> bytes:
-    """Read and verify an envelope, returning the payload."""
+def read_envelope(path: str, magic: bytes, version: int) -> memoryview:
+    """Read and verify an envelope, returning a view of the payload in the
+    bytes read, so that the payload is never copied."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < HEADER_LEN:
@@ -71,8 +77,8 @@ def read_envelope(path: str, magic: bytes, version: int) -> bytes:
         raise FileFormatError(
             f"{path}: format version {got_version}, expected {version}"
         )
-    digest = blob[16:48]
-    payload = blob[48:]
+    digest = blob[16:HEADER_LEN]
+    payload = memoryview(blob)[HEADER_LEN:]
     if len(payload) != length:
         raise FileFormatError(
             f"{path}: checksum error, payload truncated "
@@ -90,13 +96,13 @@ class ByteWriter:
         self._parts: list[bytes] = []
 
     def u32(self, value: int) -> None:
-        self._parts.append(struct.pack("<I", value))
+        self._parts.append(_U32.pack(value))
 
     def u64(self, value: int) -> None:
-        self._parts.append(struct.pack("<Q", value))
+        self._parts.append(_U64.pack(value))
 
     def i64(self, value: int) -> None:
-        self._parts.append(struct.pack("<q", value))
+        self._parts.append(_I64.pack(value))
 
     def text(self, value: str) -> None:
         raw = value.encode("utf-8")
@@ -104,9 +110,13 @@ class ByteWriter:
         self._parts.append(raw)
 
     def text_list(self, values: Sequence[str]) -> None:
-        self.u32(len(values))
+        """A u32 count, then each text as a u32 byte length and its UTF-8."""
+        pack = _U32.pack
+        parts = [pack(len(values))]
         for v in values:
-            self.text(v)
+            raw = v.encode("utf-8")
+            parts += (pack(len(raw)), raw)
+        self._parts += parts
 
     def array(self, arr: np.ndarray, dtype: str) -> None:
         """Write array shape then raw little-endian data of ``dtype``."""
@@ -121,13 +131,17 @@ class ByteWriter:
 
 
 class ByteReader:
-    """Bounds-checked reader matching :class:`ByteWriter`."""
+    """Bounds-checked reader matching :class:`ByteWriter`.
 
-    def __init__(self, payload: bytes) -> None:
-        self._buf = payload
+    It reads through a memoryview: a field is decoded in place, and only
+    :meth:`array` copies, so that the arrays it returns own their data.
+    """
+
+    def __init__(self, payload: bytes | memoryview) -> None:
+        self._buf = memoryview(payload)
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int) -> memoryview:
         end = self._pos + n
         if end > len(self._buf):
             raise FileFormatError("payload ended early while decoding")
@@ -135,27 +149,46 @@ class ByteReader:
         self._pos = end
         return chunk
 
+    def _unpack(self, fmt: struct.Struct) -> int:
+        pos = self._pos
+        if pos + fmt.size > len(self._buf):
+            raise FileFormatError("payload ended early while decoding")
+        self._pos = pos + fmt.size
+        return fmt.unpack_from(self._buf, pos)[0]
+
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return self._unpack(_U32)
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return self._unpack(_U64)
 
     def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
+        return self._unpack(_I64)
 
     def text(self) -> str:
-        return self._take(self.u32()).decode("utf-8")
+        return str(self._take(self.u32()), "utf-8")
 
     def text_list(self) -> list[str]:
-        return [self.text() for _ in range(self.u32())]
+        count = self.u32()
+        buf, pos, size = self._buf, self._pos, len(self._buf)
+        unpack = _U32.unpack_from
+        out = []
+        for _ in range(count):
+            if pos + 4 > size:
+                raise FileFormatError("payload ended early while decoding")
+            end = pos + 4 + unpack(buf, pos)[0]
+            if end > size:
+                raise FileFormatError("payload ended early while decoding")
+            out.append(str(buf[pos + 4 : end], "utf-8"))
+            pos = end
+        self._pos = pos
+        return out
 
     def array(self, dtype: str) -> np.ndarray:
         ndim = self.u32()
         shape = tuple(self.u64() for _ in range(ndim))
         dt = np.dtype(dtype).newbyteorder("<")
-        count = int(np.prod(shape)) if shape else 1
-        raw = self._take(count * dt.itemsize)
+        raw = self._take(math.prod(shape) * dt.itemsize)
         return np.frombuffer(raw, dtype=dt).reshape(shape).astype(dtype)
 
     def done(self) -> None:

@@ -36,6 +36,9 @@ FACTOR_FIELDS = {"T": "task", "L": "language", "E": "emotion", "I": "intent"}
 
 QUERY_FIELDS = ("en_q", "zh_q", "hi_q")
 
+# Record label field -> the header inventory its labels are drawn from.
+_INVENTORY_OF = {"task": "tasks", "language": "languages", "emotion": "emotions", "intent": "intents"}
+
 
 class CorpusError(ValueError):
     """Raised on malformed corpus files or invariant violations."""
@@ -79,7 +82,7 @@ class CorpusHeader:
     intents: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for name in ("tasks", "languages", "emotions", "intents"):
+        for name in _INVENTORY_OF.values():
             values = getattr(self, name)
             if not values:
                 raise CorpusError(f"header inventory {name!r} is empty")
@@ -90,20 +93,19 @@ class CorpusHeader:
             raise CorpusError(f"unsupported language {unknown[0]!r} in header")
 
     def inventory(self, factor_field: str) -> tuple[str, ...]:
-        try:
-            return {
-                "task": self.tasks,
-                "language": self.languages,
-                "emotion": self.emotions,
-                "intent": self.intents,
-            }[factor_field]
-        except KeyError:
-            raise CorpusError(f"unknown factor field {factor_field!r}") from None
+        name = _INVENTORY_OF.get(factor_field)
+        if name is None:
+            raise CorpusError(f"unknown factor field {factor_field!r}")
+        return getattr(self, name)
 
 
 @dataclass
 class Corpus:
-    """Validated, immutable-after-load record collection."""
+    """Validated, immutable-after-load record collection.
+
+    Built from records alone, it validates each one; :func:`load_corpus`
+    validates while it reads and hands over the id map it built.
+    """
 
     header: CorpusHeader
     records: list[CorpusRecord]
@@ -135,7 +137,7 @@ def validate_record(rec: CorpusRecord, header: CorpusHeader, where: str = "") ->
     for name in QUERY_FIELDS:
         if not getattr(rec, name).strip():
             raise CorpusError(f"record {rec.dialog_id!r}{ctx}: field {name!r} is empty")
-    for field_name in ("task", "language", "emotion", "intent"):
+    for field_name in _INVENTORY_OF:
         label = getattr(rec, field_name)
         if label not in header.inventory(field_name):
             raise CorpusError(
@@ -145,15 +147,10 @@ def validate_record(rec: CorpusRecord, header: CorpusHeader, where: str = "") ->
 
 
 def _parse_header(obj: dict) -> CorpusHeader:
-    missing = [k for k in ("tasks", "languages", "emotions", "intents") if k not in obj]
+    missing = [k for k in _INVENTORY_OF.values() if k not in obj]
     if missing:
         raise CorpusError(f"header line missing inventories: {missing}")
-    return CorpusHeader(
-        tasks=tuple(obj["tasks"]),
-        languages=tuple(obj["languages"]),
-        emotions=tuple(obj["emotions"]),
-        intents=tuple(obj["intents"]),
-    )
+    return CorpusHeader(**{k: tuple(obj[k]) for k in _INVENTORY_OF.values()})
 
 
 def load_corpus(path: str) -> Corpus:
@@ -164,7 +161,7 @@ def load_corpus(path: str) -> Corpus:
     """
     records: list[CorpusRecord] = []
     header: CorpusHeader | None = None
-    seen: set[str] = set()
+    by_id: dict[str, CorpusRecord] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -181,25 +178,20 @@ def load_corpus(path: str) -> Corpus:
             if missing:
                 raise CorpusError(f"{path}:{lineno}: record missing field {missing[0]!r}")
             rec = CorpusRecord(**{k: str(obj[k]) for k in RECORD_FIELDS})
-            if rec.dialog_id in seen:
+            if rec.dialog_id in by_id:
                 raise CorpusError(f"{path}:{lineno}: duplicate dialog_id {rec.dialog_id!r}")
-            seen.add(rec.dialog_id)
             validate_record(rec, header, where=f"{path}:{lineno}")
+            by_id[rec.dialog_id] = rec
             records.append(rec)
     if header is None:
         raise CorpusError(f"{path}: empty file, expected a header line")
-    return Corpus(header=header, records=records)
+    return Corpus(header=header, records=records, _by_id=by_id)
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
     lines = [
         json.dumps(
-            {
-                "tasks": list(corpus.header.tasks),
-                "languages": list(corpus.header.languages),
-                "emotions": list(corpus.header.emotions),
-                "intents": list(corpus.header.intents),
-            },
+            {k: list(getattr(corpus.header, k)) for k in _INVENTORY_OF.values()},
             ensure_ascii=False,
         )
     ]

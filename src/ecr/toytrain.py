@@ -126,6 +126,8 @@ class Sample:
 _LANG_SCALE = 10.0
 _FACTOR_SCALE = 2.5
 _NOISE_SCALE = 0.25
+# Rows whose centres are made together.
+_CENTRE_BLOCK = 64
 
 
 @dataclass
@@ -184,8 +186,21 @@ def make_synthetic_corpus(
     intent_dirs = rng.standard_normal((n_factors, d))
     intent_dirs /= np.linalg.norm(intent_dirs, axis=1, keepdims=True)
 
+    # id texts, made once: the marker and the content and answer ids of
+    # each language
+    marker_text = [str(layout.task_marker(t)) for t in range(n_factors)]
+    content_text = [
+        [str(layout.content_id(li, c)) for c in range(n_content)] for li in range(len(LANGUAGES))
+    ]
+    answer_text = [
+        [str(layout.answer_id(li, a)) for a in range(n_factors)] for li in range(len(LANGUAGES))
+    ]
+    bos, sep = str(layout.BOS), str(layout.SEP)
+
+    n = len(LANGUAGES) * n_per_lang
     records: list[CorpusRecord] = []
-    vectors = np.empty((len(LANGUAGES) * n_per_lang, d), dtype=np.float64)
+    vectors = np.empty((n, d), dtype=np.float64)
+    factor_index = np.empty((4, n), dtype=np.intp)  # language, task, emotion, intent
     ids: list[str] = []
     row = 0
     for lang_index, lang in enumerate(LANGUAGES):
@@ -194,21 +209,18 @@ def make_synthetic_corpus(
             task_index = int(rng.integers(n_factors))
             emo_index = int(rng.integers(n_factors))
             intent_index = int(rng.integers(n_factors))
-            content = rng.integers(0, n_content, size=query_content)
+            content = rng.integers(0, n_content, size=query_content).tolist()
             answer_class = (task_index + lang_index) % n_factors
             if rng.random() < answer_noise:
                 answer_class = int(rng.integers(n_factors))
 
-            queries = {}
-            answers = {}
-            for li, lcode in enumerate(LANGUAGES):
-                toks = [layout.BOS, layout.task_marker(task_index)]
-                toks.extend(layout.content_id(li, int(c)) for c in content)
-                toks.extend([layout.task_marker(task_index)] * (marker_repeat - 1))
-                toks.append(layout.SEP)
-                queries[lcode] = " ".join(str(t) for t in toks)
-                answers[lcode] = str(layout.answer_id(li, answer_class))
-
+            marker = marker_text[task_index]
+            tail = [marker] * (marker_repeat - 1) + [sep]
+            queries = [
+                " ".join([bos, marker, *[texts[c] for c in content], *tail])
+                for texts in content_text
+            ]
+            answers = [texts[answer_class] for texts in answer_text]
             records.append(
                 CorpusRecord(
                     dialog_id=dialog_id,
@@ -216,23 +228,35 @@ def make_synthetic_corpus(
                     language=lang,
                     emotion=emotions[emo_index],
                     intent=intents[intent_index],
-                    en_q=queries["en"],
-                    zh_q=queries["zh"],
-                    hi_q=queries["hi"],
-                    en_a=answers["en"],
-                    zh_a=answers["zh"],
-                    hi_a=answers["hi"],
+                    en_q=queries[0],
+                    zh_q=queries[1],
+                    hi_q=queries[2],
+                    en_a=answers[0],
+                    zh_a=answers[1],
+                    hi_a=answers[2],
                 )
             )
-            center = (
-                _LANG_SCALE * lang_dirs[lang_index]
-                + _FACTOR_SCALE * task_dirs[task_index]
-                + _FACTOR_SCALE * emo_dirs[emo_index]
-                + _FACTOR_SCALE * intent_dirs[intent_index]
-            )
-            vectors[row] = center + _NOISE_SCALE * rng.standard_normal(d)
+            factor_index[:, row] = (lang_index, task_index, emo_index, intent_index)
+            rng.standard_normal(out=vectors[row])
             ids.append(dialog_id)
             row += 1
+
+    # each row is its factor centre plus the scaled noise drawn into it,
+    # a block of rows at a time so that the scratch stays small
+    scaled = (
+        _LANG_SCALE * lang_dirs,
+        _FACTOR_SCALE * task_dirs,
+        _FACTOR_SCALE * emo_dirs,
+        _FACTOR_SCALE * intent_dirs,
+    )
+    for start in range(0, n, _CENTRE_BLOCK):
+        rows = slice(start, start + _CENTRE_BLOCK)
+        centers = scaled[0][factor_index[0, rows]]
+        for table, index in zip(scaled[1:], factor_index[1:]):
+            centers += table[index[rows]]
+        block = vectors[rows]
+        block *= _NOISE_SCALE
+        block += centers
 
     corpus = Corpus(header=header, records=records)
     embeddings = EmbeddingMatrix(data=vectors.astype(np.float32), ids=ids)
@@ -552,6 +576,11 @@ class TrainConfig:
         for name, low in (("batch_size", 1), ("epochs", 0), ("divergence_patience", 1)):
             if getattr(self, name) < low:
                 raise ToyTrainError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        # a rate <= 0 ascends or stands still, and an infinite one is no step
+        if not 0.0 < self.learning_rate < float("inf"):  # False for NaN
+            raise ToyTrainError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
 
     def to_dict(self) -> dict:
         cfg = {
@@ -755,6 +784,11 @@ def run_training(
     """
     if not train_samples:
         raise ToyTrainError("empty training set")
+    if config.ecr.enabled and sorted(config.ecr.factors) != sorted(anchors.factors):
+        raise ToyTrainError(
+            f"ECR factors {list(config.ecr.factors)} are not the conditioning "
+            f"anchors' factors {list(anchors.factors)}"
+        )
     model = init_model(
         base_size=layout.base_size,
         d=anchors.d,

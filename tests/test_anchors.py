@@ -51,6 +51,22 @@ def test_kmeans_k_equals_n_zero_objective():
     assert float(dists.max()) < 1e-6
 
 
+def test_kmeans_fit_scratch_stays_below_half_the_points():
+    # no (n, d) temporary: the distances take O(n k) and a centroid
+    # update gathers a bounded block of rows, where the first iteration
+    # here has a cluster of half the points
+    import tracemalloc
+
+    points = np.random.default_rng(0).standard_normal((4000, 128))
+    tracemalloc.start()
+    try:
+        kmeans_fit(points, 8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * points.nbytes
+
+
 def test_kmeans_objective_non_increasing():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(60, 4))

@@ -130,3 +130,33 @@ def test_reader_done_rejects_trailing():
     r.u32()
     with pytest.raises(FileFormatError, match="trailing"):
         r.done()
+
+
+def test_text_list_round_trips_ten_thousand_ids(tmp_path):
+    ids = [f"d{i:06d}:{('en', 'zh', 'hi')[i % 3]}" for i in range(10_000)]
+    ids[7] = ""
+    ids[8] = "\u4e2d\u6587 \u0939\u093f\u0928\u094d\u0926\u0940"
+    w = ByteWriter()
+    w.u64(len(ids))
+    w.text_list(ids)
+    path = str(tmp_path / "ids.bin")
+    write_envelope(path, b"ECRT", 1, w.getvalue())
+    raw = open(path, "rb").read()[HEADER_LEN:]
+    # the layout: a u32 count, then a u32 byte length before each text
+    assert raw[8:16] == (10_000).to_bytes(4, "little") + (10).to_bytes(4, "little")
+    r = ByteReader(read_envelope(path, b"ECRT", 1))
+    assert r.u64() == len(ids)
+    assert r.text_list() == ids
+    r.done()
+
+
+def test_truncated_id_table_raises_format_error(tmp_path):
+    w = ByteWriter()
+    w.text_list([f"d{i:06d}" for i in range(10_000)])
+    full = w.getvalue()
+    for cut in (1, 3, 7, len(full) // 2):
+        # a well-formed envelope around a payload that ends inside the table
+        path = str(tmp_path / f"cut{cut}.bin")
+        write_envelope(path, b"ECRT", 1, full[:-cut])
+        with pytest.raises(FileFormatError, match="ended early"):
+            ByteReader(read_envelope(path, b"ECRT", 1)).text_list()

@@ -552,3 +552,13 @@ def test_report_missing_file_exits_1(capsys, tmp_path):
     code, _, err = _run(capsys, "report", "--input", str(tmp_path / "no.json"))
     assert code == 1
     assert err.startswith("error: toytrain:")
+
+
+@pytest.mark.parametrize("rate", ["-1.0", "0.0", "nan", "inf"])
+def test_train_toy_rejects_learning_rate_that_cannot_descend(capsys, tmp_path, rate):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(f"learning_rate = {rate}\n")
+    code, out, err = _run(capsys, "train-toy", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: toytrain: learning_rate must be finite and positive")

@@ -1,17 +1,25 @@
-"""Golden digests of the report JSON the experiments write.
+"""Golden digests of the report JSON the experiments write and of the
+set-up artifacts.
 
 A small seeded paired run, ablation sweep and geometry report are
 serialised as the CLI writes them and hashed; a rewrite of the training
 loop, the evaluation passes or the manifold statistics that changes any
-byte of them changes a digest.
+byte of them changes a digest.  The set-up path is pinned the same way:
+the ``make-synthetic`` files, the ``build-anchors`` anchor file and
+stdout, and one seeded k-means fit.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from ecr.anchors import kmeans_fit
+from ecr.cli import dispatch
 from ecr.geometry import compute_geometry, partition_from_anchors, partition_from_labels
 from ecr.toytrain import (
     TrainConfig,
@@ -26,6 +34,9 @@ GOLDEN = {
     "run_experiment": "c8900f35eb62c7d18e9e628ce752176d8c32d83471a6f1f8e3f339f707611965",
     "run_ablation": "b7e2e41e4b70b00e5760f84b9549a148bdd1afaf095192daeaa9dfef4d93c09e",
     "compute_geometry": "f4f65c9822faba00960a9bb06f6f2b83315dc1f452957f80c2acd1a5ca4ebce1",
+    "make_synthetic": "e3993c59c0c50bb06c4bd69ce114d83e52bc7a1b6a77f163728c6b4f570a213f",
+    "build_anchors": "3f1605fbcb8ecc57a50efc06c371288a0d9bf74d57a426358d755d0af8c3f41a",
+    "kmeans_fit": "9019e4175ff476290854f03b2011754fe4e3a72e40565995806ec4490e6884a1",
 }
 
 
@@ -65,3 +76,60 @@ def test_compute_geometry_digest(toy):
     ]
     reports.append(compute_geometry(teacher, partition_from_anchors(teacher, anchors)).to_dict())
     assert _digest(reports) == GOLDEN["compute_geometry"]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def setup_files(tmp_path_factory):
+    """``make-synthetic`` at d = 96, then ``build-anchors`` over it with
+    every factor, so that label centroids and k-means both run."""
+    root = tmp_path_factory.mktemp("setup")
+    prefix = str(root / "toy")
+    outs = {}
+    for name, argv in (
+        ("make_synthetic", [
+            "make-synthetic", "--seed", "5", "--n-per-lang", "40", "--n-factors", "4",
+            "--dim", "96", "--out-prefix", prefix,
+        ]),
+        ("build_anchors", [
+            "build-anchors", "--embeddings", f"{prefix}.teacher.bin",
+            "--corpus", f"{prefix}.corpus.jsonl", "--factors", "T,L,E,I,P",
+            "--k", "P=8", "--seed", "5", "--out", str(root / "anchors.bin"),
+        ]),
+    ):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert dispatch(argv) == 0
+        outs[name] = printed.getvalue().replace(str(root), "<dir>")
+    return root, outs
+
+
+def test_make_synthetic_outputs_digest(setup_files):
+    root, outs = setup_files
+    parts = [outs["make_synthetic"].encode()]
+    for suffix in ("corpus.jsonl", "teacher.bin", "meta.json"):
+        parts.append(_sha((root / f"toy.{suffix}").read_bytes()).encode())
+    assert _sha(b"\n".join(parts)) == GOLDEN["make_synthetic"]
+
+
+def test_build_anchors_bytes_and_stdout_digest(setup_files):
+    root, outs = setup_files
+    parts = [outs["build_anchors"].encode(), _sha((root / "anchors.bin").read_bytes()).encode()]
+    assert _sha(b"\n".join(parts)) == GOLDEN["build_anchors"]
+
+
+def test_kmeans_fit_digest():
+    rng = np.random.default_rng(17)
+    points = rng.standard_normal((300, 40)) + 4.0 * rng.standard_normal((6, 40))[
+        rng.integers(6, size=300)
+    ]
+    result = kmeans_fit(points, 6, seed=17)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(result.centroids, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(result.assignments, dtype="<i8").tobytes())
+    h.update(np.asarray(result.objective, dtype="<f8").tobytes())
+    h.update(str(result.n_iter).encode())
+    assert h.hexdigest() == GOLDEN["kmeans_fit"]

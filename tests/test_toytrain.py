@@ -828,7 +828,7 @@ def test_divergence_recorded_not_raised():
     assert report.final_task_accuracy is None
 
 
-@pytest.mark.parametrize("learning_rate", [1e8, float("inf")])
+@pytest.mark.parametrize("learning_rate", [1e8, 1e300])
 @pytest.mark.parametrize("enabled", [False, True])
 def test_divergence_before_patience_is_recorded_not_raised(learning_rate, enabled):
     # the parameters go non-finite while every loss stays below the
@@ -860,6 +860,32 @@ def test_train_config_rejects_values_that_train_wrongly(field, value):
     with pytest.raises(ToyTrainError, match=f"{field} must be at least"):
         dataclasses.replace(TrainConfig(), **{field: value})
     assert TrainConfig(epochs=0).epochs == 0
+
+
+@pytest.mark.parametrize("learning_rate", [-1.0, 0.0, float("nan"), float("inf")])
+def test_train_config_rejects_learning_rate_that_cannot_descend(learning_rate):
+    # -1.0 would run gradient ascent and report diverged=False
+    with pytest.raises(ToyTrainError, match="learning_rate must be finite and positive"):
+        TrainConfig(learning_rate=learning_rate)
+    with pytest.raises(ToyTrainError, match="learning_rate must be finite and positive"):
+        dataclasses.replace(TrainConfig(), learning_rate=learning_rate)
+
+
+@pytest.mark.parametrize("factors", [("T", "X"), ("T", "L")])
+def test_run_training_rejects_factors_the_anchors_do_not_hold(factors):
+    data, anchors = _tiny_setup()
+    assert anchors.factors == ("T", "L", "E", "I")
+    cfg = _fast_config(ecr=EcrSettings(enabled=True, factors=factors))
+    with pytest.raises(ToyTrainError, match="are not the conditioning anchors' factors"):
+        run_single_arm(data, anchors, cfg)
+    # the baseline arm is not conditioned, so its factors are not read
+    run_single_arm(data, anchors, dataclasses.replace(cfg, ecr=EcrSettings(factors=factors)))
+    # the same factors in another order condition as the canonical order does
+    reordered = _fast_config(ecr=EcrSettings(enabled=True, factors=("I", "E", "L", "T")))
+    canonical = _fast_config(ecr=EcrSettings(enabled=True))
+    _, got = run_single_arm(data, anchors, reordered)
+    _, want = run_single_arm(data, anchors, canonical)
+    assert got.loss_curve == want.loss_curve
 
 
 def test_freeze_prefix_decouples_prefixes_from_updates():
