@@ -143,12 +143,6 @@ class AnchorSet:
     def group_sizes(self) -> tuple[int, ...]:
         return self._cache["group_sizes"]
 
-    def group(self, factor: str) -> FactorGroup:
-        for g in self.groups:
-            if g.factor == factor:
-                return g
-        raise AnchorError(f"anchor set has no factor {factor!r}")
-
     def stacked_unit(self) -> np.ndarray:
         """All unit anchors as one (total_k, d) read-only matrix."""
         cached = self._cache.get("stacked_unit")

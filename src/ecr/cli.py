@@ -26,6 +26,7 @@ from .anchors import (
 from .binio import FileFormatError, atomic_write_text
 from .codec import CodecError, encode_batch, project_batch, rank_anchors
 from .corpus import (
+    LANGUAGES,
     CorpusError,
     EmbeddingMatrix,
     load_corpus,
@@ -35,10 +36,9 @@ from .corpus import (
 )
 from .geometry import (
     GeometryError,
+    anchor_labels,
     compute_geometry,
     crosslingual_consistency,
-    partition_from_anchors,
-    partition_from_labels,
     purity,
 )
 from .retrieval import (
@@ -280,16 +280,13 @@ def cmd_geometry(args) -> int:
     if args.partition == "labels":
         if not args.corpus:
             raise GeometryError("--partition labels requires --corpus")
-        corpus = load_corpus(args.corpus)
-        labels = corpus_labels(embeddings, corpus, args.factor)
-        partition = partition_from_labels(embeddings.ids, labels)
+        labels = corpus_labels(embeddings, load_corpus(args.corpus), args.factor)
     else:
         if not args.anchors:
             raise GeometryError("--partition anchors requires --anchors")
-        anchors = load_anchors(args.anchors, expect_d=embeddings.d)
-        partition = partition_from_anchors(embeddings, anchors)
-    report = compute_geometry(embeddings, partition)
-    print(f"partition: {report.source}, {len(partition.labels)} manifolds")
+        labels = anchor_labels(embeddings, load_anchors(args.anchors, expect_d=embeddings.d))
+    report = compute_geometry(embeddings, labels, args.partition)
+    print(f"partition: {report.source}, {len(report.per_manifold)} manifolds")
     print(
         f"intra={report.intra:.6f} inter={report.inter:.6f} "
         f"ratio={report.ratio:.6f} spread={report.spread:.6f}"
@@ -313,19 +310,28 @@ def cmd_purity(args) -> int:
 def cmd_consistency(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     anchors = load_anchors(args.anchors, expect_d=embeddings.d)
-    keys = []
-    for row_id in embeddings.ids:
+    variants: dict[str, dict[str, int]] = {}  # dialog id -> language -> row
+    for row, row_id in enumerate(embeddings.ids):
         dialog_id, sep, lang = row_id.partition(":")
         if not sep:
-            raise GeometryError(
-                f"embedding id {row_id!r} lacks a ':language' suffix"
-            )
-        keys.append((dialog_id, lang))
+            raise GeometryError(f"embedding id {row_id!r} lacks a ':language' suffix")
+        if lang not in LANGUAGES:
+            raise GeometryError(f"embedding id {row_id!r} names a language outside {LANGUAGES}")
+        per_lang = variants.setdefault(dialog_id, {})
+        if lang in per_lang:
+            raise GeometryError(f"embedding id {row_id!r} repeats a variant row")
+        per_lang[lang] = row
     ranked = rank_anchors(project_batch(_rows_of(embeddings), anchors), args.topk)
-    selections: dict[str, dict[str, frozenset]] = {}
-    for (dialog_id, lang), chosen in zip(keys, ranked):
-        selections.setdefault(dialog_id, {})[lang] = frozenset(chosen.tolist())
-    report = crosslingual_consistency(selections)
+    rows = []
+    for dialog_id, per_lang in variants.items():
+        missing = [lang for lang in LANGUAGES if lang not in per_lang]
+        if missing:
+            raise GeometryError(
+                f"record {dialog_id!r} is missing language variant {missing[0]!r}"
+            )
+        rows.append([per_lang[lang] for lang in LANGUAGES])
+    records = np.array(rows, dtype=np.intp).reshape(-1, len(LANGUAGES))
+    report = crosslingual_consistency(ranked[records])
     print(f"records: {report.n_records}")
     print(f"exact match rate: {report.exact_match_rate:.6f}")
     print(f"mean pairwise jaccard: {report.mean_pairwise_jaccard:.6f}")

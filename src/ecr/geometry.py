@@ -1,11 +1,12 @@
 """Representation-quality metrics for embedding collections.
 
-Manifolds are groups of samples (gold factor labels or top-1 anchor
-assignments).  One pass over them gives every per-manifold statistic and
-centroid; from it the module reports within-manifold compactness, between-
-manifold separation and their ratio, a variance-based spread statistic,
-nearest-prototype language purity, and how consistently the cross-lingual
-variants of one record select the same manifold subset.
+Manifolds are groups of rows, named by one label per row (a gold factor
+label or the row's top-1 anchor).  One pass over them gives every
+per-manifold statistic and centroid; from it the module reports
+within-manifold compactness, between-manifold separation and their ratio,
+a variance-based spread statistic, nearest-prototype language purity, and
+how consistently the cross-lingual variants of one record select the same
+anchor subset.
 
 All statistics are plain Euclidean/cosine quantities computed directly
 from differences, so brute-force double-loop evaluation reproduces them
@@ -25,46 +26,13 @@ from .corpus import LANGUAGES, EmbeddingMatrix
 
 
 class GeometryError(ValueError):
-    """Raised on partition or pairing violations."""
+    """Raised on label or selection violations."""
 
 
-@dataclass(frozen=True)
-class ManifoldPartition:
-    """Sample-to-manifold assignment over a declared label inventory."""
-
-    assignment: dict[str, str]  # sample id -> manifold label
-    labels: tuple[str, ...]
-    source: str = "labels"  # "labels" or "anchors", recorded in reports
-
-    def __post_init__(self) -> None:
-        extra = set(self.assignment.values()) - set(self.labels)
-        if extra:
-            raise GeometryError(f"assignment uses labels outside the inventory: {sorted(extra)}")
-
-    def label_of(self, sample_id: str) -> str:
-        try:
-            return self.assignment[sample_id]
-        except KeyError:
-            raise GeometryError(f"sample {sample_id!r} has no manifold assignment") from None
-
-
-def partition_from_labels(
-    ids: list[str], labels: list[str], source: str = "labels"
-) -> ManifoldPartition:
-    if len(ids) != len(labels):
-        raise GeometryError(f"{len(ids)} ids for {len(labels)} labels")
-    return ManifoldPartition(
-        assignment=dict(zip(ids, labels)),
-        labels=tuple(sorted(set(labels))),
-        source=source,
-    )
-
-
-def partition_from_anchors(embeddings: EmbeddingMatrix, anchors: AnchorSet) -> ManifoldPartition:
-    """Assign each sample to its top-1 anchor (flat index, as a string label)."""
+def anchor_labels(embeddings: EmbeddingMatrix, anchors: AnchorSet) -> list[str]:
+    """Each row's top-1 anchor (flat index, as a string label)."""
     top = np.argmax(project_batch(embeddings.data, anchors), axis=1)
-    labels = [f"a{i}" for i in top.tolist()]
-    return partition_from_labels(embeddings.ids, labels, source="anchors")
+    return [f"a{i}" for i in top.tolist()]
 
 
 class _Manifold(NamedTuple):
@@ -74,22 +42,17 @@ class _Manifold(NamedTuple):
     centroid: np.ndarray
 
 
-def _manifold_stats(
-    data: np.ndarray, labels: list[str], inventory: tuple[str, ...]
-) -> dict[str, _Manifold]:
-    """The one pass over the manifolds, in inventory order.
+def _manifold_stats(data: np.ndarray, labels: list[str]) -> dict[str, _Manifold]:
+    """The one pass over the manifolds, in sorted label order.
 
-    ``labels`` names each row's manifold.  Errors on a label count other
-    than the row count and on an empty manifold.
+    ``labels`` names each row's manifold; every label names a manifold.
+    Errors on a label count other than the row count.
     """
     if len(labels) != len(data):
         raise GeometryError(f"{len(labels)} labels for {len(data)} rows")
-    rows: dict[str, list[int]] = {label: [] for label in inventory}
+    rows: dict[str, list[int]] = {label: [] for label in sorted(set(labels))}
     for idx, label in enumerate(labels):
         rows[label].append(idx)
-    empty = [label for label, members in rows.items() if not members]
-    if empty:
-        raise GeometryError(f"empty manifold {empty[0]!r}")
     stats = {}
     for label, members in rows.items():
         member_rows = data[members]
@@ -126,7 +89,7 @@ class GeometryReport:
     ratio: float
     spread: float
     per_manifold: dict[str, dict[str, float]]
-    source: str = "labels"
+    source: str  # "labels" or "anchors"
 
     def to_dict(self) -> dict:
         return {
@@ -139,15 +102,17 @@ class GeometryReport:
         }
 
 
-def compute_geometry(
-    embeddings: EmbeddingMatrix, partition: ManifoldPartition
-) -> GeometryReport:
+def compute_geometry(embeddings: EmbeddingMatrix, labels: list[str], source: str) -> GeometryReport:
     """Compactness (``intra``: mean over manifolds of the mean
     member-to-centroid distance), separation (``inter``: mean pairwise
     centroid distance), their ratio and Spread (mean within-manifold
-    variance), every one from a single manifold pass."""
-    labels = [partition.label_of(sample_id) for sample_id in embeddings.ids]
-    stats = _manifold_stats(embeddings.data.astype(np.float64), labels, partition.labels)
+    variance), every one from a single manifold pass.
+
+    ``labels`` names each row's manifold; the manifolds are the sorted
+    distinct labels.  ``source`` says where the labels came from and is
+    recorded in the report.
+    """
+    stats = _manifold_stats(embeddings.data.astype(np.float64), labels)
     intra = float(np.mean([m.intra for m in stats.values()]))
     inter = _separation(stats)
     return GeometryReport(
@@ -159,7 +124,7 @@ def compute_geometry(
             label: {"size": float(m.size), "intra": m.intra, "spread": m.spread}
             for label, m in stats.items()
         },
-        source=partition.source,
+        source=source,
     )
 
 
@@ -172,7 +137,7 @@ class PurityReport:
     per_language: dict[str, float]
     overall: float
     n: int
-    assigned: tuple[str, ...] = field(default=(), repr=False)
+    assigned: tuple[str, ...] = field(repr=False)
 
     def to_dict(self) -> dict:
         return {"per_language": self.per_language, "overall": self.overall, "n": self.n}
@@ -185,9 +150,9 @@ def purity(embeddings: EmbeddingMatrix, languages: list[str]) -> PurityReport:
     L2; distance ties resolve to the lexicographically first language.
     The prototypes are the language manifolds' centroids.
     """
-    names = tuple(sorted(set(languages)))
     data = embeddings.data.astype(np.float64)
-    stats = _manifold_stats(data, languages, names)
+    stats = _manifold_stats(data, languages)
+    names = tuple(stats)
     if len(stats) < 2:
         raise GeometryError(f"purity needs at least 2 languages, got {len(stats)}")
     proto_mat = np.stack([m.centroid for m in stats.values()])
@@ -213,12 +178,6 @@ def purity(embeddings: EmbeddingMatrix, languages: list[str]) -> PurityReport:
 # Selection consistency
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)
-
-
 @dataclass(frozen=True)
 class CrosslingualReport:
     exact_match_rate: float
@@ -233,31 +192,42 @@ class CrosslingualReport:
         }
 
 
-def crosslingual_consistency(
-    selections: dict[str, dict[str, frozenset | set | tuple | list]],
-) -> CrosslingualReport:
-    """Rate at which all language variants of a record (one per corpus
-    language) select the same manifold subset, plus the mean pairwise
-    Jaccard overlap."""
-    if not selections:
+# The language pairs whose overlap is averaged, in this order: (en, zh),
+# (en, hi), (zh, hi) for the corpus languages.
+_PAIRS = np.triu_indices(len(LANGUAGES), k=1)
+
+
+def crosslingual_consistency(selected: np.ndarray) -> CrosslingualReport:
+    """Rate at which all language variants of a record select the same
+    anchor subset, plus the mean pairwise Jaccard overlap.
+
+    ``selected`` is an int array of shape ``(n_records, len(LANGUAGES),
+    k)``: the k distinct anchor indices that each record's variant in
+    each corpus language selected, in any order.  The Jaccard mean runs
+    over every record's language pairs, record-major.
+    """
+    selected = np.asarray(selected)
+    if selected.ndim != 3 or selected.shape[1] != len(LANGUAGES):
+        raise GeometryError(
+            f"selections must have shape (records, {len(LANGUAGES)}, k), got {selected.shape}"
+        )
+    n, _, k = selected.shape
+    if n == 0:
         raise GeometryError("empty record set")
-    exact = 0
-    overlaps = []
-    for rec_id, per_lang in selections.items():
-        missing = [lang for lang in LANGUAGES if lang not in per_lang]
-        if missing:
-            raise GeometryError(
-                f"record {rec_id!r} is missing language variant {missing[0]!r}"
-            )
-        sets = [frozenset(per_lang[lang]) for lang in LANGUAGES]
-        if all(s == sets[0] for s in sets[1:]):
-            exact += 1
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                overlaps.append(_jaccard(sets[i], sets[j]))
-    n = len(selections)
+    if k == 0:
+        raise GeometryError("each variant must select at least one anchor")
+    ordered = np.sort(selected, axis=2)
+    if (ordered[:, :, 1:] == ordered[:, :, :-1]).any():
+        raise GeometryError("a variant selects the same anchor twice")
+    # overlap[r, p]: anchors that both variants of language pair p select
+    first, second = selected[:, _PAIRS[0], :, None], selected[:, _PAIRS[1], None, :]
+    overlap = (first == second).sum(axis=(2, 3))
+    jaccard = overlap / (2 * k - overlap)  # both variants hold k anchors
+    # a 1-d mean adds the values in record-major order, as a mean over a
+    # flat list of them would; a 2-d mean adds them in another order, which
+    # can change the last bit
     return CrosslingualReport(
-        exact_match_rate=exact / n,
-        mean_pairwise_jaccard=float(np.mean(overlaps)),
+        exact_match_rate=int((overlap == k).all(axis=1).sum()) / n,
+        mean_pairwise_jaccard=float(np.mean(jaccard.ravel())),
         n_records=n,
     )

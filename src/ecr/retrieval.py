@@ -86,19 +86,23 @@ def _eigh_pca(centered: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return eigvecs[:, order], np.maximum(eigvals[order], 0.0)
 
 
-def _subspace_pca(
-    centered: np.ndarray, r: int, seed: int, max_iter: int = 1000, tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+# Subspace iteration stops after PCA_MAX_ITER rounds, or earlier once no
+# Ritz value moves by more than PCA_TOL relative to max(1, its size).
+PCA_MAX_ITER = 1000
+PCA_TOL = 1e-10
+
+
+def _subspace_pca(centered: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal subspace iteration on the covariance, never materializing it."""
     n = centered.shape[0]
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((centered.shape[1], r)))
     prev = np.zeros(r)
-    for _ in range(max_iter):
+    for _ in range(PCA_MAX_ITER):
         z = centered.T @ (centered @ q) / (n - 1)
         q, _ = np.linalg.qr(z)
         ritz = np.sort(np.einsum("ij,ij->j", q, centered.T @ (centered @ q) / (n - 1)))[::-1]
-        if np.all(np.abs(ritz - prev) <= tol * np.maximum(1.0, np.abs(ritz))):
+        if np.all(np.abs(ritz - prev) <= PCA_TOL * np.maximum(1.0, np.abs(ritz))):
             break
         prev = ritz
     small = q.T @ (centered.T @ (centered @ q)) / (n - 1)

@@ -51,7 +51,6 @@ from .geometry import (
     CrosslingualReport,
     compute_geometry,
     crosslingual_consistency,
-    partition_from_labels,
     purity,
 )
 
@@ -77,12 +76,8 @@ class VocabLayout:
     n_tasks: int
     n_content: int
 
-    BOS: int = 0
-    SEP: int = 1
-
-    @property
-    def marker_start(self) -> int:
-        return 2
+    BOS = 0
+    SEP = 1
 
     @property
     def block_size(self) -> int:
@@ -96,7 +91,7 @@ class VocabLayout:
         return 2 + self.n_tasks + len(LANGUAGES) * self.block_size
 
     def task_marker(self, task_index: int) -> int:
-        return self.marker_start + task_index
+        return 2 + task_index
 
     def content_id(self, lang_index: int, content_index: int) -> int:
         return self.block_start(lang_index) + content_index
@@ -750,17 +745,16 @@ def eval_crosslingual(
     diagnostic anchor set, so rows of an ablation table are comparable
     regardless of which factors condition the training run.
     """
-    variants = [(rec.dialog_id, lang) for rec in records for lang in LANGUAGES]
-    if len(pooled) != len(variants):
+    n_variants = len(records) * len(LANGUAGES)
+    if len(pooled) != n_variants:
         raise ToyTrainError(
-            f"{len(pooled)} pooled queries for {len(variants)} record language variants"
+            f"{len(pooled)} pooled queries for {n_variants} record language variants"
         )
-    selections: dict[str, dict[str, frozenset]] = {}
-    if records:
-        top1 = _selected(project_batch(pooled, anchors), anchors.group_sizes, 1, "factor")
-        for (dialog_id, lang), chosen in zip(variants, top1.tolist()):
-            selections.setdefault(dialog_id, {})[lang] = frozenset(chosen)
-    return crosslingual_consistency(selections)
+    # one anchor per factor group for every variant, record-major
+    top1 = _selected(project_batch(pooled, anchors), anchors.group_sizes, 1, "factor")
+    return crosslingual_consistency(
+        top1.reshape(len(records), len(LANGUAGES), len(anchors.group_sizes))
+    )
 
 
 def run_training(
@@ -860,8 +854,7 @@ def run_training(
             break
         nll_epochs.append(nll_eval(model, eval_samples, anchors, config.ecr, frozen))
         student = EmbeddingMatrix(data=pooled[:n_eval].astype(np.float32), ids=student_ids)
-        partition = partition_from_labels(student.ids, langs)
-        geometry_epochs.append(compute_geometry(student, partition).to_dict())
+        geometry_epochs.append(compute_geometry(student, langs, "labels").to_dict())
         purity_epochs.append(purity(student, langs).to_dict())
         consistency = eval_crosslingual(pooled[n_eval:], eval_records, diagnostic_anchors)
         consistency_epochs.append(consistency.to_dict())

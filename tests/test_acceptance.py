@@ -34,7 +34,6 @@ from ecr.corpus import EmbeddingMatrix
 from ecr.geometry import (
     compute_geometry,
     geometry_ratio,
-    partition_from_labels,
     purity,
 )
 from ecr.retrieval import (
@@ -270,8 +269,7 @@ def test_acceptance_07_geometry_matches_loop_oracle():
         data = rng.normal(size=(len(labels), d)).astype(np.float32)
         ids = [f"s{i}" for i in range(len(labels))]
         emb = EmbeddingMatrix(data=data, ids=ids)
-        part = partition_from_labels(ids, labels)
-        report = compute_geometry(emb, part)
+        report = compute_geometry(emb, labels, "labels")
         want_intra, want_inter, want_spread = _geometry_oracle(data, labels)
         assert abs(report.intra - want_intra) < 1e-9
         assert abs(report.inter - want_inter) < 1e-9
@@ -281,18 +279,17 @@ def test_acceptance_07_geometry_matches_loop_oracle():
     labels = ["a"] * 6 + ["b"] * 5 + ["c"] * 7
     data = rng.normal(size=(len(labels), 5)).astype(np.float32)
     ids = [f"s{i}" for i in range(len(labels))]
-    part = partition_from_labels(ids, labels)
-    base = compute_geometry(EmbeddingMatrix(data=data, ids=ids), part)
+    base = compute_geometry(EmbeddingMatrix(data=data, ids=ids), labels, "labels")
 
     shift = rng.uniform(-1.0, 1.0, size=5).astype(np.float32)
-    moved = compute_geometry(EmbeddingMatrix(data=data + shift, ids=ids), part)
+    moved = compute_geometry(EmbeddingMatrix(data=data + shift, ids=ids), labels, "labels")
     for name in ("intra", "inter", "ratio", "spread"):
         assert math.isclose(
             getattr(moved, name), getattr(base, name), rel_tol=1e-6, abs_tol=1e-6
         )
 
     alpha = 4.0  # exact in binary floating point
-    scaled = compute_geometry(EmbeddingMatrix(data=alpha * data, ids=ids), part)
+    scaled = compute_geometry(EmbeddingMatrix(data=alpha * data, ids=ids), labels, "labels")
     assert math.isclose(scaled.intra, alpha * base.intra, rel_tol=1e-6)
     assert math.isclose(scaled.inter, alpha * base.inter, rel_tol=1e-6)
     assert math.isclose(scaled.spread, alpha * alpha * base.spread, rel_tol=1e-6)

@@ -191,10 +191,10 @@ def test_build_anchor_set_label_mode():
     m, corpus = _toy_anchor_set()
     anchors = build_anchor_set(m, corpus, ("T", "L"), mode="label")
     assert anchors.factors == ("T", "L")
-    t = anchors.group("T")
+    t, lang = anchors.groups
     assert t.label_names == ("booking", "support")
     assert t.k == 2
-    assert anchors.group("L").k == 3  # en, hi, zh present
+    assert lang.k == 3  # en, hi, zh present
 
 
 def test_build_anchor_set_canonical_order():
@@ -206,8 +206,9 @@ def test_build_anchor_set_canonical_order():
 def test_build_anchor_set_kmeans_for_unlabeled():
     m, corpus = _toy_anchor_set()
     anchors = build_anchor_set(m, corpus, ("P",), mode="auto", k=2, seed=1)
-    assert anchors.group("P").k == 2
-    assert anchors.group("P").provenance.method == "kmeans"
+    assert anchors.factors == ("P",)
+    assert anchors.groups[0].k == 2
+    assert anchors.groups[0].provenance.method == "kmeans"
 
 
 def test_build_anchor_set_requires_k_for_kmeans():
@@ -232,7 +233,7 @@ def test_anchor_arrays_read_only():
     m, corpus = _toy_anchor_set()
     anchors = build_anchor_set(m, corpus, ("T",), mode="label")
     with pytest.raises(ValueError):
-        anchors.group("T").centroids[0, 0] = 9.9
+        anchors.groups[0].centroids[0, 0] = 9.9
     with pytest.raises(ValueError):
         anchors.stacked_unit()[0, 0] = 9.9
 
@@ -304,11 +305,9 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_anchors(path)
     assert loaded.factors == anchors.factors
     assert loaded.checksum() == anchors.checksum()
-    for factor in anchors.factors:
-        assert np.array_equal(
-            loaded.group(factor).centroids, anchors.group(factor).centroids
-        )
-        assert loaded.group(factor).label_names == anchors.group(factor).label_names
+    for got, want in zip(loaded.groups, anchors.groups):
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.label_names == want.label_names
 
 
 def test_load_anchors_dimension_guard(tmp_path):
@@ -322,7 +321,7 @@ def test_load_anchors_dimension_guard(tmp_path):
 
 def test_anchor_set_rejects_duplicate_factors():
     m, corpus = _toy_anchor_set()
-    g = build_anchor_set(m, corpus, ("T",), mode="label").group("T")
+    (g,) = build_anchor_set(m, corpus, ("T",), mode="label").groups
     with pytest.raises(AnchorError):
         AnchorSet(groups=(g, g), d=g.d)
 

@@ -392,6 +392,31 @@ def test_consistency_requires_language_suffix(capsys, synth, tmp_path):
     assert "language" in err
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (["d1:en", "d1:zh", "d1:hi", "d1:en"], "'d1:en' repeats a variant row"),
+        (["d1:en", "d1:zh", "d1:hi", "d1:fr"], "'d1:fr' names a language outside"),
+        (["d1:en", "d1:zh"], "record 'd1' is missing language variant 'hi'"),
+    ],
+)
+def test_consistency_rejects_repeated_unknown_or_missing_variants(
+    capsys, synth, tmp_path, ids, message
+):
+    anchors = str(tmp_path / "anchors.bin")
+    assert _build_anchors(capsys, synth, anchors)[0] == 0
+    teacher = load_embeddings(synth["teacher"])
+    variants = str(tmp_path / "variants.bin")
+    save_embeddings(EmbeddingMatrix(data=teacher.data[: len(ids)], ids=ids), variants)
+    code, _, err = _run(
+        capsys,
+        "consistency", "--embeddings", variants, "--anchors", anchors,
+    )
+    assert code == 1
+    assert err.startswith("error: geometry:")
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # training commands
 

@@ -20,7 +20,8 @@ that happen to share the name.
 A method or property ``Class.name`` is used if any program file reads an
 attribute ``.name``; dunders are exempt.  The check cannot tell apart two
 members, or a member and a library attribute, that share a name: the
-``m.group(...)`` of a regex match in ``ecr.codec`` keeps ``AnchorSet.group``.
+``m.group(...)`` of a regex match in ``ecr.codec`` would keep any package
+method named ``group``.
 """
 
 import ast

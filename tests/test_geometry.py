@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_corpus, embeddings_for
 from ecr.anchors import build_anchor_set
-from ecr.corpus import EmbeddingMatrix
+from ecr.corpus import LANGUAGES, EmbeddingMatrix
 from ecr.geometry import (
     GeometryError,
+    anchor_labels,
     compute_geometry,
     crosslingual_consistency,
     geometry_ratio,
-    partition_from_anchors,
-    partition_from_labels,
     purity,
 )
 
@@ -30,9 +29,7 @@ def _two_cluster_case():
     pts = np.array(
         [[0.0, 0.0], [2.0, 0.0], [0.0, 7.0], [0.0, 13.0]], dtype=np.float32
     )
-    m = _matrix(pts)
-    part = partition_from_labels(m.ids, ["A", "A", "B", "B"])
-    return m, part
+    return _matrix(pts), ["A", "A", "B", "B"]
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +37,12 @@ def _two_cluster_case():
 
 
 def _geometry(m, labels):
-    return compute_geometry(m, partition_from_labels(m.ids, labels))
+    return compute_geometry(m, labels, "labels")
 
 
 def test_intra_matches_hand_computation():
-    m, part = _two_cluster_case()
-    report = compute_geometry(m, part)
+    m, labels = _two_cluster_case()
+    report = _geometry(m, labels)
     # mean of per-cluster mean distances: (1 + 3) / 2
     assert report.intra == pytest.approx(2.0, abs=1e-9)
     assert report.per_manifold["A"]["size"] == 2.0
@@ -57,17 +54,17 @@ def test_intra_matches_hand_computation():
 
 
 def test_inter_matches_hand_computation():
-    m, part = _two_cluster_case()
+    m, labels = _two_cluster_case()
     # centroids [1, 0] and [0, 10]: distance sqrt(101)
-    report = compute_geometry(m, part)
+    report = _geometry(m, labels)
     assert report.inter == pytest.approx(np.sqrt(101.0), abs=1e-9)
     assert report.ratio == pytest.approx(2.0 / np.sqrt(101.0), abs=1e-12)
 
 
 def test_spread_matches_hand_computation():
-    m, part = _two_cluster_case()
+    m, labels = _two_cluster_case()
     # per-cluster mean squared distances 1 and 9
-    report = compute_geometry(m, part)
+    report = _geometry(m, labels)
     assert report.spread == pytest.approx(5.0, abs=1e-9)
     assert report.per_manifold["A"]["spread"] == pytest.approx(1.0)
     assert report.per_manifold["B"]["spread"] == pytest.approx(9.0)
@@ -84,9 +81,8 @@ def test_ratio_is_plain_division():
 def test_inter_three_clusters_mean_pairwise():
     pts = np.array([[0.0, 0], [0, 0], [3, 0], [3, 0], [0, 4], [0, 4]])
     m = _matrix(pts)
-    part = partition_from_labels(m.ids, ["a", "a", "b", "b", "c", "c"])
     want = (3.0 + 4.0 + 5.0) / 3.0
-    assert compute_geometry(m, part).inter == pytest.approx(want, abs=1e-9)
+    assert _geometry(m, ["a", "a", "b", "b", "c", "c"]).inter == pytest.approx(want, abs=1e-9)
 
 
 def test_geometry_against_loop_oracle():
@@ -95,7 +91,6 @@ def test_geometry_against_loop_oracle():
     pts = rng.normal(size=(60, 5)).astype(np.float32)
     labels = [f"g{i % 4}" for i in range(60)]
     m = _matrix(pts)
-    part = partition_from_labels(m.ids, labels)
 
     # independent oracle: dict-of-lists plus explicit loops
     groups: dict[str, list[np.ndarray]] = {}
@@ -113,7 +108,7 @@ def test_geometry_against_loop_oracle():
     for i in range(len(centroids)):
         for j in range(i + 1, len(centroids)):
             pair.append(float(np.linalg.norm(centroids[i] - centroids[j])))
-    report = compute_geometry(m, part)
+    report = _geometry(m, labels)
     assert report.intra == pytest.approx(np.mean(intra_terms), abs=1e-9)
     assert report.inter == pytest.approx(np.mean(pair), abs=1e-9)
     assert report.spread == pytest.approx(np.mean(spread_terms), abs=1e-9)
@@ -125,32 +120,25 @@ def test_geometry_against_loop_oracle():
 
 def test_partition_validation():
     m, _ = _two_cluster_case()
-    with pytest.raises(GeometryError):
-        partition_from_labels(m.ids, ["A"])  # length mismatch
-    part = partition_from_labels(["x0", "x1"], ["A", "B"])
-    with pytest.raises(GeometryError, match="assignment"):
-        compute_geometry(m, part)  # m's ids are not covered
-    # empty manifold: declared label with no members
-    from ecr.geometry import ManifoldPartition
+    with pytest.raises(GeometryError, match="1 labels for 4 rows"):
+        compute_geometry(m, ["A"], "labels")
 
-    sparse = ManifoldPartition(
-        assignment={sid: "A" for sid in m.ids}, labels=("A", "B")
-    )
-    with pytest.raises(GeometryError, match="empty manifold"):
-        compute_geometry(m, sparse)
-    with pytest.raises(GeometryError, match="outside the inventory"):
-        ManifoldPartition(assignment={"s0": "Z"}, labels=("A",))
+
+def test_rows_sharing_an_id_keep_their_own_labels():
+    m, labels = _two_cluster_case()
+    shared = _matrix(m.data, ids=["x", "a", "x", "b"])
+    report = _geometry(shared, labels)
+    assert report.per_manifold == _geometry(m, labels).per_manifold
+    assert [stats["size"] for stats in report.per_manifold.values()] == [2.0, 2.0]
 
 
 def test_single_manifold_rejected_for_inter():
     pts = np.ones((4, 2), dtype=np.float32) * np.arange(4)[:, None]
-    m = _matrix(pts)
-    part = partition_from_labels(m.ids, ["A"] * 4)
     with pytest.raises(GeometryError, match="at least 2"):
-        compute_geometry(m, part)
+        _geometry(_matrix(pts), ["A"] * 4)
 
 
-def test_partition_from_anchors_top1():
+def test_anchor_labels_top1():
     corpus = build_corpus(
         [
             {"dialog_id": "d0", "task": "booking"},
@@ -159,10 +147,8 @@ def test_partition_from_anchors_top1():
     )
     emb = embeddings_for(["d0", "d1"], d=4, seed=1)
     anchors = build_anchor_set(emb, corpus, ("T",), mode="label")
-    part = partition_from_anchors(emb, anchors)
-    assert part.source == "anchors"
     # each point sits exactly on its own anchor, so top-1 is itself
-    assert part.assignment["d0"] != part.assignment["d1"]
+    assert anchor_labels(emb, anchors) == ["a0", "a1"]
 
 
 # ---------------------------------------------------------------------------
@@ -294,38 +280,60 @@ def test_purity_validation():
 # selection consistency
 
 
+def _set_loop_consistency(selected):
+    """Exact-match rate and mean pairwise Jaccard, one record and one
+    language pair at a time over Python sets."""
+    exact, overlaps = 0, []
+    for record in selected.tolist():
+        sets = [frozenset(variant) for variant in record]
+        exact += all(s == sets[0] for s in sets[1:])
+        for i in range(len(sets)):
+            for j in range(i + 1, len(sets)):
+                overlaps.append(len(sets[i] & sets[j]) / len(sets[i] | sets[j]))
+    return exact / len(selected), float(np.mean(overlaps))
+
+
 def test_crosslingual_exact_match():
-    selections = {
-        "r1": {"en": {0, 3}, "zh": {0, 3}, "hi": {3, 0}},
-        "r2": {"en": {1}, "zh": {2}, "hi": {1}},
-    }
-    report = crosslingual_consistency(selections)
+    # (records, languages en/zh/hi, k)
+    selected = np.array([[[0, 3], [0, 3], [3, 0]], [[1, 5], [2, 5], [1, 5]]])
+    report = crosslingual_consistency(selected)
     assert report.exact_match_rate == pytest.approx(0.5)
     assert report.n_records == 2
-    # r1 pairs all overlap 1.0; r2 pairs: (en,zh)=0, (en,hi)=1, (zh,hi)=0
-    assert report.mean_pairwise_jaccard == pytest.approx((3.0 + 1.0) / 6.0)
+    # r1 pairs all overlap 1.0; r2 pairs: (en,zh)=1/3, (en,hi)=1, (zh,hi)=1/3
+    assert report.mean_pairwise_jaccard == pytest.approx((3.0 + 5.0 / 3.0) / 6.0)
 
 
 def test_crosslingual_incomplete_triplet_rejected():
-    with pytest.raises(GeometryError, match="missing language"):
-        crosslingual_consistency({"r1": {"en": {0}, "zh": {0}}})
+    with pytest.raises(GeometryError, match="shape"):
+        crosslingual_consistency(np.zeros((1, 2, 1), dtype=int))  # en and zh only
     with pytest.raises(GeometryError, match="empty record"):
-        crosslingual_consistency({})
+        crosslingual_consistency(np.zeros((0, 3, 1), dtype=int))
 
 
-@settings(max_examples=40)
-@given(seed=st.integers(0, 10_000))
-def test_crosslingual_rate_bounds_property(seed):
+def test_crosslingual_rejects_repeated_or_missing_anchors():
+    with pytest.raises(GeometryError, match="same anchor twice"):
+        crosslingual_consistency(np.array([[[0, 1], [1, 1], [0, 1]]]))
+    with pytest.raises(GeometryError, match="at least one anchor"):
+        crosslingual_consistency(np.zeros((2, 3, 0), dtype=int))
+
+
+@settings(max_examples=100)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 4),
+    n_anchors=st.integers(4, 6),
+    seed=st.integers(0, 10_000),
+)
+def test_crosslingual_matches_set_loop_oracle(n, k, n_anchors, seed):
     rng = np.random.default_rng(seed)
-    selections = {}
-    for r in range(int(rng.integers(1, 8))):
-        selections[f"r{r}"] = {
-            lang: {int(x) for x in rng.integers(0, 4, size=rng.integers(1, 4))}
-            for lang in ("en", "zh", "hi")
-        }
-    report = crosslingual_consistency(selections)
+    selected = np.stack(
+        [rng.permutation(n_anchors)[:k] for _ in range(n * len(LANGUAGES))]
+    ).reshape(n, len(LANGUAGES), k)
+    report = crosslingual_consistency(selected)
+    want_exact, want_jaccard = _set_loop_consistency(selected)
+    # bit for bit, not approximately
+    assert report.exact_match_rate == want_exact
+    assert report.mean_pairwise_jaccard == want_jaccard
+    assert report.n_records == n
     assert 0.0 <= report.exact_match_rate <= 1.0
     assert 0.0 <= report.mean_pairwise_jaccard <= 1.0
-    # exact matches imply full jaccard on those records
-    if report.exact_match_rate == 1.0:
-        assert report.mean_pairwise_jaccard == pytest.approx(1.0)

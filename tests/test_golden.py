@@ -20,7 +20,7 @@ import pytest
 
 from ecr.anchors import kmeans_fit
 from ecr.cli import dispatch
-from ecr.geometry import compute_geometry, partition_from_anchors, partition_from_labels
+from ecr.geometry import anchor_labels, compute_geometry
 from ecr.toytrain import (
     TrainConfig,
     build_toy_anchors,
@@ -68,13 +68,13 @@ def test_compute_geometry_digest(toy):
     data, anchors, _ = toy
     teacher = data.embeddings
     reports = [
-        compute_geometry(teacher, partition_from_labels(teacher.ids, labels)).to_dict()
+        compute_geometry(teacher, labels, "labels").to_dict()
         for labels in (
             [rec.language for rec in data.corpus.records],
             [rec.task for rec in data.corpus.records],
         )
     ]
-    reports.append(compute_geometry(teacher, partition_from_anchors(teacher, anchors)).to_dict())
+    reports.append(compute_geometry(teacher, anchor_labels(teacher, anchors), "anchors").to_dict())
     assert _digest(reports) == GOLDEN["compute_geometry"]
 
 
