@@ -318,9 +318,14 @@ def _rows_over_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
-    """Scale ``vec`` to unit L2 norm, as one row of :func:`normalize_rows`."""
+    """Scale ``vec`` to unit L2 norm, as one row of :func:`normalize_rows`,
+    without warning of an overflow or underflow it recovers from."""
     arr = np.asarray(vec, dtype=np.float64)
-    sq = float(np.dot(arr.ravel(), arr.ravel()))
+    flat = arr.ravel()
+    # np.vdot sums as np.dot does but leaves the overflow flag unread, so
+    # the common path pays for no np.errstate
+    sq = float(np.vdot(flat, flat))
     if _SQ_MIN <= sq <= _SQ_MAX:
         return arr / math.sqrt(sq)
-    return normalize_rows(arr.reshape(1, -1)).reshape(arr.shape)
+    with np.errstate(over="ignore", under="ignore"):
+        return normalize_rows(arr.reshape(1, -1)).reshape(arr.shape)

@@ -169,7 +169,7 @@ def test_normalize_non_finite_rejected(bad):
         normalize(np.array([1.0, bad, 2.0]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_normalize_survives_overflow_and_underflow():
     v = np.array([3.0, -4.0, 12.0])
     want = v / 13.0

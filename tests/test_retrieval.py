@@ -1,6 +1,7 @@
 """Retrieval: PCA reduction, graph index, exact oracle, latency bench."""
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -14,6 +15,7 @@ from ecr.retrieval import (
     RetrievalError,
     _eigh_pca,
     _greedy_step,
+    _structure_error,
     bench_query_latency,
     brute_force_topk,
     build_index,
@@ -25,7 +27,6 @@ from ecr.retrieval import (
     query,
     save_index,
     save_pca,
-    validate_index,
 )
 
 
@@ -346,7 +347,7 @@ def test_extreme_scale_index_rows_accepted():
         build_index(scaled, m=6, ef_construction=24, seed=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_query_scale_extremes_match_unscaled():
     vectors = _cloud(n=200, seed=19)
     index = build_index(vectors, m=6, ef_construction=24, seed=0)
@@ -364,6 +365,22 @@ def test_greedy_step_capped_at_n_moves():
         _greedy_step(data, ring, np.full(3, np.nan), 0)
 
 
+def test_greedy_step_takes_first_of_tied_best_in_row_order():
+    # nodes 1 and 2 score exactly cos(t) against q; node 1 leads on to
+    # node 3, node 2 is a dead end, so the row order of the tie decides
+    t = 0.6
+    data = np.array([[0.0, 1.0], [np.cos(t), np.sin(t)], [np.cos(t), -np.sin(t)], [1.0, 0.0]])
+    q = np.array([1.0, 0.0])
+    assert data[1] @ q == data[2] @ q
+    adj = np.array([[1, 2], [3, -1], [-1, -1], [-1, -1]], dtype=np.int32)
+    assert _greedy_step(data, adj, q, 0) == (3, 4)
+    adj[0] = [2, 1]
+    assert _greedy_step(data, adj, q, 0) == (2, 3)
+    # a neighbor that only ties the current node is not a move
+    adj[1] = [2, -1]
+    assert _greedy_step(data, adj, q, 1) == (1, 2)
+
+
 def test_build_validation():
     with pytest.raises(RetrievalError):
         build_index(_cloud(n=5), ids=["a", "b"])
@@ -373,9 +390,79 @@ def test_build_validation():
         build_index(_cloud(n=5), ef_construction=0)
 
 
+def _defect(ix):
+    return _structure_error(ix.n, ix.m, ix.entry_point, ix.levels, ix.layers)
+
+
 def test_index_structure_valid():
-    index = build_index(_cloud(n=200, seed=16), m=6, ef_construction=30, seed=3)
-    assert validate_index(index) == []
+    for m in (2, 6):
+        index = build_index(_cloud(n=200, seed=16), m=m, ef_construction=30, seed=3)
+        assert index.max_level >= 1
+        assert _defect(index) is None
+
+
+def _walk_problems(ix):
+    """The faults a per-edge walk finds, the oracle of the vectorized check."""
+    problems = []
+    for layer in range(ix.max_level + 1):
+        for node in np.flatnonzero(ix.levels >= layer).tolist():
+            neigh = ix.neighbors(layer, node)
+            if len(set(neigh)) != len(neigh):
+                problems.append((layer, node, "duplicate"))
+            for other in neigh:
+                if other == node:
+                    problems.append((layer, node, "self"))
+                elif ix.levels[other] < layer:
+                    problems.append((layer, node, other, "below"))
+                elif node not in ix.neighbors(layer, other):
+                    problems.append((layer, node, other, "one-way"))
+    return problems
+
+
+@functools.lru_cache(maxsize=None)
+def _small_index():
+    return build_index(_cloud(n=60, seed=33), m=3, ef_construction=12, seed=1)
+
+
+def _put_row(ix, layer, node, row):
+    ix.layers[layer][node] = -1
+    ix.layers[layer][node, : len(row)] = row
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_structure_check_agrees_with_edge_walk(data):
+    # a few edits to the rows of nodes on their layers, one-sided ("add",
+    # "drop", "replace") or to both ends of an edge ("link", "unlink"), with
+    # rows kept left-packed: both checks must call the result valid or not
+    base = _small_index()
+    ix = dataclasses.replace(base, layers=[a.copy() for a in base.layers])
+    for _ in range(data.draw(st.integers(1, 3))):
+        layer = data.draw(st.integers(0, ix.max_level))
+        members = np.flatnonzero(ix.levels >= layer).tolist()
+        node = data.draw(st.sampled_from(members))
+        row = ix.neighbors(layer, node)
+        cap = ix.layers[layer].shape[1]
+        op = data.draw(st.sampled_from(["add", "drop", "replace", "link", "unlink"]))
+        if op in ("add", "link"):
+            other = data.draw(st.sampled_from(members if op == "link" else range(ix.n)))
+            back = ix.neighbors(layer, other)
+            if len(row) == cap or (op == "link" and (len(back) == cap or other in row)):
+                continue
+            _put_row(ix, layer, node, row + [other])
+            if op == "link" and other != node:
+                _put_row(ix, layer, other, back + [node])
+        elif row:
+            at = data.draw(st.integers(0, len(row) - 1))
+            other = row.pop(at)
+            if op == "replace":
+                row.insert(at, data.draw(st.integers(0, ix.n - 1)))
+            _put_row(ix, layer, node, row)
+            back = ix.neighbors(layer, other)
+            if op == "unlink" and node in back:
+                back.remove(node)
+                _put_row(ix, layer, other, back)
+    assert (_defect(ix) is None) == (_walk_problems(ix) == [])
 
 
 def test_index_deterministic_under_seed():
@@ -414,7 +501,6 @@ def test_index_save_load_round_trip(tmp_path):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     q = np.random.default_rng(20).normal(size=8)
     assert query(loaded, q, 5) == query(index, q, 5)
-    assert validate_index(loaded) == []
 
 
 def test_index_v1_file_rejected(tmp_path):
@@ -483,6 +569,21 @@ def _m_below_two(ix):
     ix.m = 1
 
 
+def _one_way_edge(ix):
+    # node drops its first neighbor's back edge; the row stays left-packed
+    node = _first(ix.deg0 >= 1)
+    other = int(ix.layers[0][node, 0])
+    back = ix.neighbors(0, other)
+    back.remove(node)
+    ix.layers[0][other] = -1
+    ix.layers[0][other, : len(back)] = back
+
+
+def _duplicate_neighbor(ix):
+    node = _first((ix.deg0 >= 1) & (ix.deg0 < 2 * ix.m))
+    ix.layers[0][node, ix.deg0[node]] = ix.layers[0][node, 0]
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
@@ -498,6 +599,8 @@ def _m_below_two(ix):
         (_entry_below_top, "not on the top level"),
         (_narrow_layer, "shape"),
         (_m_below_two, "below 2"),
+        (_one_way_edge, "no back edge"),
+        (_duplicate_neighbor, "same neighbor twice"),
     ],
 )
 def test_load_index_rejects_invalid_structure(tmp_path, defect, message):
@@ -513,7 +616,7 @@ def test_load_index_rejects_invalid_structure(tmp_path, defect, message):
     with pytest.raises(RetrievalError, match=message):
         load_index(path)
     save_index(index, path)
-    assert validate_index(load_index(path)) == []
+    load_index(path)
 
 
 def test_graph_and_answers_match_golden_digest():
@@ -533,6 +636,29 @@ def test_graph_and_answers_match_golden_digest():
         for q in queries:
             h.update(repr(query(index, q, 5, ef_search=ef)).encode())
     assert h.hexdigest() == "46187fef41d7c586fb90966dd2afc0daf6891a4fbc8c1128bd66f97d9d991f5f"
+
+
+def test_raw_layout_and_answers_match_golden_digest():
+    # each layer's bytes in row order (the order the search visits), levels,
+    # entry point, and answers at the bench shape, queries scaled to 1e+-200
+    # included; recorded before the per-hop rewrite of the search
+    index = build_index(
+        np.random.default_rng(41).normal(size=(400, 64)), m=6, ef_construction=24, seed=12
+    )
+    assert index.max_level == 3
+    h = hashlib.sha256()
+    h.update(repr((index.levels.tolist(), index.entry_point)).encode())
+    for adj in index.layers:
+        h.update(repr((adj.dtype.str, adj.shape)).encode())
+        h.update(adj.tobytes())
+    queries = np.random.default_rng(42).normal(size=(16, 64))
+    for ef in (16, 64):
+        for q in queries:
+            h.update(repr(query(index, q, 5, ef_search=ef)).encode())
+        for scale in (1e200, 1e-200):
+            for q in queries[:4]:
+                h.update(repr(query(index, q * scale, 5, ef_search=ef)).encode())
+    assert h.hexdigest() == "b574dfae31f63c56978236343e529489d9e8db6731655cf6d171565967ffbefa"
 
 
 def test_recall_reasonable_at_modest_scale():
