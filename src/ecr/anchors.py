@@ -159,7 +159,10 @@ class AnchorSet:
         """
         cached = self._cache.get("checksum")
         if cached is None or fresh:
-            cached = hashlib.sha256(_anchor_payload(self)).hexdigest()
+            digest = hashlib.sha256()
+            for part in _anchor_payload(self):
+                digest.update(part)
+            cached = digest.hexdigest()
             self._cache["checksum"] = cached
         return cached
 
@@ -411,7 +414,8 @@ def build_anchor_set(
     return AnchorSet(groups=tuple(groups), d=embeddings.d)
 
 
-def _anchor_payload(anchor_set: AnchorSet) -> bytes:
+def _anchor_payload(anchor_set: AnchorSet) -> list[bytes | np.ndarray]:
+    """The parts of the serialized anchor set, as :class:`ByteWriter` keeps them."""
     w = ByteWriter()
     w.u64(anchor_set.d)
     w.u64(len(anchor_set.groups))
@@ -426,7 +430,7 @@ def _anchor_payload(anchor_set: AnchorSet) -> bytes:
         w.i64(-1 if p.seed is None else p.seed)
         w.u64(p.n_samples)
         w.u64(p.n_iter)
-    return w.getvalue()
+    return w.parts
 
 
 def save_anchors(anchor_set: AnchorSet, path: str) -> None:

@@ -10,7 +10,10 @@ detected uniformly.  Layout, all little-endian:
     bytes 16..47  SHA-256 of the payload
     bytes 48..    payload
 
-Writes are atomic (temp file in the target directory + rename).
+A writer hands over the payload as a list of parts, and the header and
+the parts are copied once, into one buffer that is hashed and written, so
+that a write holds about one payload's bytes beyond what the caller
+holds.  Writes are atomic (temp file in the target directory + rename).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class FileFormatError(ValueError):
     """Raised on bad magic, version mismatch, truncation, or checksum failure."""
 
 
-def atomic_write_bytes(path: str, blob: bytes) -> None:
+def atomic_write_bytes(path: str, blob: bytes | bytearray) -> None:
     """Write ``blob`` to ``path`` via a temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -53,12 +56,26 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_envelope(path: str, magic: bytes, version: int, payload: bytes) -> None:
+def write_envelope(
+    path: str, magic: bytes, version: int, parts: Sequence[bytes | np.ndarray]
+) -> None:
+    """Write the envelope of the payload that is ``parts`` joined.
+
+    Each part is ``bytes`` or a 1-d ``uint8`` array, as :class:`ByteWriter`
+    makes them.
+    """
     if len(magic) != 4:
         raise ValueError("magic must be exactly 4 bytes")
-    header = magic + struct.pack("<IQ", version, len(payload))
-    header += hashlib.sha256(payload).digest()
-    atomic_write_bytes(path, header + payload)
+    length = sum(len(part) for part in parts)
+    blob = bytearray(HEADER_LEN + length)
+    view = memoryview(blob)
+    pos = HEADER_LEN
+    for part in parts:
+        view[pos : pos + len(part)] = part
+        pos += len(part)
+    view[:16] = magic + struct.pack("<IQ", version, length)
+    view[16:HEADER_LEN] = hashlib.sha256(view[HEADER_LEN:]).digest()
+    atomic_write_bytes(path, blob)
 
 
 def read_envelope(path: str, magic: bytes, version: int) -> memoryview:
@@ -90,24 +107,28 @@ def read_envelope(path: str, magic: bytes, version: int) -> memoryview:
 
 
 class ByteWriter:
-    """Append-only builder for envelope payloads."""
+    """Append-only builder for envelope payloads.
+
+    ``parts`` is the payload in order: ``bytes``, or a ``uint8`` view of
+    an array's little-endian data, which is not copied here.
+    """
 
     def __init__(self) -> None:
-        self._parts: list[bytes] = []
+        self.parts: list[bytes | np.ndarray] = []
 
     def u32(self, value: int) -> None:
-        self._parts.append(_U32.pack(value))
+        self.parts.append(_U32.pack(value))
 
     def u64(self, value: int) -> None:
-        self._parts.append(_U64.pack(value))
+        self.parts.append(_U64.pack(value))
 
     def i64(self, value: int) -> None:
-        self._parts.append(_I64.pack(value))
+        self.parts.append(_I64.pack(value))
 
     def text(self, value: str) -> None:
         raw = value.encode("utf-8")
         self.u32(len(raw))
-        self._parts.append(raw)
+        self.parts.append(raw)
 
     def text_list(self, values: Sequence[str]) -> None:
         """A u32 count, then each text as a u32 byte length and its UTF-8."""
@@ -116,7 +137,9 @@ class ByteWriter:
         for v in values:
             raw = v.encode("utf-8")
             parts += (pack(len(raw)), raw)
-        self._parts += parts
+        # one part for the whole table, so that the envelope copies it in
+        # one step rather than two per text
+        self.parts.append(b"".join(parts))
 
     def array(self, arr: np.ndarray, dtype: str) -> None:
         """Write array shape then raw little-endian data of ``dtype``."""
@@ -124,10 +147,7 @@ class ByteWriter:
         self.u32(data.ndim)
         for dim in data.shape:
             self.u64(dim)
-        self._parts.append(data.tobytes())
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+        self.parts.append(data.reshape(-1).view(np.uint8))
 
 
 class ByteReader:

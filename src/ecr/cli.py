@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -87,8 +88,18 @@ def _write_report(out: str | None, payload: dict) -> None:
         print(f"wrote {out}")
 
 
-def _emit_rows(out: str | None, rows: list[dict], note: str) -> None:
-    """JSON lines to ``out`` followed by ``note``, or one printed per row."""
+# Rows that ``encode`` and ``topk`` widen to float64 and encode at a time,
+# so that no float64 copy of the whole file is made; the codec gives each
+# row the same bits whatever block it is in.
+_ROW_BLOCK = 256
+
+
+def _emit_rows(out: str | None, rows: Iterable[dict], note: str) -> None:
+    """JSON lines to ``out`` followed by ``note``, or one printed per row.
+
+    Nothing is written or printed until every row is made, so a row that
+    raises leaves no partial output.
+    """
     lines = [json.dumps(row, sort_keys=True) for row in rows]
     if out:
         atomic_write_text(out, "\n".join(lines) + "\n")
@@ -100,6 +111,17 @@ def _emit_rows(out: str | None, rows: list[dict], note: str) -> None:
 
 def _rows_of(matrix: EmbeddingMatrix) -> np.ndarray:
     return matrix.data.astype(np.float64)
+
+
+def _row_blocks(matrix: EmbeddingMatrix) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The ids and float64 rows of ``matrix``, ``_ROW_BLOCK`` rows at a time.
+
+    A matrix with no rows still gives one empty block, so that the codec
+    checks the flags it is given.
+    """
+    for start in range(0, max(matrix.n, 1), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        yield matrix.ids[start:stop], matrix.data[start:stop].astype(np.float64)
 
 
 def _load_vectors(path: str, pca: str | None) -> tuple[EmbeddingMatrix, np.ndarray]:
@@ -158,40 +180,37 @@ def cmd_encode(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     anchors = load_anchors(args.anchors, expect_d=embeddings.d)
     mode = "retrieval" if args.mode == "topk" else args.mode
-    prefixes = encode_batch(
-        _rows_of(embeddings),
-        anchors,
-        args.bins,
-        mode=mode,
-        k=args.k if mode == "retrieval" else None,
-        scope=args.scope,
-    )
-    rows = [
+    k = args.k if mode == "retrieval" else None
+    rows = (
         {
             "id": row_id,
             "text": prefix.text,
             "tokens": [t.render() for t in prefix.tokens],
         }
-        for row_id, prefix in zip(embeddings.ids, prefixes)
-    ]
-    _emit_rows(args.out, rows, f"encoded {len(rows)} rows -> {args.out}")
+        for ids, block in _row_blocks(embeddings)
+        for row_id, prefix in zip(
+            ids, encode_batch(block, anchors, args.bins, mode=mode, k=k, scope=args.scope)
+        )
+    )
+    _emit_rows(args.out, rows, f"encoded {embeddings.n} rows -> {args.out}")
     return 0
 
 
 def cmd_topk(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     anchors = load_anchors(args.anchors, expect_d=embeddings.d)
-    values = project_batch(_rows_of(embeddings), anchors)
-    ranked = rank_anchors(values, args.k)
-    rows = [
-        {
-            "id": row_id,
-            "anchors": chosen.tolist(),
-            "affinities": row[chosen].tolist(),
-        }
-        for row_id, chosen, row in zip(embeddings.ids, ranked, values)
-    ]
-    _emit_rows(args.out, rows, f"wrote {args.out}")
+
+    def rows():
+        for ids, block in _row_blocks(embeddings):
+            values = project_batch(block, anchors)
+            for row_id, chosen, row in zip(ids, rank_anchors(values, args.k), values):
+                yield {
+                    "id": row_id,
+                    "anchors": chosen.tolist(),
+                    "affinities": row[chosen].tolist(),
+                }
+
+    _emit_rows(args.out, rows(), f"wrote {args.out}")
     return 0
 
 

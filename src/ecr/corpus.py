@@ -233,7 +233,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
     w.u64(matrix.d)
     w.array(matrix.data, "float32")
     w.text_list(matrix.ids)
-    write_envelope(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, w.getvalue())
+    write_envelope(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, w.parts)
 
 
 def load_embeddings(path: str) -> EmbeddingMatrix:

@@ -188,7 +188,7 @@ def save_pca(model: PcaModel, path: str) -> None:
     w.array(model.mean, "float64")
     w.array(model.components, "float64")
     w.array(model.explained_variance, "float64")
-    write_envelope(path, PCA_MAGIC, PCA_VERSION, w.getvalue())
+    write_envelope(path, PCA_MAGIC, PCA_VERSION, w.parts)
 
 
 def load_pca(path: str) -> PcaModel:
@@ -593,7 +593,7 @@ def save_index(index: HnswIndex, path: str) -> None:
     w.array(index.levels, "int32")
     for adj in index.layers:
         w.array(adj, "int32")
-    write_envelope(path, INDEX_MAGIC, INDEX_VERSION, w.getvalue())
+    write_envelope(path, INDEX_MAGIC, INDEX_VERSION, w.parts)
 
 
 def _structure_error(

@@ -121,7 +121,8 @@ class Sample:
 _LANG_SCALE = 10.0
 _FACTOR_SCALE = 2.5
 _NOISE_SCALE = 0.25
-# Rows whose centres are made together.
+# Rows whose noise is drawn into one float64 scratch block and finished
+# together, so that no (n, d) float64 matrix is made.
 _CENTRE_BLOCK = 64
 
 
@@ -192,9 +193,18 @@ def make_synthetic_corpus(
     ]
     bos, sep = str(layout.BOS), str(layout.SEP)
 
+    # each row is its factor centre plus its scaled noise
+    scaled = (
+        _LANG_SCALE * lang_dirs,
+        _FACTOR_SCALE * task_dirs,
+        _FACTOR_SCALE * emo_dirs,
+        _FACTOR_SCALE * intent_dirs,
+    )
+
     n = len(LANGUAGES) * n_per_lang
     records: list[CorpusRecord] = []
-    vectors = np.empty((n, d), dtype=np.float64)
+    data = np.empty((n, d), dtype=np.float32)
+    noise = np.empty((_CENTRE_BLOCK, d), dtype=np.float64)
     factor_index = np.empty((4, n), dtype=np.intp)  # language, task, emotion, intent
     ids: list[str] = []
     row = 0
@@ -232,29 +242,22 @@ def make_synthetic_corpus(
                 )
             )
             factor_index[:, row] = (lang_index, task_index, emo_index, intent_index)
-            rng.standard_normal(out=vectors[row])
+            rng.standard_normal(out=noise[row % _CENTRE_BLOCK])
             ids.append(dialog_id)
             row += 1
-
-    # each row is its factor centre plus the scaled noise drawn into it,
-    # a block of rows at a time so that the scratch stays small
-    scaled = (
-        _LANG_SCALE * lang_dirs,
-        _FACTOR_SCALE * task_dirs,
-        _FACTOR_SCALE * emo_dirs,
-        _FACTOR_SCALE * intent_dirs,
-    )
-    for start in range(0, n, _CENTRE_BLOCK):
-        rows = slice(start, start + _CENTRE_BLOCK)
-        centers = scaled[0][factor_index[0, rows]]
-        for table, index in zip(scaled[1:], factor_index[1:]):
-            centers += table[index[rows]]
-        block = vectors[rows]
-        block *= _NOISE_SCALE
-        block += centers
+            if row % _CENTRE_BLOCK == 0 or row == n:
+                start = (row - 1) // _CENTRE_BLOCK * _CENTRE_BLOCK
+                rows = slice(start, row)
+                centers = scaled[0][factor_index[0, rows]]
+                for table, index in zip(scaled[1:], factor_index[1:]):
+                    centers += table[index[rows]]
+                block = noise[: row - start]
+                block *= _NOISE_SCALE
+                block += centers
+                data[rows] = block
 
     corpus = Corpus(header=header, records=records)
-    embeddings = EmbeddingMatrix(data=vectors.astype(np.float32), ids=ids)
+    embeddings = EmbeddingMatrix(data=data, ids=ids)
     return SyntheticData(corpus=corpus, embeddings=embeddings, layout=layout, d=d)
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ecr.anchors import build_anchor_set, save_anchors
 from ecr.cli import dispatch, read_config_file
 from ecr.corpus import EmbeddingMatrix, load_embeddings, save_embeddings
 from ecr.toytrain import make_synthetic_corpus
@@ -229,6 +230,72 @@ def test_topk_lists_descending_affinities(capsys, synth, tmp_path):
         assert len(row["anchors"]) == 3
         affs = row["affinities"]
         assert all(b <= a + 1e-12 for a, b in zip(affs, affs[1:]))
+
+
+def _teacher_width_files(tmp_path, n):
+    """Anchors at d = 768 and an n-row random embedding file of that width."""
+    data = make_synthetic_corpus(seed=0, n_per_lang=10, n_factors=4, d=768)
+    save_anchors(
+        build_anchor_set(data.embeddings, data.corpus, ("T", "L", "E", "I")),
+        str(tmp_path / "anchors.bin"),
+    )
+    rows = np.random.default_rng(1).standard_normal((n, 768)).astype(np.float32)
+    matrix = EmbeddingMatrix(data=rows, ids=[f"r{i}" for i in range(n)])
+    save_embeddings(matrix, str(tmp_path / "rows.bin"))
+    return rows
+
+
+def test_encode_out_peak_stays_below_three_matrices(tmp_path):
+    # the file is encoded a block of rows at a time, so beside the loaded
+    # float32 matrix only the finished JSON lines grow with n
+    import tracemalloc
+
+    rows = _teacher_width_files(tmp_path, 2000)
+    argv = [
+        "encode", "--embeddings", str(tmp_path / "rows.bin"),
+        "--anchors", str(tmp_path / "anchors.bin"), "--out", str(tmp_path / "p.jsonl"),
+    ]
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rows.nbytes
+
+
+def test_encode_and_topk_fail_whole_on_a_bad_row_in_a_later_block(capsys, tmp_path):
+    rows = _teacher_width_files(tmp_path, 600)
+    rows[513] = 0.0
+    bad = EmbeddingMatrix(data=rows, ids=[f"r{i}" for i in range(600)])
+    save_embeddings(bad, str(tmp_path / "bad.bin"))
+    out = tmp_path / "p.jsonl"
+    for command in ("encode", "topk"):
+        for extra in ([], ["--out", str(out)]):
+            code, out_text, err = _run(
+                capsys, command, "--embeddings", str(tmp_path / "bad.bin"),
+                "--anchors", str(tmp_path / "anchors.bin"), *extra,
+            )
+            assert code == 1
+            assert out_text == ""
+            assert "zero vector" in err
+    assert not out.exists()
+
+
+def test_encode_and_topk_check_flags_on_a_file_with_no_rows(capsys, tmp_path):
+    rows = _teacher_width_files(tmp_path, 0)
+    assert rows.shape == (0, 768)
+    for argv, message in (
+        (["encode", "--mode", "topk", "--k", "0"], "k must be at least 1"),
+        (["encode", "--bins", "1"], "n_bins must be at least 2"),
+        (["topk", "--k", "99"], "k must be in"),
+    ):
+        code, out_text, err = _run(
+            capsys, *argv, "--embeddings", str(tmp_path / "rows.bin"),
+            "--anchors", str(tmp_path / "anchors.bin"),
+        )
+        assert (code, out_text) == (1, "")
+        assert message in err
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,22 @@ def test_embeddings_round_trip(tmp_path):
     assert np.array_equal(loaded.data, m.data)
 
 
+def test_save_embeddings_peak_stays_near_the_matrix(tmp_path):
+    # the header, matrix and id table are copied once, into the buffer
+    # that is hashed and written
+    import tracemalloc
+
+    data = np.random.default_rng(0).standard_normal((4000, 768)).astype(np.float32)
+    m = EmbeddingMatrix(data=data, ids=[f"d{i:06d}:en" for i in range(4000)])
+    tracemalloc.start()
+    try:
+        save_embeddings(m, str(tmp_path / "e.bin"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * data.nbytes
+
+
 def test_embeddings_non_finite_rejected(tmp_path):
     data = np.zeros((2, 3), dtype=np.float32)
     data[1, 2] = np.inf

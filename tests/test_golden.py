@@ -6,7 +6,9 @@ serialised as the CLI writes them and hashed; a rewrite of the training
 loop, the evaluation passes or the manifold statistics that changes any
 byte of them changes a digest.  The set-up path is pinned the same way:
 the ``make-synthetic`` files, the ``build-anchors`` anchor file and
-stdout, and one seeded k-means fit.
+stdout, and one seeded k-means fit.  So are the files and stdout of
+``encode`` and ``topk``, over a matrix that is not a whole number of the
+CLI's row blocks and over a matrix with no rows.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import pytest
 
 from ecr.anchors import kmeans_fit
 from ecr.cli import dispatch
+from ecr.corpus import EmbeddingMatrix, save_embeddings
 from ecr.geometry import anchor_labels, compute_geometry
 from ecr.toytrain import (
     TrainConfig,
@@ -37,6 +40,10 @@ GOLDEN = {
     "make_synthetic": "e3993c59c0c50bb06c4bd69ce114d83e52bc7a1b6a77f163728c6b4f570a213f",
     "build_anchors": "3f1605fbcb8ecc57a50efc06c371288a0d9bf74d57a426358d755d0af8c3f41a",
     "kmeans_fit": "9019e4175ff476290854f03b2011754fe4e3a72e40565995806ec4490e6884a1",
+    "encode_global": "ddc766ef1f7394dbbb96ac41d73a6b5ca573cba26e1e80afb136e467767b1460",
+    "encode_topk": "ea34ef177ae63e64fdd6fa166c8feb150528f7eb73e82aade3670efd3f5695a6",
+    "topk": "50c6c9aadc537772a8e6fed0923e26a35fc48335dd2c3e62b391d2f77f96f068",
+    "encode_stdout": "2e3fa0d5d40a8684b785de8c7147807e03aa69378bc9686c04f0b06ffb6e9426",
 }
 
 
@@ -133,3 +140,49 @@ def test_kmeans_fit_digest():
     h.update(np.asarray(result.objective, dtype="<f8").tobytes())
     h.update(str(result.n_iter).encode())
     assert h.hexdigest() == GOLDEN["kmeans_fit"]
+
+
+@pytest.fixture(scope="module")
+def row_files(setup_files, tmp_path_factory):
+    """A 600-row file, two blocks of 256 rows and a remainder, and a file
+    with no rows, both at the d = 96 of the set-up anchors."""
+    root = tmp_path_factory.mktemp("rows")
+    data = np.random.default_rng(11).standard_normal((600, 96)).astype(np.float32)
+    files = {"full": str(root / "full.bin"), "empty": str(root / "empty.bin")}
+    save_embeddings(EmbeddingMatrix(data=data, ids=[f"r{i}" for i in range(600)]), files["full"])
+    save_embeddings(EmbeddingMatrix(data=data[:0], ids=[]), files["empty"])
+    return root, files
+
+
+CLI_ROWS = {
+    "encode_global": ["encode", "--bins", "8"],
+    "encode_topk": ["encode", "--bins", "8", "--mode", "topk", "--k", "2"],
+    "topk": ["topk", "--k", "3"],
+    "encode_stdout": ["encode", "--bins", "8", "--scope", "all", "--mode", "topk", "--k", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_ROWS))
+def test_cli_rows_digest(setup_files, row_files, name):
+    setup_root, _ = setup_files
+    root, files = row_files
+    parts = []
+    for which in ("full", "empty"):
+        argv = CLI_ROWS[name] + [
+            "--embeddings", files[which], "--anchors", str(setup_root / "anchors.bin"),
+        ]
+        out = root / f"{name}.{which}.jsonl"
+        if name != "encode_stdout":
+            argv += ["--out", str(out)]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert dispatch(argv) == 0
+        parts.append(printed.getvalue().replace(str(root), "<dir>").encode())
+        if name == "encode_stdout":
+            assert printed.getvalue().count("\n") == (600 if which == "full" else 0)
+        else:
+            written = out.read_bytes()
+            if which == "empty":
+                assert written == b"\n"
+            parts.append(_sha(written).encode())
+    assert _sha(b"\n".join(parts)) == GOLDEN[name]

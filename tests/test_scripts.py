@@ -59,3 +59,13 @@ def test_retrieval_bench_prints_ladder_and_latency(capsys):
     assert lines[0].startswith("built index: n=300 d=8 m=6 efc=20")
     assert [line.split()[0] for line in lines[1:3]] == ["ef=", "ef="]
     assert lines[3].startswith("latency at ef=16: p50=")
+
+
+def test_cli_peak_rss_prints_each_command(capsys):
+    assert _main("cli_peak_rss")(["--n-per-lang", "4", "--dim", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rows=12 d=8"
+    assert lines[1].split() == ["command", "seconds", "peak_rss_mb"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["make-synthetic", "build-anchors", "encode"]
+    assert all(float(row[2]) > 0 for row in rows)

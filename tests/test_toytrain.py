@@ -170,6 +170,21 @@ def test_synthetic_validation():
         make_synthetic_corpus(seed=0, marker_repeat=0)
 
 
+def test_synthetic_corpus_peak_stays_below_two_matrices():
+    # the noise is drawn a block of rows at a time, so the only (n, d)
+    # array is the float32 result
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        data = make_synthetic_corpus(seed=0, n_per_lang=400, d=768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.embeddings.data.shape == (1200, 768)
+    assert peak <= 2 * data.embeddings.data.nbytes
+
+
 # ---------------------------------------------------------------------------
 # samples and splits
 
