@@ -88,9 +88,9 @@ def _write_report(out: str | None, payload: dict) -> None:
         print(f"wrote {out}")
 
 
-# Rows that ``encode`` and ``topk`` widen to float64 and encode at a time,
-# so that no float64 copy of the whole file is made; the codec gives each
-# row the same bits whatever block it is in.
+# Rows that ``encode``, ``topk`` and ``consistency`` widen to float64 and
+# project at a time, so that no float64 copy of the whole file is made;
+# the codec gives each row the same bits whatever block it is in.
 _ROW_BLOCK = 256
 
 
@@ -109,10 +109,6 @@ def _emit_rows(out: str | None, rows: Iterable[dict], note: str) -> None:
             print(line)
 
 
-def _rows_of(matrix: EmbeddingMatrix) -> np.ndarray:
-    return matrix.data.astype(np.float64)
-
-
 def _row_blocks(matrix: EmbeddingMatrix) -> Iterator[tuple[list[str], np.ndarray]]:
     """The ids and float64 rows of ``matrix``, ``_ROW_BLOCK`` rows at a time.
 
@@ -127,7 +123,7 @@ def _row_blocks(matrix: EmbeddingMatrix) -> Iterator[tuple[list[str], np.ndarray
 def _load_vectors(path: str, pca: str | None) -> tuple[EmbeddingMatrix, np.ndarray]:
     """An embedding file and its rows, PCA-projected if ``pca`` names a model."""
     matrix = load_embeddings(path)
-    vectors = _rows_of(matrix)
+    vectors = matrix.data.astype(np.float64)
     return matrix, pca_project(load_pca(pca), vectors) if pca else vectors
 
 
@@ -340,7 +336,8 @@ def cmd_consistency(args) -> int:
         if lang in per_lang:
             raise GeometryError(f"embedding id {row_id!r} repeats a variant row")
         per_lang[lang] = row
-    ranked = rank_anchors(project_batch(_rows_of(embeddings), anchors), args.topk)
+    blocks = (project_batch(block, anchors) for _, block in _row_blocks(embeddings))
+    ranked = np.concatenate([rank_anchors(values, args.topk) for values in blocks])
     rows = []
     for dialog_id, per_lang in variants.items():
         missing = [lang for lang in LANGUAGES if lang not in per_lang]

@@ -16,13 +16,13 @@ retrieval-guided (only the top-k strongest anchors contribute, either per
 factor or over the whole set).  Selected tokens always render in canonical
 order: factors T, L, E, I, P, then ascending anchor index.
 
-Encoding is batched: :func:`encode_batch` projects and quantizes a whole
-matrix of embeddings at once.  The single-row :func:`encode` is a batch
-of one, and so is the trainer's ``sample_prefix``; a training step
-encodes its whole batch in one call.  Tokens, their text and their ids
-are looked up in a table of every (anchor, bin) token, built once per
-anchor set and bin count; the anchor layout and unit anchors come from
-the anchor set's own cache.
+Encoding is batched: one step projects, quantizes and selects a whole
+matrix at once into an (n, P) matrix of token-table indices, which a
+training step reads as ids.  :func:`encode_batch` renders its rows as
+prefixes; :func:`encode` and the trainer's ``sample_prefix`` are batches
+of one.  Tokens and their text come from a table of every (anchor, bin)
+token, built once per anchor set and bin count; the anchor layout and
+unit anchors come from the anchor set's own cache.
 """
 
 from __future__ import annotations
@@ -63,13 +63,6 @@ def parse_token(text: str) -> ControlToken:
 
 
 @dataclass(frozen=True)
-class AffinityVector:
-    """Cosine affinities of one embedding against every anchor, flat order."""
-
-    values: np.ndarray  # (total_k,) float64 in [-1, 1]
-
-
-@dataclass(frozen=True)
 class ControlPrefix:
     """Rendered prefix: token objects, their vocabulary ids, and text form."""
 
@@ -87,7 +80,7 @@ def project_batch(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     Both sides are unit-normalized, so each entry is a cosine in [-1, 1];
     values are clipped to that range to absorb rounding.  The product is
     one stacked matrix-vector multiply per row, inside one numpy call, so
-    row i is bit-identical to :func:`project` of row i whatever the batch.
+    row i has the same bits whatever the batch it is in.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:
@@ -103,12 +96,6 @@ def project_batch(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     values = np.matmul(anchors.stacked_unit(), unit[:, :, None])[:, :, 0]
     # np.minimum/np.maximum: the same clip as np.clip at a fraction of its call cost
     return np.minimum(np.maximum(values, -1.0, out=values), 1.0, out=values)
-
-
-def project(h: np.ndarray, anchors: AnchorSet) -> AffinityVector:
-    """Cosine affinity of h against every anchor (cost O(Kd))."""
-    h = np.asarray(h, dtype=np.float64).ravel()
-    return AffinityVector(values=project_batch(h[None, :], anchors)[0])
 
 
 def quantize_value(c: float, n_bins: int) -> int:
@@ -289,6 +276,28 @@ def _check_vocab(vocab: TokenVocabulary | None, anchors: AnchorSet, n_bins: int)
         raise CodecError("vocabulary factor layout does not match the anchor set")
 
 
+def _table_indices(
+    H: np.ndarray, anchors: AnchorSet, n_bins: int, mode: str, k: int | None, scope: str,
+    vocab: TokenVocabulary | None,
+) -> np.ndarray:
+    """The (n, P) int64 table indices of the tokens :func:`encode_batch`
+    selects for each row, in canonical order; a token's vocabulary id is the
+    base size plus its index.  Every row has the same P: total_k, the sum of
+    min(k, size) over the factors, or k under scope "all"."""
+    if mode not in ("global", "retrieval"):
+        raise CodecError(f"unknown encode mode {mode!r}")
+    if scope not in ("factor", "all"):
+        raise CodecError(f"unknown top-k scope {scope!r}")
+    _check_vocab(vocab, anchors, n_bins)
+    values = project_batch(H, anchors)
+    flat = _bins(values, n_bins)
+    flat += _token_table(anchors, n_bins).offsets
+    if mode == "retrieval":
+        chosen = _selected(values, anchors.group_sizes, 1 if k is None else k, scope)
+        flat = np.take_along_axis(flat, chosen, axis=1)
+    return flat
+
+
 def encode_batch(
     H: np.ndarray,
     anchors: AnchorSet,
@@ -308,18 +317,8 @@ def encode_batch(
     Raises :class:`CodecError` on a row that is zero or has a NaN or
     infinite entry.
     """
-    if mode not in ("global", "retrieval"):
-        raise CodecError(f"unknown encode mode {mode!r}")
-    if scope not in ("factor", "all"):
-        raise CodecError(f"unknown top-k scope {scope!r}")
-    _check_vocab(vocab, anchors, n_bins)
-    values = project_batch(H, anchors)
+    flat = _table_indices(H, anchors, n_bins, mode, k, scope, vocab)
     table = _token_table(anchors, n_bins)
-    flat = _bins(values, n_bins)
-    flat += table.offsets
-    if mode == "retrieval":
-        chosen = _selected(values, anchors.group_sizes, 1 if k is None else k, scope)
-        flat = np.take_along_axis(flat, chosen, axis=1)
     return [_render(table, row, vocab) for row in flat.tolist()]
 
 

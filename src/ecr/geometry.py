@@ -112,7 +112,10 @@ def compute_geometry(embeddings: EmbeddingMatrix, labels: list[str], source: str
     distinct labels.  ``source`` says where the labels came from and is
     recorded in the report.
     """
-    stats = _manifold_stats(embeddings.data.astype(np.float64), labels)
+    return _geometry_report(_manifold_stats(embeddings.data.astype(np.float64), labels), source)
+
+
+def _geometry_report(stats: dict[str, _Manifold], source: str) -> GeometryReport:
     intra = float(np.mean([m.intra for m in stats.values()]))
     inter = _separation(stats)
     return GeometryReport(
@@ -151,7 +154,10 @@ def purity(embeddings: EmbeddingMatrix, languages: list[str]) -> PurityReport:
     The prototypes are the language manifolds' centroids.
     """
     data = embeddings.data.astype(np.float64)
-    stats = _manifold_stats(data, languages)
+    return _purity_report(data, languages, _manifold_stats(data, languages))
+
+
+def _purity_report(data: np.ndarray, languages: list[str], stats: dict) -> PurityReport:
     names = tuple(stats)
     if len(stats) < 2:
         raise GeometryError(f"purity needs at least 2 languages, got {len(stats)}")

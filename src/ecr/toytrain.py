@@ -22,11 +22,11 @@ purity, and cross-lingual consistency per epoch, detects divergence
 instead of crashing, and sweeps factor subsets for ablation tables.
 
 Every path runs on whole batches.  A training step pools its queries
-with one gather and one sum, encodes every prefix with one
-``encode_batch`` and runs one forward/backward over the right-padded
-(B, T) id block; :func:`sample_prefix` is a batch of one of the same
-path, and every float matches a loop over single sequences.  Each
-epoch's diagnostics pool every distinct held-out query once.
+with one gather and one sum, one codec pass gives its (B, P) prefix ids,
+which one concatenate puts before the right-padded token block, and one
+forward/backward runs over that; :func:`sample_prefix` renders a batch of
+one of the same path, and every float matches a loop over single
+sequences.  Each epoch's diagnostics pool every distinct held-out query once.
 """
 
 from __future__ import annotations
@@ -42,17 +42,14 @@ from .codec import (
     ControlPrefix,
     TokenVocabulary,
     _selected,
+    _table_indices,
     encode_batch,
     project_batch,
     token_vocabulary,
 )
 from .corpus import Corpus, CorpusHeader, CorpusRecord, EmbeddingMatrix, LANGUAGES
-from .geometry import (
-    CrosslingualReport,
-    compute_geometry,
-    crosslingual_consistency,
-    purity,
-)
+from .geometry import CrosslingualReport, crosslingual_consistency
+from .geometry import _geometry_report, _manifold_stats, _purity_report
 
 
 class ToyTrainError(ValueError):
@@ -363,11 +360,6 @@ def init_model(
     )
 
 
-def embed_sequence(model: ToyModel, tokens) -> np.ndarray:
-    """Mean of the embedding rows of all non-control tokens."""
-    return _pooled_queries(model, [np.asarray(tokens, dtype=np.int64).ravel().tolist()])[0]
-
-
 def _pad(rows: list, fill: int) -> np.ndarray:
     """Id sequences as one (B, T) int64 block, right-padded with ``fill``."""
     pad = (fill,) * max(map(len, rows))
@@ -375,7 +367,7 @@ def _pad(rows: list, fill: int) -> np.ndarray:
 
 
 def _refuse_first(model: ToyModel, queries: list) -> None:
-    """Raise the error :func:`embed_sequence` gives the first query it refuses."""
+    """Raise the error of the first query that cannot be pooled."""
     for query in queries:
         if len(query) == 0:
             raise ToyTrainError("cannot embed an empty sequence")
@@ -387,7 +379,7 @@ def _refuse_first(model: ToyModel, queries: list) -> None:
 
 
 def _pooled_queries(model: ToyModel, queries: list) -> np.ndarray:
-    """:func:`embed_sequence` of every query, one row each.
+    """The mean embedding row of each query's non-control ids, one row each.
 
     One gather and one sum along the padded block, divided by each query's
     count of kept ids as np.mean divides, so each row is bit-identical to
@@ -412,32 +404,33 @@ def _pooled_queries(model: ToyModel, queries: list) -> np.ndarray:
     return sums / np.add.reduce(keep, axis=1)[:, None]
 
 
-def _forward(emb: np.ndarray, out: np.ndarray, sequences: list, base_size: int) -> tuple:
-    """The forward pass of a batch of (token ids, prefix length) pairs.
-
-    ``ctx[j, b]``, the running mean of sequence b's embeddings at
-    positions 0..j (np.cumsum's sums, made position by position), predicts
-    position j+1, so right padding never reaches a real context.  Targets
+def _forward(
+    emb: np.ndarray, out: np.ndarray, block: np.ndarray, lengths: np.ndarray, prefix_len: int,
+    base_size: int,
+) -> tuple:
+    """The forward pass of a right-padded (B, T) id block: row b holds
+    ``lengths[b]`` ids, the first ``prefix_len`` its prefix, and ``ctx[j, b]``,
+    the running mean of its embeddings at positions 0..j (np.cumsum's sums,
+    made position by position), predicts position j+1, so right padding
+    never reaches a real context.  Targets
     are the positions after both the prefix and the first content token,
-    so conditioned and plain arms score the same targets.  Sequences with
-    p targets share one (G, p, d) @ (d, V) head product, which keeps each
+    so conditioned and plain arms score the same targets.  Rows with q
+    targets share one (G, q, d) @ (d, V) head product, which keeps each
     one's row count: BLAS rounds a row differently in a taller product.
-    Returns (block, real-position mask, ctx, per group (members, positions,
+    Returns (real-position mask, ctx, per group (members, positions,
     context rows, target index, log-softmax rows), NLL sums, target counts).
     """
-    block = _pad([ids for ids, _ in sequences], 0)
-    lengths = np.array([len(ids) for ids, _ in sequences])
     real = np.arange(block.shape[1]) < lengths[:, None]
-    counts = np.maximum(lengths - np.array([p for _, p in sequences]) - 1, 0)
+    counts = np.maximum(lengths - prefix_len - 1, 0)
     ctx = emb.take(block.T, axis=0)  # (T, B, d): one contiguous slab per position
     for j in range(1, len(ctx)):
         ctx[j] += ctx[j - 1]
     ctx /= np.arange(1, len(ctx) + 1)[:, None, None]
-    nll = np.zeros(len(sequences))
+    nll = np.zeros(len(block))
     heads = []
-    for p in np.unique(counts[counts > 0]).tolist():
-        members = np.flatnonzero(counts == p)
-        positions = np.array([sequences[b][1] for b in members])[:, None] + np.arange(p)
+    for q in np.unique(counts[counts > 0]).tolist():
+        members = np.flatnonzero(counts == q)
+        positions = prefix_len + np.arange(q)
         targets = block[members[:, None], positions + 1]
         if np.any(targets >= base_size):
             raise ToyTrainError("control token appeared as a prediction target")
@@ -445,24 +438,25 @@ def _forward(emb: np.ndarray, out: np.ndarray, sequences: list, base_size: int) 
         log_probs = rows @ out
         log_probs -= log_probs.max(axis=2, keepdims=True)
         log_probs -= np.log(np.exp(log_probs).sum(axis=2))[:, :, None]
-        picked = (np.arange(len(members))[:, None], np.arange(p), targets)
+        picked = (np.arange(len(members))[:, None], np.arange(q), targets)
         nll[members] = -np.add.reduce(log_probs[picked], axis=1)
         heads.append((members, positions, rows, picked, log_probs))
-    return block, real, ctx, heads, nll, counts
+    return real, ctx, heads, nll, counts
 
 
 def _forward_backward(
-    emb: np.ndarray, out: np.ndarray, sequences: list[tuple[np.ndarray, int]], base_size: int
+    emb: np.ndarray, out: np.ndarray, block: np.ndarray, lengths: np.ndarray, prefix_len: int,
+    base_size: int,
 ) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """Loss and gradients over a batch of (token ids, prefix length) pairs.
+    """Loss and gradients over an id block as :func:`_forward` reads it.
 
-    One pass over the padded batch: :func:`_forward`, the reversed running
-    sums of the context gradient, then one ``np.bincount`` per table column,
+    One pass over the block: :func:`_forward`, the reversed running sums
+    of the context gradient, then one ``np.bincount`` per table column,
     which adds rows in sequence order as ``np.add.at`` would.  The loss and
     the head gradient add up per-sequence terms in sequence order, so every
     float is the one a loop over the sequences computes.
     """
-    block, real, ctx, heads, nll, counts = _forward(emb, out, sequences, base_size)
+    real, ctx, heads, nll, counts = _forward(emb, out, block, lengths, prefix_len, base_size)
     n_targets = int(counts.sum())
     if n_targets == 0:
         raise ToyTrainError("batch contains no prediction targets")
@@ -597,35 +591,44 @@ def sample_prefix(
     model: ToyModel, sample: Sample, anchors: AnchorSet, settings: EcrSettings
 ) -> ControlPrefix:
     """Encode the sample's query segment against the anchors: a batch of
-    one of the prefix path the training step takes."""
-    return _prefixes(model, [sample], anchors, settings)[0]
+    one of the pooling and codec pass the training step takes, rendered."""
+    pooled = _pooled_queries(model, [sample.tokens[: sample.query_len]])
+    return encode_batch(
+        pooled, anchors, settings.n_bins, settings.mode, settings.k, settings.scope, model.vocab
+    )[0]
 
 
 def _prefixes(
     model: ToyModel, samples: list[Sample], anchors: AnchorSet, settings: EcrSettings
-) -> list[ControlPrefix]:
-    """Every sample's prefix: its query pooled, then one encode of the batch."""
+) -> np.ndarray:
+    """Every sample's prefix ids, (B, P) int64, from one pooling and codec pass."""
     pooled = _pooled_queries(model, [s.tokens[: s.query_len] for s in samples])
-    k = settings.k if settings.mode == "retrieval" else None
-    return encode_batch(
-        pooled, anchors, settings.n_bins, mode=settings.mode, k=k, scope=settings.scope,
-        vocab=model.vocab,
+    return model.base_size + _table_indices(
+        pooled, anchors, settings.n_bins, settings.mode, settings.k, settings.scope, model.vocab
     )
 
 
 def _conditioned(
     model: ToyModel, samples: list[Sample], anchors: AnchorSet | None, settings: EcrSettings,
-    frozen: dict[str, ControlPrefix] | None,
-) -> list[tuple[tuple[int, ...], int]]:
-    """(prefix ids + sample tokens, prefix length) of every sample."""
+    frozen: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(id block, row lengths, prefix length) of the samples: each row holds
+    its prefix ids, from ``frozen`` (a row per sample) or live, then its tokens."""
+    block = _pad([s.tokens for s in samples], 0)
+    lengths = np.array([len(s.tokens) for s in samples])
     if not settings.enabled:
-        return [(s.tokens, 0) for s in samples]
-    assert anchors is not None
-    if frozen is not None:
-        prefixes = [frozen[f"{s.dialog_id}:{s.language}"] for s in samples]
+        return block, lengths, 0
+    if anchors is None:
+        raise ToyTrainError("ECR conditioning is enabled but no anchors were given")
+    if frozen is None:
+        prefix = _prefixes(model, samples, anchors, settings)
     else:
-        prefixes = _prefixes(model, samples, anchors, settings)
-    return [(p.token_ids + s.tokens, len(p.token_ids)) for p, s in zip(prefixes, samples)]
+        prefix = np.asarray(frozen)
+        if prefix.ndim != 2 or len(prefix) != len(samples) or prefix.dtype.kind != "i":
+            raise ToyTrainError(f"frozen prefixes {prefix.dtype}{prefix.shape}: not one per sample")
+        if prefix.size and (prefix.min() < model.base_size or prefix.max() >= model.total_vocab):
+            raise ToyTrainError("frozen prefixes hold ids outside the control block")
+    return np.concatenate([prefix, block], axis=1), lengths + prefix.shape[1], prefix.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -663,19 +666,19 @@ def train_step(
     anchors: AnchorSet | None,
     config: TrainConfig,
     optimizer: AdamW,
-    frozen: dict[str, ControlPrefix] | None = None,
+    frozen: np.ndarray | None = None,
 ) -> float:
     """One optimizer update over a batch; returns the mean target NLL.
 
-    One batched pass: one pooling and one encode give every prefix from
-    the current embedding table (unless a frozen prefix map is supplied),
-    then one forward/backward runs over the padded batch.  Anchors are
-    constants here; gradients reach only the model's own parameters.
+    One batched pass: one pooling and one codec pass give every prefix from
+    the current embedding table (unless ``frozen`` holds the batch's prefix
+    ids), then one forward/backward runs over the padded batch.  Anchors
+    are constants here; gradients reach only the model's own parameters.
     """
     if not batch:
         raise ToyTrainError("empty batch")
-    sequences = _conditioned(model, batch, anchors, config.ecr, frozen)
-    loss, _, d_emb, d_out = _forward_backward(model.emb, model.out, sequences, model.base_size)
+    conditioned = _conditioned(model, batch, anchors, config.ecr, frozen)
+    loss, _, d_emb, d_out = _forward_backward(model.emb, model.out, *conditioned, model.base_size)
     grads = {"emb": d_emb, "out": d_out}
     if config.grad_clip and config.grad_clip > 0:
         clip_gradients(grads, config.grad_clip)
@@ -688,13 +691,13 @@ def nll_eval(
     samples: list[Sample],
     anchors: AnchorSet | None = None,
     settings: EcrSettings = EcrSettings(),
-    frozen: dict[str, ControlPrefix] | None = None,
+    frozen: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Mean target-token NLL per language under the training pipeline."""
     if not samples:
         raise ToyTrainError("empty evaluation set")
-    sequences = _conditioned(model, samples, anchors, settings, frozen)
-    *_, nll, counts = _forward(model.emb, model.out, sequences, model.base_size)
+    conditioned = _conditioned(model, samples, anchors, settings, frozen)
+    *_, nll, counts = _forward(model.emb, model.out, *conditioned, model.base_size)
     sums: dict[str, float] = {}
     totals: dict[str, int] = {}
     for sample, value, count in zip(samples, nll.tolist(), counts.tolist()):
@@ -708,7 +711,7 @@ def task_accuracy(
     samples: list[Sample],
     anchors: AnchorSet | None = None,
     settings: EcrSettings = EcrSettings(),
-    frozen: dict[str, ControlPrefix] | None = None,
+    frozen: np.ndarray | None = None,
 ) -> float:
     """Fraction of samples whose argmax over their answer-candidate tokens
     at the answer position equals the gold answer."""
@@ -717,9 +720,9 @@ def task_accuracy(
     for sample in samples:
         if sample.answer_pos is None:
             raise ToyTrainError(f"sample {sample.dialog_id!r} has no gold position")
-    sequences = _conditioned(model, samples, anchors, settings, frozen)
-    ctx = _forward(model.emb, model.out, sequences, model.base_size)[2]
-    at = [p + s.answer_pos - 1 for (_, p), s in zip(sequences, samples)]
+    block, lengths, prefix_len = _conditioned(model, samples, anchors, settings, frozen)
+    ctx = _forward(model.emb, model.out, block, lengths, prefix_len, model.base_size)[1]
+    at = [prefix_len + s.answer_pos - 1 for s in samples]
     # one context row times the head per sample: reading the answer logits
     # off the all-positions product would round differently
     logits = np.matmul(ctx[at, np.arange(len(samples))][:, None, :], model.out)[:, 0]
@@ -803,13 +806,10 @@ def run_training(
     data_rng = np.random.default_rng(config.seed + 1)
     checksum_before = anchors.checksum()
 
-    frozen: dict[str, ControlPrefix] | None = None
+    frozen = eval_frozen = None  # a row per sample of train_samples + eval_samples
     if config.ecr.enabled and config.ecr.freeze_prefix:
-        every = train_samples + eval_samples
-        frozen = {
-            f"{s.dialog_id}:{s.language}": prefix
-            for s, prefix in zip(every, _prefixes(model, every, anchors, config.ecr))
-        }
+        frozen = _prefixes(model, train_samples + eval_samples, anchors, config.ecr)
+        eval_frozen = frozen[len(train_samples) :]
 
     # Each distinct held-out query is pooled once per epoch, for both the
     # student embeddings (the first n_eval rows) and the language variants.
@@ -818,7 +818,6 @@ def run_training(
     slot = {q: i for i, q in enumerate(dict.fromkeys(queries))}
     rows_of = [slot[q] for q in queries]
     n_eval = len(eval_samples)
-    student_ids = [f"{s.dialog_id}:{s.language}" for s in eval_samples]
     langs = [s.language for s in eval_samples]
 
     loss_curve: list[float] = []
@@ -834,9 +833,11 @@ def run_training(
     for _epoch in range(config.epochs):
         order = data_rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch = [train_samples[i] for i in order[start : start + config.batch_size]]
+            rows = order[start : start + config.batch_size]
+            batch = [train_samples[i] for i in rows]
+            batch_frozen = None if frozen is None else frozen[rows]
             try:
-                loss = train_step(model, batch, anchors, config, optimizer, frozen)
+                loss = train_step(model, batch, anchors, config, optimizer, batch_frozen)
             except CodecError:
                 # live prefixes cannot be encoded from a non-finite table
                 if np.isfinite(model.emb).all():
@@ -855,16 +856,18 @@ def run_training(
         if diverged:
             divergence_step = len(loss_curve)
             break
-        nll_epochs.append(nll_eval(model, eval_samples, anchors, config.ecr, frozen))
-        student = EmbeddingMatrix(data=pooled[:n_eval].astype(np.float32), ids=student_ids)
-        geometry_epochs.append(compute_geometry(student, langs, "labels").to_dict())
-        purity_epochs.append(purity(student, langs).to_dict())
+        nll_epochs.append(nll_eval(model, eval_samples, anchors, config.ecr, eval_frozen))
+        # one manifold pass over the float32 student rows gives both reports
+        student = pooled[:n_eval].astype(np.float32).astype(np.float64)
+        stats = _manifold_stats(student, langs)
+        geometry_epochs.append(_geometry_report(stats, "labels").to_dict())
+        purity_epochs.append(_purity_report(student, langs, stats).to_dict())
         consistency = eval_crosslingual(pooled[n_eval:], eval_records, diagnostic_anchors)
         consistency_epochs.append(consistency.to_dict())
 
     accuracy = None
     if not diverged:
-        accuracy = task_accuracy(model, eval_samples, anchors, config.ecr, frozen)
+        accuracy = task_accuracy(model, eval_samples, anchors, config.ecr, eval_frozen)
     report = ExperimentReport(
         arm=arm,
         config=config.to_dict(),

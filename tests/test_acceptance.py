@@ -26,7 +26,7 @@ from ecr.codec import (
     ControlToken,
     encode,
     parse_token,
-    project,
+    project_batch,
     quantize_value,
     token_vocabulary,
 )
@@ -103,11 +103,11 @@ def test_acceptance_02_projection_matches_scalar_oracle():
     for trial in range(1000):
         anchors, d = _random_anchor_set(rng)
         h = rng.normal(size=d)
-        affinities = project(h, anchors)
+        affinities = project_batch(h[None], anchors)[0]
         flat = np.vstack([g.centroids for g in anchors.groups])
         for j in range(flat.shape[0]):
             want = _scalar_cosine(h, flat[j])
-            assert abs(float(affinities.values[j]) - want) < 1e-9
+            assert abs(float(affinities[j]) - want) < 1e-9
         base = encode(h, anchors, n_bins=8)
         for alpha in (0.5, 3.0, 10.0):
             scaled = encode(alpha * h, anchors, n_bins=8)
@@ -404,8 +404,9 @@ def test_acceptance_12_output_gradient_matches_finite_differences():
     vocab_size, dim = 7, 5
     emb = rng.normal(scale=0.5, size=(vocab_size, dim))
     out = rng.normal(scale=0.5, size=(dim, vocab_size))
-    sequences = [(np.array([2, 5, 1], dtype=np.int64), 0)]
-    _, _, _, d_out = _forward_backward(emb, out, sequences, vocab_size)
+    # one sequence, no prefix: the block form is the ids, their length and 0
+    block, lengths = np.array([[2, 5, 1]], dtype=np.int64), np.array([3])
+    _, _, _, d_out = _forward_backward(emb, out, block, lengths, 0, vocab_size)
 
     step = 1e-5
     worst = 0.0
@@ -413,9 +414,9 @@ def test_acceptance_12_output_gradient_matches_finite_differences():
         for j in range(vocab_size):
             bumped = out.copy()
             bumped[i, j] += step
-            up = _forward_backward(emb, bumped, sequences, vocab_size)[0]
+            up = _forward_backward(emb, bumped, block, lengths, 0, vocab_size)[0]
             bumped[i, j] -= 2 * step
-            down = _forward_backward(emb, bumped, sequences, vocab_size)[0]
+            down = _forward_backward(emb, bumped, block, lengths, 0, vocab_size)[0]
             numeric = (up - down) / (2 * step)
             rel = abs(numeric - d_out[i, j]) / max(abs(numeric), abs(d_out[i, j]), 1e-12)
             worst = max(worst, rel)

@@ -18,7 +18,7 @@ from ecr.anchors import (
     load_anchors,
     save_anchors,
 )
-from ecr.codec import encode, project
+from ecr.codec import encode, project_batch
 from ecr.corpus import EmbeddingMatrix
 
 
@@ -267,7 +267,7 @@ def test_extreme_scale_rows_encode_like_unscaled(tmp_path):
     loaded = load_anchors(path)
     assert np.allclose(loaded.stacked_unit(), plain.stacked_unit(), rtol=0, atol=1e-15)
     for h in rng.normal(size=(50, 6)):
-        pos = (project(h, plain).values + 1.0) / 2.0 * 8
+        pos = (project_batch(h[None], plain)[0] + 1.0) / 2.0 * 8
         if np.abs(pos - np.round(pos)).min() > 1e-3:  # away from every bin edge
             break
     else:

@@ -264,6 +264,29 @@ def test_encode_out_peak_stays_below_three_matrices(tmp_path):
     assert peak <= 3 * rows.nbytes
 
 
+def test_consistency_peak_stays_below_three_matrices(tmp_path):
+    # the rows are projected and ranked a block at a time, so no float64
+    # copy of the whole file is made beside the loaded float32 matrix
+    import tracemalloc
+
+    rows = _teacher_width_files(tmp_path, 2001)
+    ids = [f"d{i // 3}:{('en', 'zh', 'hi')[i % 3]}" for i in range(len(rows))]
+    save_embeddings(EmbeddingMatrix(data=rows, ids=ids), str(tmp_path / "rows.bin"))
+    argv = [
+        "consistency", "--embeddings", str(tmp_path / "rows.bin"),
+        "--anchors", str(tmp_path / "anchors.bin"), "--topk", "2",
+        "--out", str(tmp_path / "c.json"),
+    ]
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rows.nbytes
+    assert json.loads((tmp_path / "c.json").read_text())["n_records"] == 667
+
+
 def test_encode_and_topk_fail_whole_on_a_bad_row_in_a_later_block(capsys, tmp_path):
     rows = _teacher_width_files(tmp_path, 600)
     rows[513] = 0.0

@@ -15,7 +15,6 @@ from ecr.codec import (
     encode,
     encode_batch,
     parse_token,
-    project,
     project_batch,
     quantize_value,
     rank_anchors,
@@ -100,7 +99,7 @@ def test_projection_matches_scalar_loop_oracle():
     raw = np.vstack([g.centroids for g in anchors.groups])
     for trial in range(20):
         h = rng.normal(size=8)
-        got = project(h, anchors).values
+        got = project_batch(h[None], anchors)[0]
         hn = h / np.linalg.norm(h)
         for i in range(raw.shape[0]):
             a = raw[i] / np.linalg.norm(raw[i])
@@ -112,9 +111,9 @@ def test_projection_scale_invariant():
     anchors = _anchor_set(("T", "L"), d=6, seed=5)
     rng = np.random.default_rng(2)
     h = rng.normal(size=6)
-    base = project(h, anchors).values
+    base = project_batch(h[None], anchors)[0]
     for alpha in (0.5, 3.0, 10.0):
-        scaled = project(alpha * h, anchors).values
+        scaled = project_batch(alpha * h[None], anchors)[0]
         assert np.max(np.abs(scaled - base)) < 1e-9
 
 
@@ -122,20 +121,20 @@ def test_projection_values_bounded():
     anchors = _anchor_set(("T", "L"), d=6)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        v = project(rng.normal(size=6) * 100, anchors).values
+        v = project_batch(rng.normal(size=(1, 6)) * 100, anchors)[0]
         assert np.all(v >= -1.0) and np.all(v <= 1.0)
 
 
 def test_projection_dimension_guard():
     anchors = _anchor_set(("T",), d=6)
     with pytest.raises(CodecError, match="dimension"):
-        project(np.ones(5), anchors)
+        project_batch(np.ones((1, 5)), anchors)
 
 
 def test_projection_zero_vector_rejected():
     anchors = _anchor_set(("T",), d=6)
     with pytest.raises(ValueError):
-        project(np.zeros(6), anchors)
+        project_batch(np.zeros((1, 6)), anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def test_topk_returns_descending_affinity():
     anchors = _anchor_set(("T", "L"), d=6, seed=9)
     rng = np.random.default_rng(5)
     h = rng.normal(size=6)
-    affinity = project(h, anchors).values
+    affinity = project_batch(h[None], anchors)[0]
     got = _topk(h, anchors, 3)
     assert len(got) == 3
     vals = affinity[got]
@@ -324,7 +323,7 @@ def test_encode_round_trip_property(seed, n_bins):
     # quantized affinities
     assert [parse_token(t) for t in re.findall(r"<[^>]*>", prefix.text)] == list(prefix.tokens)
     assert [vocab.token_of(tid) for tid in prefix.token_ids] == list(prefix.tokens)
-    values = project(h, anchors).values
+    values = project_batch(h[None], anchors)[0]
     assert [t.bin for t in prefix.tokens] == [quantize_value(float(c), n_bins) for c in values]
 
 
@@ -339,7 +338,7 @@ def test_non_finite_rows_rejected(bad):
     h[2] = bad
     rows = np.vstack([np.ones(6), h])
     with pytest.raises(CodecError, match="non-finite"):
-        project(h, anchors)
+        project_batch(h[None], anchors)
     with pytest.raises(CodecError, match="non-finite"):
         encode(h, anchors, n_bins=8)
     with pytest.raises(CodecError, match="non-finite"):
@@ -386,7 +385,7 @@ def test_encode_batch_rows_equal_single_encode(seed, n_rows, n_bins, mode, scope
     assert len(batch) == n_rows
     for i, prefix in enumerate(batch):
         assert prefix == encode(H[i], anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
-        assert np.array_equal(values[i], project(H[i], anchors).values)
+        assert np.array_equal(values[i], project_batch(H[i : i + 1], anchors)[0])
         assert prefix.text == "".join(t.render() for t in prefix.tokens)
         for tok, tid in zip(prefix.tokens, prefix.token_ids):
             flat = _flat_index(anchors, tok)
@@ -398,7 +397,7 @@ def test_token_tables_kept_apart_per_bin_count():
     anchors = _anchor_set(("T", "L"), d=6, seed=4)
     rng = np.random.default_rng(11)
     h = rng.normal(size=6)
-    values = project(h, anchors).values
+    values = project_batch(h[None], anchors)[0]
     for n_bins in (4, 8, 4):
         vocab = token_vocabulary(anchors, n_bins=n_bins, base_size=0)
         prefix = encode(h, anchors, n_bins, vocab=vocab)

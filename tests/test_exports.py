@@ -37,17 +37,12 @@ SEARCHED = ("src/ecr", "scripts", "bench")
 
 # Exported names that no program file uses, each kept for the test named.
 KEPT_FOR_TESTS = {
-    # test_acceptance_02_projection_matches_scalar_oracle
-    "project": "tests/test_acceptance.py",
     # test_acceptance_03_quantizer_monotone_covering_endpoints
     "quantize_value": "tests/test_acceptance.py",
     # test_acceptance_04_token_codec_bijective
     "parse_token": "tests/test_acceptance.py",
     # test_acceptance_10_pca_orthonormal_and_lossless
     "pca_reconstruct": "tests/test_acceptance.py",
-    # the public single-query pooling, read by the test_embed_sequence_*
-    # tests and test_pooled_queries_match_embed_sequence
-    "embed_sequence": "tests/test_toytrain.py",
 }
 
 

@@ -8,7 +8,9 @@ byte of them changes a digest.  The set-up path is pinned the same way:
 the ``make-synthetic`` files, the ``build-anchors`` anchor file and
 stdout, and one seeded k-means fit.  So are the files and stdout of
 ``encode`` and ``topk``, over a matrix that is not a whole number of the
-CLI's row blocks and over a matrix with no rows.
+CLI's row blocks and over a matrix with no rows, and the report and
+stdout of ``consistency`` over such a matrix.  Single-arm reports pin the
+retrieval-mode and frozen-prefix training paths.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ from ecr.toytrain import (
     make_synthetic_corpus,
     run_ablation,
     run_experiment,
+    run_single_arm,
 )
 
 
@@ -44,6 +47,10 @@ GOLDEN = {
     "encode_topk": "ea34ef177ae63e64fdd6fa166c8feb150528f7eb73e82aade3670efd3f5695a6",
     "topk": "50c6c9aadc537772a8e6fed0923e26a35fc48335dd2c3e62b391d2f77f96f068",
     "encode_stdout": "2e3fa0d5d40a8684b785de8c7147807e03aa69378bc9686c04f0b06ffb6e9426",
+    "single_arm_retrieval": "a24ad253d286691024eb961873ed7af55362996a0183905a847511a76bffa1ae",
+    "single_arm_retrieval_all": "b758b5b1c19e9334afda8be719806e51b76a3af13096b482adf144446ba98c6b",
+    "single_arm_frozen": "24a2a92c8b0e68ddae425c65c5c96f2b9fb3a1e587dfb81d5c5f1db1986a4dd9",
+    "consistency": "3ce7d48e9bb027367c54508c652b1e9f48c719003d64ed7b51eccf394ed23015",
 }
 
 
@@ -64,6 +71,21 @@ def test_run_experiment_json_digest(toy):
     configs = {"baseline": cfg, "ecr": replace(cfg, ecr=replace(cfg.ecr, enabled=True))}
     outcome = run_experiment(data, anchors, configs)
     assert _digest(outcome.to_dict()) == GOLDEN["run_experiment"]
+
+
+SINGLE_ARMS = {
+    "single_arm_retrieval": dict(mode="retrieval", k=2),
+    "single_arm_retrieval_all": dict(mode="retrieval", k=3, scope="all"),
+    "single_arm_frozen": dict(freeze_prefix=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_ARMS))
+def test_run_single_arm_json_digest(toy, name):
+    data, anchors, cfg = toy
+    cfg = replace(cfg, ecr=replace(cfg.ecr, enabled=True, **SINGLE_ARMS[name]))
+    _, report = run_single_arm(data, anchors, cfg)
+    assert _digest(report.to_dict()) == GOLDEN[name]
 
 
 def test_run_ablation_rows_digest(toy):
@@ -186,3 +208,29 @@ def test_cli_rows_digest(setup_files, row_files, name):
                 assert written == b"\n"
             parts.append(_sha(written).encode())
     assert _sha(b"\n".join(parts)) == GOLDEN[name]
+
+
+def test_consistency_report_and_stdout_digest(setup_files, tmp_path):
+    """200 records in three languages, 600 rows in shuffled order: two
+    256-row blocks and a remainder, with each record's variants spread
+    over the blocks."""
+    setup_root, _ = setup_files
+    rng = np.random.default_rng(13)
+    centres = rng.standard_normal((200, 96))
+    rows = np.repeat(centres, 3, axis=0) + 0.4 * rng.standard_normal((600, 96))
+    ids = [f"d{r:03d}:{lang}" for r in range(200) for lang in ("en", "zh", "hi")]
+    order = rng.permutation(600)
+    path = str(tmp_path / "variants.bin")
+    matrix = EmbeddingMatrix(data=rows[order].astype(np.float32), ids=[ids[i] for i in order])
+    save_embeddings(matrix, path)
+    parts = []
+    for topk in ("1", "3"):
+        out = tmp_path / f"consistency{topk}.json"
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert dispatch([
+                "consistency", "--embeddings", path, "--anchors",
+                str(setup_root / "anchors.bin"), "--topk", topk, "--out", str(out),
+            ]) == 0
+        parts += [printed.getvalue().replace(str(tmp_path), "<dir>").encode(), out.read_bytes()]
+    assert _sha(b"\n".join(parts)) == GOLDEN["consistency"]

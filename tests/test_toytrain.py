@@ -18,10 +18,10 @@ from ecr.toytrain import (
     VocabLayout,
     _forward_backward,
     _pooled_queries,
+    _prefixes,
     _variant_queries,
     build_toy_anchors,
     clip_gradients,
-    embed_sequence,
     eval_crosslingual,
     init_model,
     make_samples,
@@ -250,15 +250,14 @@ def test_embed_sequence_is_mean_of_base_rows():
     model = init_model(data.layout.base_size, 8, anchors, 8, seed=0)
     ids = [0, 1, 2]
     want = (model.emb[0] + model.emb[1] + model.emb[2]) / 3.0
-    assert np.allclose(embed_sequence(model, ids), want, atol=1e-12)
+    assert np.allclose(_pooled_queries(model, [ids])[0], want, atol=1e-12)
 
 
 def test_embed_sequence_skips_control_rows():
     data, anchors = _tiny_setup()
     model = init_model(data.layout.base_size, 8, anchors, 8, seed=0)
     ctrl = model.base_size  # first control id
-    mixed = embed_sequence(model, [0, ctrl, 1])
-    plain = embed_sequence(model, [0, 1])
+    mixed, plain = _pooled_queries(model, [[0, ctrl, 1], [0, 1]])
     assert np.array_equal(mixed, plain)
 
 
@@ -266,15 +265,26 @@ def test_embed_sequence_errors():
     data, anchors = _tiny_setup()
     model = init_model(data.layout.base_size, 8, anchors, 8, seed=0)
     with pytest.raises(ToyTrainError, match="empty"):
-        embed_sequence(model, [])
+        _pooled_queries(model, [[]])
     with pytest.raises(ToyTrainError, match="unknown token"):
-        embed_sequence(model, [model.total_vocab + 7])
+        _pooled_queries(model, [[model.total_vocab + 7]])
     with pytest.raises(ToyTrainError, match="non-control"):
-        embed_sequence(model, [model.base_size])
+        _pooled_queries(model, [[model.base_size]])
 
 
 # ---------------------------------------------------------------------------
 # loss and gradients
+
+
+def _block(sequences):
+    """The (block, lengths, prefix length) that ``_forward_backward`` reads
+    for (ids, prefix length) pairs that share one prefix length."""
+    (prefix_len,) = {p for _, p in sequences}
+    lengths = np.array([len(ids) for ids, _ in sequences])
+    block = np.zeros((len(sequences), lengths.max()), dtype=np.int64)
+    for row, (ids, _) in zip(block, sequences):
+        row[: len(ids)] = ids
+    return block, lengths, prefix_len
 
 
 def test_untrained_nll_is_log_vocab():
@@ -287,7 +297,7 @@ def test_untrained_nll_is_log_vocab():
     for _ in range(100):
         ids = rng.integers(0, v, size=102)
         sequences.append((ids.astype(np.int64), 1))
-    loss, n_targets, _, _ = _forward_backward(emb, out, sequences, v)
+    loss, n_targets, _, _ = _forward_backward(emb, out, *_block(sequences), v)
     assert n_targets == 100 * 100
     assert abs(loss - math.log(v)) / math.log(v) < 0.02
 
@@ -297,7 +307,7 @@ def test_loss_matches_hand_computed_cross_entropy():
     emb = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     out = np.array([[0.2, -0.1, 0.3], [0.0, 0.4, -0.2]])
     ids = np.array([0, 1, 2], dtype=np.int64)
-    loss, n_targets, _, _ = _forward_backward(emb, out, [(ids, 0)], 3)
+    loss, n_targets, _, _ = _forward_backward(emb, out, *_block([(ids, 0)]), 3)
     assert n_targets == 2
     want = 0.0
     ctx1 = emb[0]  # predicts position 1
@@ -315,14 +325,14 @@ def test_gradients_match_finite_differences():
     emb = rng.normal(0, 0.5, size=(v, d))
     out = rng.normal(0, 0.5, size=(d, v))
     sequences = [
-        (np.array([0, 1, 2, 3], dtype=np.int64), 0),
+        (np.array([0, 1, 2, 3], dtype=np.int64), 1),
         (np.array([4, 5, 6], dtype=np.int64), 1),
     ]
-    loss, _, d_emb, d_out = _forward_backward(emb, out, sequences, v)
+    loss, _, d_emb, d_out = _forward_backward(emb, out, *_block(sequences), v)
     h = 1e-6
 
     def loss_at(e, o):
-        return _forward_backward(e, o, sequences, v)[0]
+        return _forward_backward(e, o, *_block(sequences), v)[0]
 
     for arr, grad in ((emb, d_emb), (out, d_out)):
         flat_idx = [(i, j) for i in range(arr.shape[0]) for j in range(arr.shape[1])]
@@ -342,7 +352,7 @@ def test_control_token_as_target_rejected():
     out = np.zeros((3, 4))
     ids = np.array([0, 1, 5], dtype=np.int64)  # id 5 is past base_size 4
     with pytest.raises(ToyTrainError, match="control token"):
-        _forward_backward(emb, out, [(ids, 0)], 4)
+        _forward_backward(emb, out, *_block([(ids, 0)]), 4)
 
 
 def test_batch_without_targets_rejected():
@@ -350,7 +360,7 @@ def test_batch_without_targets_rejected():
     out = np.zeros((3, 4))
     ids = np.array([0, 1], dtype=np.int64)
     with pytest.raises(ToyTrainError, match="no prediction targets"):
-        _forward_backward(emb, out, [(ids, 1)], 4)
+        _forward_backward(emb, out, *_block([(ids, 1)]), 4)
 
 
 def test_prefix_positions_excluded_from_targets():
@@ -362,7 +372,7 @@ def test_prefix_positions_excluded_from_targets():
     out = rng.normal(size=(3, 6))
     ids = np.array([4, 0, 1, 2, 3], dtype=np.int64)
     for prefix_len in (0, 1, 2):
-        n = _forward_backward(emb, out, [(ids, prefix_len)], 6)[1]
+        n = _forward_backward(emb, out, *_block([(ids, prefix_len)]), 6)[1]
         assert n == len(ids) - prefix_len - 1
 
 
@@ -442,11 +452,12 @@ def _reference_forward_backward(emb, out, sequences, base_size):
 
 
 def _random_batch(rng, base, total, size, ragged):
-    """(ids, prefix length) pairs: control-block prefixes, base-vocabulary
-    bodies and, when ragged, lengths from 1 to 14 and prefixes of 0 to 4."""
+    """(ids, prefix length) pairs with one prefix length: control-block
+    prefixes and base-vocabulary bodies.  Ragged, the prefix length is 0
+    to 4 and each body 1 to 10 long; otherwise they are 3 and 9."""
+    prefix_len = int(rng.integers(0, 5)) if ragged else 3
     sequences = []
     for _ in range(size):
-        prefix_len = int(rng.integers(0, 5)) if ragged else 3
         body = int(rng.integers(1, 11)) if ragged else 9
         ids = np.concatenate(
             [rng.integers(base, total, size=prefix_len), rng.integers(0, base, size=body)]
@@ -466,8 +477,9 @@ def test_batched_step_bit_identical_to_sequence_loop(seed, ragged):
     sequences = _random_batch(rng, base, total, 32, ragged)
     # a sequence whose only tokens are its prefix and one content token
     # has no target; it must be skipped, not padded into the loss
-    sequences[5] = (np.array([base + 3, base + 9, 7], dtype=np.int64), 2)
-    loss, n_targets, d_emb, d_out = _forward_backward(emb, out, sequences, base)
+    ids, prefix_len = sequences[5]
+    sequences[5] = (np.append(ids[:prefix_len], 7), prefix_len)
+    loss, n_targets, d_emb, d_out = _forward_backward(emb, out, *_block(sequences), base)
     want = _reference_forward_backward(emb, out, sequences, base)
     assert loss == want[0]
     assert n_targets == want[1]
@@ -475,7 +487,6 @@ def test_batched_step_bit_identical_to_sequence_loop(seed, ragged):
     assert np.array_equal(d_out, want[3])
     if ragged:
         assert len({ids.shape[0] for ids, _ in sequences}) > 1
-        assert len({p for _, p in sequences}) > 1
 
 
 def test_batched_step_rejects_control_target_anywhere():
@@ -486,9 +497,10 @@ def test_batched_step_rejects_control_target_anywhere():
     sequences = _random_batch(rng, base, total, 8, ragged=True)
     ids, prefix_len = sequences[6]
     sequences[6] = (np.append(ids, base + 1), prefix_len)  # a control id as the last target
-    for step in (_forward_backward, _reference_forward_backward):
-        with pytest.raises(ToyTrainError, match="control token appeared"):
-            step(emb, out, sequences, base)
+    with pytest.raises(ToyTrainError, match="control token appeared"):
+        _forward_backward(emb, out, *_block(sequences), base)
+    with pytest.raises(ToyTrainError, match="control token appeared"):
+        _reference_forward_backward(emb, out, sequences, base)
 
 
 def _mixed_length_samples(n_per_lang=6):
@@ -499,6 +511,7 @@ def _mixed_length_samples(n_per_lang=6):
 
 
 def test_pooled_queries_match_embed_sequence():
+    # each row is the per-query pooling of its query alone
     data, anchors = _tiny_setup()
     model = init_model(data.layout.base_size, anchors.d, anchors, 8, seed=2)
     queries = [s.tokens[: s.query_len] for s in _mixed_length_samples()]
@@ -507,7 +520,7 @@ def test_pooled_queries_match_embed_sequence():
     pooled = _pooled_queries(model, queries)
     for row, query in zip(pooled, queries):
         assert np.array_equal(row, _reference_embed(model, query))
-        assert np.array_equal(row, embed_sequence(model, query))
+        assert np.array_equal(row, _pooled_queries(model, [query])[0])
 
 
 @pytest.mark.parametrize(
@@ -536,6 +549,10 @@ def test_encode_batch_over_pooled_rows_equals_sample_prefix(settings):
     for prefix, sample in zip(batch, samples):
         assert prefix == sample_prefix(model, sample, anchors, settings)
         assert prefix == _reference_prefix(model, sample, anchors, settings)
+    # the training step reads the same ids, one (B, P) matrix
+    ids = _prefixes(model, samples, anchors, settings)
+    assert ids.dtype == np.int64
+    assert np.array_equal(ids, [prefix.token_ids for prefix in batch])
 
 
 def test_nll_eval_and_task_accuracy_match_sample_loop():
@@ -914,6 +931,72 @@ def test_freeze_prefix_decouples_prefixes_from_updates():
     assert rf.diverged is False and rl.diverged is False
     # both condition, but prefix recomputation feeds different sequences
     assert not np.array_equal(mf.emb, ml.emb)
+
+
+def _entry_points(model, samples, anchors, settings, frozen=None):
+    """train_step, nll_eval and task_accuracy over the samples, as calls."""
+    cfg = _fast_config(ecr=settings)
+    opt = AdamW(lr=cfg.learning_rate)
+    return {
+        "train_step": lambda: train_step(model, samples, anchors, cfg, opt, frozen),
+        "nll_eval": lambda: nll_eval(model, samples, anchors, settings, frozen),
+        "task_accuracy": lambda: task_accuracy(model, samples, anchors, settings, frozen),
+    }
+
+
+def test_conditioning_without_anchors_raises_toytrain_error():
+    data, anchors = _tiny_setup()
+    model = init_model(data.layout.base_size, anchors.d, anchors, 8, seed=0)
+    samples = make_samples(data)[:4]
+    settings = EcrSettings(enabled=True, n_bins=8)
+    frozen = _prefixes(model, samples, anchors, settings)
+    for given in (None, frozen):
+        for call in _entry_points(model, samples, None, settings, given).values():
+            with pytest.raises(ToyTrainError, match="no anchors were given"):
+                call()
+
+
+def test_frozen_prefixes_must_be_one_row_of_control_ids_per_sample():
+    data, anchors = _tiny_setup()
+    model = init_model(data.layout.base_size, anchors.d, anchors, 8, seed=0)
+    samples = make_samples(data)[:4]
+    settings = EcrSettings(enabled=True, n_bins=8)
+    ids = _prefixes(model, samples, anchors, settings)
+    cases = [
+        (ids[:3], r"frozen prefixes int64\(3, 12\): not one per sample"),
+        (np.vstack([ids, ids[:1]]), r"int64\(5, 12\)"),
+        (ids[0], r"int64\(12,\)"),
+        (ids[:, :, None], r"int64\(4, 12, 1\)"),
+        (ids.astype(np.float64), r"float64\(4, 12\)"),
+    ]
+    for bad in (model.total_vocab, model.base_size - 1, -1):
+        wrong = ids.copy()
+        wrong[2, 3] = bad
+        cases.append((wrong, "outside the control block"))
+    for frozen, message in cases:
+        for call in _entry_points(model, samples, anchors, settings, frozen).values():
+            with pytest.raises(ToyTrainError, match=message):
+                call()
+
+
+def test_frozen_prefix_rows_condition_like_live_prefixes():
+    # ids frozen at the current parameters give the live step bit for bit,
+    # so each row is read as its own sample's prefix
+    data, anchors = _tiny_setup(n_per_lang=8)
+    settings = EcrSettings(enabled=True, n_bins=5, mode="retrieval", k=2)
+    samples = _mixed_length_samples()
+    outcomes = []
+    for freeze in (False, True):
+        model = init_model(data.layout.base_size, anchors.d, anchors, 5, seed=3)
+        frozen = _prefixes(model, samples, anchors, settings) if freeze else None
+        if freeze:
+            assert frozen.shape == (len(samples), 8)  # two of each factor's three anchors
+        calls = _entry_points(model, samples, anchors, settings, frozen)
+        outcomes.append([calls[name]() for name in ("nll_eval", "task_accuracy", "train_step")])
+        outcomes[-1] += [model.emb, model.out]
+    live, frozen = outcomes
+    assert live[:3] == frozen[:3]
+    assert np.array_equal(live[3], frozen[3]) and np.array_equal(live[4], frozen[4])
 
 
 def test_anchors_never_move_during_training():
