@@ -88,9 +88,8 @@ def _write_report(out: str | None, payload: dict) -> None:
         print(f"wrote {out}")
 
 
-# Rows that ``encode``, ``topk`` and ``consistency`` widen to float64 and
-# project at a time, so that no float64 copy of the whole file is made;
-# the codec gives each row the same bits whatever block it is in.
+# ``encode``, ``topk`` and ``consistency`` widen this many rows to float64
+# at a time, never the whole file; the codec gives a row the same bits in any block.
 _ROW_BLOCK = 256
 
 

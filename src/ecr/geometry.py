@@ -153,11 +153,19 @@ def purity(embeddings: EmbeddingMatrix, languages: list[str]) -> PurityReport:
     L2; distance ties resolve to the lexicographically first language.
     The prototypes are the language manifolds' centroids.
     """
+    return _purity(embeddings, languages)[1]
+
+
+def manifold_reports(embeddings: EmbeddingMatrix, languages: list[str], source: str) -> tuple:
+    """``compute_geometry(embeddings, languages, source)`` and
+    ``purity(embeddings, languages)``, from one manifold pass."""
+    stats, report = _purity(embeddings, languages)
+    return _geometry_report(stats, source), report
+
+
+def _purity(embeddings: EmbeddingMatrix, languages: list[str]) -> tuple:
     data = embeddings.data.astype(np.float64)
-    return _purity_report(data, languages, _manifold_stats(data, languages))
-
-
-def _purity_report(data: np.ndarray, languages: list[str], stats: dict) -> PurityReport:
+    stats = _manifold_stats(data, languages)
     names = tuple(stats)
     if len(stats) < 2:
         raise GeometryError(f"purity needs at least 2 languages, got {len(stats)}")
@@ -172,12 +180,7 @@ def _purity_report(data: np.ndarray, languages: list[str], stats: dict) -> Purit
         correct[true] += true == got
     per_language = {lang: correct[lang] / m.size for lang, m in stats.items()}
     overall = sum(correct.values()) / len(languages)
-    return PurityReport(
-        per_language=per_language,
-        overall=overall,
-        n=len(languages),
-        assigned=assigned,
-    )
+    return stats, PurityReport(per_language, overall, len(languages), assigned)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,7 @@ from .codec import (
     token_vocabulary,
 )
 from .corpus import Corpus, CorpusHeader, CorpusRecord, EmbeddingMatrix, LANGUAGES
-from .geometry import CrosslingualReport, crosslingual_consistency
-from .geometry import _geometry_report, _manifold_stats, _purity_report
+from .geometry import CrosslingualReport, crosslingual_consistency, manifold_reports
 
 
 class ToyTrainError(ValueError):
@@ -411,13 +410,12 @@ def _forward(
     """The forward pass of a right-padded (B, T) id block: row b holds
     ``lengths[b]`` ids, the first ``prefix_len`` its prefix, and ``ctx[j, b]``,
     the running mean of its embeddings at positions 0..j (np.cumsum's sums,
-    made position by position), predicts position j+1, so right padding
-    never reaches a real context.  Targets
-    are the positions after both the prefix and the first content token,
-    so conditioned and plain arms score the same targets.  Rows with q
-    targets share one (G, q, d) @ (d, V) head product, which keeps each
-    one's row count: BLAS rounds a row differently in a taller product.
-    Returns (real-position mask, ctx, per group (members, positions,
+    made position by position), predicts position j+1, so right padding never
+    reaches a real context.  Targets are the positions after both the prefix and
+    the first content token, so conditioned and plain arms score the same
+    targets.  Rows with q targets share one (G, q, d) @ (d, V) head product,
+    which keeps each one's row count: BLAS rounds a row differently in a taller
+    product.  Returns (real-position mask, ctx, per group (members, positions,
     context rows, target index, log-softmax rows), NLL sums, target counts).
     """
     real = np.arange(block.shape[1]) < lengths[:, None]
@@ -818,6 +816,7 @@ def run_training(
     slot = {q: i for i, q in enumerate(dict.fromkeys(queries))}
     rows_of = [slot[q] for q in queries]
     n_eval = len(eval_samples)
+    student_ids = [f"{s.dialog_id}:{s.language}" for s in eval_samples]
     langs = [s.language for s in eval_samples]
 
     loss_curve: list[float] = []
@@ -857,11 +856,10 @@ def run_training(
             divergence_step = len(loss_curve)
             break
         nll_epochs.append(nll_eval(model, eval_samples, anchors, config.ecr, eval_frozen))
-        # one manifold pass over the float32 student rows gives both reports
-        student = pooled[:n_eval].astype(np.float32).astype(np.float64)
-        stats = _manifold_stats(student, langs)
-        geometry_epochs.append(_geometry_report(stats, "labels").to_dict())
-        purity_epochs.append(_purity_report(student, langs, stats).to_dict())
+        student = EmbeddingMatrix(data=pooled[:n_eval].astype(np.float32), ids=student_ids)
+        geometry_report, purity_report = manifold_reports(student, langs, "labels")
+        geometry_epochs.append(geometry_report.to_dict())
+        purity_epochs.append(purity_report.to_dict())
         consistency = eval_crosslingual(pooled[n_eval:], eval_records, diagnostic_anchors)
         consistency_epochs.append(consistency.to_dict())
 

@@ -13,6 +13,7 @@ from ecr.geometry import (
     compute_geometry,
     crosslingual_consistency,
     geometry_ratio,
+    manifold_reports,
     purity,
 )
 
@@ -274,6 +275,22 @@ def test_purity_validation():
         purity(m, ["en", "en", "en"])  # single language
     with pytest.raises(GeometryError, match="2 labels for 3 rows"):
         purity(m, ["en", "zh"])  # length mismatch
+
+
+def test_manifold_reports_equal_the_two_public_reports():
+    rng = np.random.default_rng(9)
+    langs = ["en", "zh", "hi"]
+    for _ in range(20):
+        n = int(rng.integers(6, 20))
+        labels = [langs[i % 3] for i in range(n)]
+        m = _matrix(rng.normal(size=(n, 4)))
+        geometry, pure = manifold_reports(m, labels, "labels")
+        assert geometry == compute_geometry(m, labels, "labels")
+        assert pure == purity(m, labels)
+    with pytest.raises(GeometryError, match="2 labels for 3 rows"):
+        manifold_reports(_matrix(np.ones((3, 2))), ["en", "zh"], "labels")
+    with pytest.raises(GeometryError, match="purity needs at least 2 languages"):
+        manifold_reports(_matrix(np.ones((3, 2))), ["en"] * 3, "labels")
 
 
 # ---------------------------------------------------------------------------

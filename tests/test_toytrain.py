@@ -324,10 +324,16 @@ def test_gradients_match_finite_differences():
     v, d = 7, 4
     emb = rng.normal(0, 0.5, size=(v, d))
     out = rng.normal(0, 0.5, size=(d, v))
-    sequences = [
-        (np.array([0, 1, 2, 3], dtype=np.int64), 1),
-        (np.array([4, 5, 6], dtype=np.int64), 1),
-    ]
+    # prefix-free (the baseline) and one-token prefixes, one length per batch
+    for prefix_len in (0, 1):
+        sequences = [
+            (np.array([0, 1, 2, 3], dtype=np.int64), prefix_len),
+            (np.array([4, 5, 6], dtype=np.int64), prefix_len),
+        ]
+        _check_finite_differences(emb, out, sequences, v)
+
+
+def _check_finite_differences(emb, out, sequences, v):
     loss, _, d_emb, d_out = _forward_backward(emb, out, *_block(sequences), v)
     h = 1e-6
 
@@ -451,11 +457,10 @@ def _reference_forward_backward(emb, out, sequences, base_size):
     return total * inv, n_targets, d_emb, d_out
 
 
-def _random_batch(rng, base, total, size, ragged):
-    """(ids, prefix length) pairs with one prefix length: control-block
-    prefixes and base-vocabulary bodies.  Ragged, the prefix length is 0
-    to 4 and each body 1 to 10 long; otherwise they are 3 and 9."""
-    prefix_len = int(rng.integers(0, 5)) if ragged else 3
+def _random_batch(rng, base, total, size, prefix_len, ragged):
+    """(ids, prefix length) pairs sharing ``prefix_len``: control-block
+    prefixes and base-vocabulary bodies, each body 1 to 10 long when
+    ragged and 9 otherwise."""
     sequences = []
     for _ in range(size):
         body = int(rng.integers(1, 11)) if ragged else 9
@@ -466,15 +471,20 @@ def _random_batch(rng, base, total, size, ragged):
     return sequences
 
 
-@pytest.mark.parametrize("seed", range(6))
+BATCH_SEEDS = range(6)
+
+
+@pytest.mark.parametrize("seed", BATCH_SEEDS)
 @pytest.mark.parametrize("ragged", [False, True])
 def test_batched_step_bit_identical_to_sequence_loop(seed, ragged):
+    # ragged batches take prefix length seed % 5, so the seeds cover 0 to 4
+    assert {s % 5 for s in BATCH_SEEDS} == set(range(5))
     rng = np.random.default_rng(100 + seed)
     base, d = 50, 24
     total = base + 29 * 8
     emb = rng.normal(0.0, 0.5, size=(total, d))
     out = rng.normal(0.0, 0.5, size=(d, base))
-    sequences = _random_batch(rng, base, total, 32, ragged)
+    sequences = _random_batch(rng, base, total, 32, seed % 5 if ragged else 3, ragged)
     # a sequence whose only tokens are its prefix and one content token
     # has no target; it must be skipped, not padded into the loss
     ids, prefix_len = sequences[5]
@@ -494,7 +504,7 @@ def test_batched_step_rejects_control_target_anywhere():
     base, total = 20, 36
     emb = rng.normal(size=(total, 4))
     out = rng.normal(size=(4, base))
-    sequences = _random_batch(rng, base, total, 8, ragged=True)
+    sequences = _random_batch(rng, base, total, 8, 2, ragged=True)
     ids, prefix_len = sequences[6]
     sequences[6] = (np.append(ids, base + 1), prefix_len)  # a control id as the last target
     with pytest.raises(ToyTrainError, match="control token appeared"):
