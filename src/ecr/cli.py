@@ -119,11 +119,13 @@ def _row_blocks(matrix: EmbeddingMatrix) -> Iterator[tuple[list[str], np.ndarray
         yield matrix.ids[start:stop], matrix.data[start:stop].astype(np.float64)
 
 
-def _load_vectors(path: str, pca: str | None) -> tuple[EmbeddingMatrix, np.ndarray]:
-    """An embedding file and its rows, PCA-projected if ``pca`` names a model."""
+def _load_vectors(path: str, pca: str | None) -> tuple[list[str], np.ndarray]:
+    """The ids and float64 rows of an embedding file, PCA-projected if ``pca``
+    names a model; the loaded float32 matrix is not kept beside them."""
     matrix = load_embeddings(path)
-    vectors = matrix.data.astype(np.float64)
-    return matrix, pca_project(load_pca(pca), vectors) if pca else vectors
+    ids, vectors = matrix.ids, matrix.data.astype(np.float64)
+    del matrix
+    return ids, pca_project(load_pca(pca), vectors) if pca else vectors
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +223,10 @@ def cmd_pca_fit(args) -> int:
 
 
 def cmd_index_build(args) -> int:
-    embeddings, vectors = _load_vectors(args.embeddings, args.pca)
+    ids, vectors = _load_vectors(args.embeddings, args.pca)
     index = build_index(
         vectors,
-        ids=list(embeddings.ids),
+        ids=ids,
         m=args.m,
         ef_construction=args.efc,
         seed=args.seed,
@@ -241,9 +243,9 @@ def cmd_index_build(args) -> int:
 
 def cmd_index_query(args) -> int:
     index = load_index(args.index)
-    queries, vectors = _load_vectors(args.queries, args.pca)
+    ids, vectors = _load_vectors(args.queries, args.pca)
     rows = []
-    for i, row_id in enumerate(queries.ids):
+    for i, row_id in enumerate(ids):
         result = query(index, vectors[i], args.k, ef_search=args.ef)
         rows.append(
             {

@@ -20,15 +20,25 @@ Encoding is batched: one step projects, quantizes and selects a whole
 matrix at once into an (n, P) matrix of token-table indices, which a
 training step reads as ids.  :func:`encode_batch` renders its rows as
 prefixes; :func:`encode` and the trainer's ``sample_prefix`` are batches
-of one.  Tokens and their text come from a table of every (anchor, bin)
-token, built once per anchor set and bin count; the anchor layout and
-unit anchors come from the anchor set's own cache.
+of one.  Tokens, their text and their ids come from a table of every
+(anchor, bin) token, built once per anchor set and bin count (the ids
+once per base size), and a row renders with one ``itemgetter`` per
+field; the anchor layout and unit anchors come from the anchor set's own
+cache.
+
+Rounding can put a cosine an ulp or so past +-1.  Clipping to [-1, 1]
+applies only where the values are read as values: :func:`project_batch`
+returns them clipped, and retrieval mode ranks them clipped, so such an
+anchor ties with any other at the edge.  Bins are taken from the
+unclipped cosines, which the quantizer's floor and clamp already put in
+bin 0 and bin B-1, as for the clipped values.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,13 +84,12 @@ class ControlPrefix:
         return len(self.tokens)
 
 
-def project_batch(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
-    """Cosine affinities of every row of H against every anchor, (n, total_k).
+def _cosines(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
+    """Unclipped cosines of every row of H against every anchor, (n, total_k).
 
-    Both sides are unit-normalized, so each entry is a cosine in [-1, 1];
-    values are clipped to that range to absorb rounding.  The product is
-    one stacked matrix-vector multiply per row, inside one numpy call, so
-    row i has the same bits whatever the batch it is in.
+    One stacked matrix-vector multiply per row, inside one numpy call, so
+    row i has the same bits whatever the batch it is in.  Rounding can put
+    an entry an ulp or so outside [-1, 1].
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:
@@ -93,9 +102,23 @@ def project_batch(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
         unit = normalize_rows(H)
     except ValueError as exc:
         raise CodecError(str(exc)) from None
-    values = np.matmul(anchors.stacked_unit(), unit[:, :, None])[:, :, 0]
+    return np.matmul(anchors.stacked_unit(), unit[:, :, None])[:, :, 0]
+
+
+def _clip(values: np.ndarray) -> np.ndarray:
+    """``values`` clipped to [-1, 1] in place."""
     # np.minimum/np.maximum: the same clip as np.clip at a fraction of its call cost
     return np.minimum(np.maximum(values, -1.0, out=values), 1.0, out=values)
+
+
+def project_batch(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
+    """Cosine affinities of every row of H against every anchor, (n, total_k).
+
+    Both sides are unit-normalized, so each entry is a cosine in [-1, 1];
+    values are clipped to that range to absorb rounding.  Row i has the
+    same bits whatever the batch it is in.
+    """
+    return _clip(_cosines(H, anchors))
 
 
 def quantize_value(c: float, n_bins: int) -> int:
@@ -113,12 +136,15 @@ def quantize_value(c: float, n_bins: int) -> int:
 
 
 def _bins(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """:func:`quantize_value` applied to every entry of a projection at once.
+    """The bins :func:`quantize_value` gives every entry of a projection,
+    clipped to [-1, 1], all at once.
 
     (c+1) * (B/2) is the same float as (c+1) / 2 * B, since halving is
-    exact.  The entries are already clipped to [-1, 1], so it is never
-    negative: the integer cast is the floor, and only the top edge needs
-    the clamp.
+    exact.  The entries need not be clipped: a cosine that rounding puts
+    just below -1 scales into (-1, 0), which the integer cast truncates to
+    bin 0, and one just above 1 scales to B, which the clamp sends to bin
+    B-1, as clipping first would.  Inside [-1, 1] the scaled value is never
+    negative, so the cast is the floor.
     """
     if n_bins < 2:
         raise CodecError(f"n_bins must be at least 2, got {n_bins}")
@@ -203,6 +229,14 @@ class _TokenTable:
     tokens: tuple[ControlToken, ...]
     texts: tuple[str, ...]
     offsets: np.ndarray  # (total_k,) flat anchor index * n_bins
+    _ids: dict[int, tuple[int, ...]] = field(default_factory=dict)  # base size -> ids
+
+    def vocab_ids(self, base_size: int) -> tuple[int, ...]:
+        """Every entry's vocabulary id over ``base_size``, made once per base size."""
+        ids = self._ids.get(base_size)
+        if ids is None:
+            ids = self._ids[base_size] = tuple(range(base_size, base_size + len(self.tokens)))
+        return ids
 
 
 def _token_table(anchors: AnchorSet, n_bins: int) -> _TokenTable:
@@ -226,14 +260,15 @@ def _token_table(anchors: AnchorSet, n_bins: int) -> _TokenTable:
     return table
 
 
-def _render(table: _TokenTable, flat: list[int], vocab: TokenVocabulary | None) -> ControlPrefix:
-    """The prefix of the table entries at ``flat``; a token's vocabulary id
-    is the base size plus its table index."""
-    tokens, texts = table.tokens, table.texts
+def _render(table: _TokenTable, flat: list[int], ids: tuple[int, ...] | None) -> ControlPrefix:
+    """The prefix of the table entries at ``flat``, with their entries of
+    ``ids`` as vocabulary ids (none without ``ids``)."""
+    # itemgetter of one index returns the bare item; a one-entry slice keeps a tuple
+    get = itemgetter(*flat) if len(flat) > 1 else itemgetter(slice(flat[0], flat[0] + 1))
     return ControlPrefix(
-        tokens=tuple([tokens[j] for j in flat]),
-        token_ids=() if vocab is None else tuple([vocab.base_size + j for j in flat]),
-        text="".join([texts[j] for j in flat]),
+        tokens=get(table.tokens),
+        token_ids=() if ids is None else get(ids),
+        text="".join(get(table.texts)),
     )
 
 
@@ -279,23 +314,25 @@ def _check_vocab(vocab: TokenVocabulary | None, anchors: AnchorSet, n_bins: int)
 def _table_indices(
     H: np.ndarray, anchors: AnchorSet, n_bins: int, mode: str, k: int | None, scope: str,
     vocab: TokenVocabulary | None,
-) -> np.ndarray:
-    """The (n, P) int64 table indices of the tokens :func:`encode_batch`
-    selects for each row, in canonical order; a token's vocabulary id is the
-    base size plus its index.  Every row has the same P: total_k, the sum of
-    min(k, size) over the factors, or k under scope "all"."""
+) -> tuple[_TokenTable, np.ndarray]:
+    """The token table and the (n, P) int64 table indices of the tokens
+    :func:`encode_batch` selects for each row, in canonical order; a token's
+    vocabulary id is the base size plus its index.  Every row has the same P:
+    total_k, the sum of min(k, size) over the factors, or k under scope "all".
+    Bins come from the unclipped cosines; retrieval mode ranks them clipped."""
     if mode not in ("global", "retrieval"):
         raise CodecError(f"unknown encode mode {mode!r}")
     if scope not in ("factor", "all"):
         raise CodecError(f"unknown top-k scope {scope!r}")
     _check_vocab(vocab, anchors, n_bins)
-    values = project_batch(H, anchors)
+    values = _cosines(H, anchors)
     flat = _bins(values, n_bins)
-    flat += _token_table(anchors, n_bins).offsets
+    table = _token_table(anchors, n_bins)
+    flat += table.offsets
     if mode == "retrieval":
-        chosen = _selected(values, anchors.group_sizes, 1 if k is None else k, scope)
+        chosen = _selected(_clip(values), anchors.group_sizes, 1 if k is None else k, scope)
         flat = np.take_along_axis(flat, chosen, axis=1)
-    return flat
+    return table, flat
 
 
 def encode_batch(
@@ -317,9 +354,9 @@ def encode_batch(
     Raises :class:`CodecError` on a row that is zero or has a NaN or
     infinite entry.
     """
-    flat = _table_indices(H, anchors, n_bins, mode, k, scope, vocab)
-    table = _token_table(anchors, n_bins)
-    return [_render(table, row, vocab) for row in flat.tolist()]
+    table, flat = _table_indices(H, anchors, n_bins, mode, k, scope, vocab)
+    ids = None if vocab is None else table.vocab_ids(vocab.base_size)
+    return [_render(table, row, ids) for row in flat.tolist()]
 
 
 def encode(
@@ -332,6 +369,5 @@ def encode(
     vocab: TokenVocabulary | None = None,
 ) -> ControlPrefix:
     """:func:`encode_batch` on a batch of one row."""
-    h = np.asarray(h, dtype=np.float64).ravel()
-    return encode_batch(h[None, :], anchors, n_bins, mode, k, scope, vocab)[0]
+    return encode_batch(np.asarray(h).reshape(1, -1), anchors, n_bins, mode, k, scope, vocab)[0]
 

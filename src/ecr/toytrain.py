@@ -31,6 +31,7 @@ sequences.  Each epoch's diagnostics pool every distinct held-out query once.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -360,9 +361,20 @@ def init_model(
 
 
 def _pad(rows: list, fill: int) -> np.ndarray:
-    """Id sequences as one (B, T) int64 block, right-padded with ``fill``."""
-    pad = (fill,) * max(map(len, rows))
-    return np.array([tuple(r) + pad[len(r) :] for r in rows], dtype=np.int64)
+    """Id sequences as one (B, T) int64 block, right-padded with ``fill``.
+
+    Rows of one length, as every query of the synthetic corpus, go to
+    np.array as they are; ragged rows fill their places in a block of ``fill``.
+    """
+    lengths = list(map(len, rows))
+    width = max(lengths)
+    if min(lengths) == width:
+        return np.array(rows, dtype=np.int64)
+    block = np.full((len(rows), width), fill, dtype=np.int64)
+    block[np.arange(width) < np.array(lengths)[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(rows), np.int64, sum(lengths)
+    )
+    return block
 
 
 def _refuse_first(model: ToyModel, queries: list) -> None:
@@ -601,9 +613,10 @@ def _prefixes(
 ) -> np.ndarray:
     """Every sample's prefix ids, (B, P) int64, from one pooling and codec pass."""
     pooled = _pooled_queries(model, [s.tokens[: s.query_len] for s in samples])
-    return model.base_size + _table_indices(
+    _, flat = _table_indices(
         pooled, anchors, settings.n_bins, settings.mode, settings.k, settings.scope, model.vocab
     )
+    return model.base_size + flat
 
 
 def _conditioned(

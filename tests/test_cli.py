@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecr.anchors import build_anchor_set, save_anchors
-from ecr.cli import dispatch, read_config_file
+from ecr.cli import _load_vectors, dispatch, read_config_file
 from ecr.corpus import EmbeddingMatrix, load_embeddings, save_embeddings
 from ecr.toytrain import make_synthetic_corpus
 
@@ -285,6 +285,23 @@ def test_consistency_peak_stays_below_three_matrices(tmp_path):
         tracemalloc.stop()
     assert peak <= 3 * rows.nbytes
     assert json.loads((tmp_path / "c.json").read_text())["n_records"] == 667
+
+
+def test_load_vectors_keeps_only_the_float64_rows(tmp_path):
+    # index-build, index-query and bench read the rows widened to float64;
+    # the loaded float32 matrix is dropped once they are made
+    import tracemalloc
+
+    rows = _teacher_width_files(tmp_path, 4000)
+    tracemalloc.start()
+    try:
+        ids, vectors = _load_vectors(str(tmp_path / "rows.bin"), None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.1 * rows.nbytes
+    assert ids == [f"r{i}" for i in range(4000)]
+    assert vectors.dtype == np.float64 and np.array_equal(vectors, rows)
 
 
 def test_encode_and_topk_fail_whole_on_a_bad_row_in_a_later_block(capsys, tmp_path):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_corpus, embeddings_for
-from ecr.anchors import build_anchor_set
+from ecr.anchors import AnchorSet, FactorGroup, build_anchor_set
 from ecr.codec import (
     CodecError,
     ControlToken,
+    _cosines,
+    _token_table,
     encode,
     encode_batch,
     parse_token,
@@ -399,10 +401,14 @@ def test_token_tables_kept_apart_per_bin_count():
     h = rng.normal(size=6)
     values = project_batch(h[None], anchors)[0]
     for n_bins in (4, 8, 4):
-        vocab = token_vocabulary(anchors, n_bins=n_bins, base_size=0)
-        prefix = encode(h, anchors, n_bins, vocab=vocab)
-        assert [t.bin for t in prefix.tokens] == [quantize_value(float(c), n_bins) for c in values]
-        assert list(prefix.token_ids) == [vocab.token_id(t) for t in prefix.tokens]
+        for base_size in (0, 57, 0):
+            # one table per bin count, its ids made per base size
+            vocab = token_vocabulary(anchors, n_bins=n_bins, base_size=base_size)
+            prefix = encode(h, anchors, n_bins, vocab=vocab)
+            bins = [quantize_value(float(c), n_bins) for c in values]
+            assert [t.bin for t in prefix.tokens] == bins
+            assert list(prefix.token_ids) == [vocab.token_id(t) for t in prefix.tokens]
+            assert min(prefix.token_ids) >= base_size
 
 
 def test_vocab_layout_mismatch_rejected():
@@ -411,3 +417,90 @@ def test_vocab_layout_mismatch_rejected():
     vocab = token_vocabulary(other, n_bins=4, base_size=10)
     with pytest.raises(CodecError, match="layout"):
         encode(np.ones(6), anchors, n_bins=4, vocab=vocab)
+
+
+def test_cosines_rounded_past_one_take_the_edge_bins():
+    # Bins come from the unclipped cosines.  An anchor against itself can
+    # round past 1, and against its negation past -1; those must still get
+    # the bins of the clipped values, in both modes.
+    found = 0
+    for seed in range(8):
+        anchors = _anchor_set(("T", "L", "E", "I"), d=24, seed=seed)
+        for flat, c in enumerate(np.vstack([g.centroids for g in anchors.groups])):
+            pair = np.stack([c, -c]).astype(np.float64)
+            raw = _cosines(pair, anchors)[:, flat]
+            if not (raw[0] > 1.0 and raw[1] < -1.0):
+                continue
+            found += 1
+            clipped = project_batch(pair, anchors)[:, flat]
+            assert clipped.tolist() == [1.0, -1.0]
+            for n_bins in (2, 8, 16):
+                for h, value, want in zip(pair, clipped, (n_bins - 1, 0)):
+                    assert quantize_value(float(value), n_bins) == want
+                    for mode, k, scope in (("global", None, "factor"),
+                                           ("retrieval", anchors.total_k, "all")):
+                        prefix = encode(h, anchors, n_bins, mode=mode, k=k, scope=scope)
+                        assert prefix.tokens[flat].bin == want
+                # the anchor ranks first for itself, ties broken as when clipped
+                top = encode(pair[0], anchors, n_bins, mode="retrieval", k=1, scope="all")
+                assert [_flat_index(anchors, t) for t in top.tokens] == [
+                    int(np.argmax(project_batch(pair[:1], anchors)[0]))
+                ]
+                assert top.tokens[0].bin == n_bins - 1
+    assert found > 0
+
+
+def test_retrieval_ranks_cosines_rounded_past_one_as_clipped():
+    # Anchors along one direction all have cosine 1 with it, but rounding
+    # can put some past 1 by different ulps.  Ranked clipped, they tie, and
+    # the tie goes to the lowest anchor index.
+    rng = np.random.default_rng(21)
+    found = 0
+    for _ in range(400):
+        a = rng.normal(size=24)
+        anchors = AnchorSet(
+            groups=(FactorGroup(factor="T", centroids=np.outer([3.0, 7.0, 0.3, 11.0], a)),), d=24
+        )
+        raw = _cosines(a[None], anchors)[0]
+        if raw[0] < 1.0 or np.argmax(raw) == 0:
+            continue
+        found += 1
+        assert project_batch(a[None], anchors)[0, 0] == 1.0
+        for scope in ("factor", "all"):
+            prefix = encode(a, anchors, 8, mode="retrieval", k=1, scope=scope)
+            assert [(t.anchor, t.bin) for t in prefix.tokens] == [(0, 7)]
+    assert found > 0
+
+def _by_hand(anchors, h, n_bins, base_size, flat):
+    """The one-token prefix of anchor ``flat``, rendered from the token table."""
+    bin_ = quantize_value(float(project_batch(h[None], anchors)[0, flat]), n_bins)
+    table = _token_table(anchors, n_bins)
+    j = flat * n_bins + bin_
+    return (table.tokens[j],), (base_size + j,), table.texts[j]
+
+
+def test_prefixes_of_one_token_render_as_tuples():
+    # a prefix of one token still holds tuples of tokens and ids
+    rng = np.random.default_rng(12)
+    one = _anchor_set(("T",), d=6, seed=2, k=1, mode="kmeans")
+    many = _anchor_set(("T", "L"), d=6, seed=2)
+    for anchors, mode, k, scope in (
+        (many, "retrieval", 1, "all"),
+        (one, "global", None, "factor"),
+        (one, "retrieval", 1, "factor"),
+        (one, "retrieval", 1, "all"),
+    ):
+        vocab = token_vocabulary(anchors, n_bins=8, base_size=30)
+        H = rng.normal(size=(4, 6))
+        values = project_batch(H, anchors)
+        batch = encode_batch(H, anchors, 8, mode=mode, k=k, scope=scope, vocab=vocab)
+        for h, row, prefix in zip(H, values, batch):
+            flat = int(np.argmax(row))
+            tokens, ids, text = _by_hand(anchors, h, 8, 30, flat)
+            assert len(prefix) == 1
+            assert prefix.tokens == tokens and prefix.token_ids == ids and prefix.text == text
+            assert prefix.text == tokens[0].render()
+            assert ids == (vocab.token_id(tokens[0]),)
+            assert prefix == encode(h, anchors, 8, mode=mode, k=k, scope=scope, vocab=vocab)
+            bare = encode(h, anchors, 8, mode=mode, k=k, scope=scope)
+            assert (bare.tokens, bare.token_ids, bare.text) == (tokens, (), text)

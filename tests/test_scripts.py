@@ -69,3 +69,17 @@ def test_cli_peak_rss_prints_each_command(capsys):
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["make-synthetic", "build-anchors", "encode"]
     assert all(float(row[2]) > 0 for row in rows)
+
+
+def test_codec_latency_prints_each_call_and_its_stages(capsys):
+    assert _main("codec_latency")(["--rows", "5", "--passes", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "anchors=29 d=768 | anchors=12 d=24; 2 passes over 5 inputs"
+    assert lines[1].split() == ["call", "best_us", "p99_us", "calls", "split_us"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["encode", "sample_prefix"]
+    assert [row[3] for row in rows] == ["10", "10"]
+    assert [[part.split("=")[0] for part in row[4:]] for row in rows] == [
+        ["project", "quantize", "render"], ["pool", "project", "quantize", "render"],
+    ]
+    assert all(float(row[1]) > 0 for row in rows)

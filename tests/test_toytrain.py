@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ecr.codec import CodecError, encode, encode_batch
 from ecr.corpus import LANGUAGES
@@ -17,6 +18,7 @@ from ecr.toytrain import (
     TrainConfig,
     VocabLayout,
     _forward_backward,
+    _pad,
     _pooled_queries,
     _prefixes,
     _variant_queries,
@@ -1091,3 +1093,16 @@ def test_summary_row_and_table_rendering():
     assert "arm" in lines[0]
     assert "baseline" in text
     assert f"{row['nll']:.4f}" in text
+
+
+@given(
+    rows=st.lists(st.lists(st.integers(0, 2**40), max_size=6).map(tuple), min_size=1, max_size=8),
+    fill=st.integers(0, 50),
+)
+def test_pad_equals_rows_extended_one_by_one(rows, fill):
+    # the reference: each row extended with fill to the longest, then one np.array
+    width = max(map(len, rows))
+    want = np.array([r + (fill,) * (width - len(r)) for r in rows], dtype=np.int64)
+    got = _pad(rows, fill)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
