@@ -49,26 +49,14 @@ def main(argv: list[str] | None = None) -> int:
             answer_noise=args.answer_noise,
         )
         anchors = build_toy_anchors(data, factors, seed=seed)
-        shared = dict(
+        config = TrainConfig(
             seed=seed,
             learning_rate=args.learning_rate,
             epochs=args.epochs,
             holdout_fraction=args.holdout,
+            ecr=EcrSettings(factors=factors, n_bins=args.bins),
         )
-        outcome = run_experiment(
-            data,
-            anchors,
-            {
-                "baseline": TrainConfig(
-                    ecr=EcrSettings(enabled=False, factors=factors, n_bins=args.bins),
-                    **shared,
-                ),
-                "ecr": TrainConfig(
-                    ecr=EcrSettings(enabled=True, factors=factors, n_bins=args.bins),
-                    **shared,
-                ),
-            },
-        )
+        outcome = run_experiment(data, anchors, config)
         base = float(np.mean(list(outcome.baseline.nll_per_language[-1].values())))
         cond = float(np.mean(list(outcome.ecr.nll_per_language[-1].values())))
         rows.append(

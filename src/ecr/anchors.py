@@ -78,11 +78,13 @@ class FactorGroup:
             raise AnchorError(f"factor {self.factor}: non-finite centroid entries")
         if not cents.any(axis=1).all():
             raise AnchorError(f"factor {self.factor}: zero-norm anchor cannot be projected on")
-        if self.label_names is not None and len(self.label_names) != cents.shape[0]:
+        names = self.label_names
+        if names is not None and len(names) != cents.shape[0]:
             raise AnchorError(
-                f"factor {self.factor}: {len(self.label_names)} label names "
-                f"for {cents.shape[0]} anchors"
+                f"factor {self.factor}: {len(names)} label names for {cents.shape[0]} anchors"
             )
+        if names is not None and len(set(names)) < len(names):
+            raise AnchorError(f"factor {self.factor}: label names {list(names)} repeat a name")
         object.__setattr__(self, "centroids", _frozen(cents))
 
     @property

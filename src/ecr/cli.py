@@ -231,6 +231,7 @@ def cmd_index_build(args) -> int:
         ef_construction=args.efc,
         seed=args.seed,
     )
+    del vectors  # the index holds its own unit rows; save_index copies those
     save_index(index, args.out)
     print(f"# seed: {args.seed}")
     print(
@@ -498,30 +499,17 @@ def cmd_train_toy(args) -> int:
     data = make_synthetic_corpus(seed=data_seed, d=dim, **data_kwargs)
 
     full_factors = ("T", "L", "E", "I")
+    factors = full_factors if args.ablation else cfg.ecr.factors or full_factors
+    anchors = build_toy_anchors(data, factors, seed=cfg.seed)
     if args.ablation:
-        anchors = build_toy_anchors(data, full_factors, seed=cfg.seed)
         rows = run_ablation(data, anchors, cfg)
         payload = {"seed": cfg.seed, "rows": rows, "config": cfg.to_dict()}
     elif args.paired:
-        factors = cfg.ecr.factors or full_factors
-        anchors = build_toy_anchors(data, factors, seed=cfg.seed)
-        baseline_cfg = replace(
-            cfg, ecr=replace(cfg.ecr, enabled=False)
-        )
-        ecr_cfg = replace(cfg, ecr=replace(cfg.ecr, enabled=True))
-        outcome = run_experiment(
-            data, anchors, {"baseline": baseline_cfg, "ecr": ecr_cfg}
-        )
-        payload = dict(outcome.to_dict())
-        payload["seed"] = cfg.seed
+        payload = {**run_experiment(data, anchors, cfg).to_dict(), "seed": cfg.seed}
     else:
-        factors = cfg.ecr.factors or full_factors
-        anchors = build_toy_anchors(data, factors, seed=cfg.seed)
-        _, report = run_single_arm(data, anchors, cfg)
-        payload = report.to_dict()
+        payload = run_single_arm(data, anchors, cfg)[1].to_dict()
 
-    text = render_report(payload)
-    sys.stdout.write(text)
+    sys.stdout.write(render_report(payload))
     _write_report(args.out, payload)
     return 0
 
@@ -635,8 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--grad-clip", type=float, default=None, dest="grad_clip")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--paired", action="store_true")
-    p.add_argument("--ablation", action="store_true")
+    experiment = p.add_mutually_exclusive_group()
+    experiment.add_argument("--paired", action="store_true")
+    experiment.add_argument("--ablation", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train_toy, module="toytrain")
 

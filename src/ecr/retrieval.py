@@ -97,6 +97,8 @@ def _eigh_pca(centered: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 # Ritz value moves by more than PCA_TOL relative to max(1, its size).
 PCA_MAX_ITER = 1000
 PCA_TOL = 1e-10
+# A loaded model's CᵀC may differ from the identity by this much per entry.
+PCA_ORTHO_TOL = 1e-8
 
 
 def _subspace_pca(centered: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +170,8 @@ def pca_project(model: PcaModel, v: np.ndarray) -> np.ndarray:
         raise RetrievalError(
             f"vector dimension {v.shape[-1]} does not match model d={model.d}"
         )
+    if not np.isfinite(v).all():
+        raise RetrievalError("PCA input has a NaN or infinite entry")
     return (v - model.mean) @ model.components
 
 
@@ -191,7 +195,25 @@ def save_pca(model: PcaModel, path: str) -> None:
     write_envelope(path, PCA_MAGIC, PCA_VERSION, w.parts)
 
 
+def _pca_error(mean: np.ndarray, components: np.ndarray, variances: np.ndarray) -> str | None:
+    """The first reason stored arrays are not a PCA model, or None."""
+    for name, values in (("mean", mean), ("components", components), ("variances", variances)):
+        if not np.isfinite(values).all():
+            return f"a NaN or infinite entry in the {name}"
+    if np.any(variances < 0.0):
+        return "a variance is negative"
+    if np.any(variances[1:] > variances[:-1]):
+        return "variances increase"
+    gap = np.abs(components.T @ components - np.eye(components.shape[1])).max(initial=0.0)
+    if gap > PCA_ORTHO_TOL:
+        return f"components are not orthonormal: CᵀC is {gap:.3g} from the identity"
+    return None
+
+
 def load_pca(path: str) -> PcaModel:
+    """Read a PCA file, rejecting corrupt bytes and arrays that are not a
+    model: non-finite entries, negative or increasing variances, and
+    components further than ``PCA_ORTHO_TOL`` from orthonormal."""
     r = ByteReader(read_envelope(path, PCA_MAGIC, PCA_VERSION))
     d = r.u64()
     rank = r.u64()
@@ -201,6 +223,9 @@ def load_pca(path: str) -> PcaModel:
     r.done()
     if mean.shape != (d,) or components.shape != (d, rank) or variances.shape != (rank,):
         raise RetrievalError(f"{path}: stored shapes do not match declared (d={d}, r={rank})")
+    problem = _pca_error(mean, components, variances)
+    if problem:
+        raise RetrievalError(f"{path}: {problem}")
     return PcaModel(mean=mean, components=components, explained_variance=variances)
 
 

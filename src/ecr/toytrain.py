@@ -952,41 +952,22 @@ def summary_row(report: dict) -> dict:
     }
 
 
-def run_experiment(
-    data: SyntheticData,
-    anchors: AnchorSet,
-    configs: dict[str, TrainConfig],
-) -> PairedOutcome:
-    """Paired baseline/conditioned runs under one seed and data order.
+def run_experiment(data: SyntheticData, anchors: AnchorSet, config: TrainConfig) -> PairedOutcome:
+    """Paired baseline/conditioned runs of one config under one seed and
+    data order.
 
-    The two configs must agree on everything except the ecr settings;
-    both arms see identical batches and start from bit-identical base
-    parameters.
+    The ``baseline`` arm trains ``config`` with conditioning off and the
+    ``ecr`` arm with it on; nothing else differs.  Both arms see identical
+    batches, start from bit-identical base parameters, and condition on and
+    measure against ``anchors``.
     """
-    if set(configs) != {"baseline", "ecr"}:
-        raise ToyTrainError("configs must have exactly the keys 'baseline' and 'ecr'")
-    base_cfg = configs["baseline"]
-    ecr_cfg = configs["ecr"]
-    if replace(base_cfg, ecr=ecr_cfg.ecr) != ecr_cfg:
-        raise ToyTrainError(
-            "paired configs must share every hyperparameter except ecr settings"
-        )
-    if base_cfg.ecr.enabled:
-        raise ToyTrainError("the baseline arm must have ecr disabled")
-    train_samples, eval_samples, eval_recs = _split_samples(data, base_cfg.holdout_fraction)
-    _, base_report = run_training(
-        train_samples, eval_samples, eval_recs, data.layout,
-        anchors, anchors, base_cfg, arm="baseline",
-    )
-    _, ecr_report = run_training(
-        train_samples, eval_samples, eval_recs, data.layout,
-        anchors, anchors, ecr_cfg, arm="ecr",
-    )
-    table = [
-        summary_row(base_report.to_dict()),
-        summary_row(ecr_report.to_dict()),
-    ]
-    return PairedOutcome(baseline=base_report, ecr=ecr_report, table=table)
+    split = _split_samples(data, config.holdout_fraction)
+    reports = []
+    for arm in ("baseline", "ecr"):
+        cfg = replace(config, ecr=replace(config.ecr, enabled=arm == "ecr"))
+        reports.append(run_training(*split, data.layout, anchors, anchors, cfg, arm=arm)[1])
+    table = [summary_row(report.to_dict()) for report in reports]
+    return PairedOutcome(*reports, table=table)
 
 
 ABLATION_SUBSETS: tuple[tuple[str, ...], ...] = (
@@ -998,14 +979,9 @@ ABLATION_SUBSETS: tuple[tuple[str, ...], ...] = (
 )
 
 
-def run_ablation(
-    data: SyntheticData,
-    anchors: AnchorSet,
-    config: TrainConfig,
-    subsets: tuple[tuple[str, ...], ...] = ABLATION_SUBSETS,
-) -> list[dict]:
-    """Factor-subset sweep; one row per subset with NLL, Spread, and
-    cross-lingual consistency columns.
+def run_ablation(data: SyntheticData, anchors: AnchorSet, config: TrainConfig) -> list[dict]:
+    """Factor-subset sweep over :data:`ABLATION_SUBSETS`; one row per subset
+    with NLL, Spread, and cross-lingual consistency columns.
 
     Every row starts from the same base parameters and batch order; the
     empty subset is the unconditioned baseline.  Consistency always uses
@@ -1013,7 +989,7 @@ def run_ablation(
     """
     train_samples, eval_samples, eval_recs = _split_samples(data, config.holdout_fraction)
     rows = []
-    for subset in subsets:
+    for subset in ABLATION_SUBSETS:
         if subset:
             arm_anchors = subset_anchors(anchors, subset)
             cfg = replace(config, ecr=replace(config.ecr, enabled=True, factors=subset))

@@ -477,20 +477,11 @@ def test_acceptance_14_conditioning_wins_across_seeds():
             answer_noise=0.05,
         )
         anchors = build_toy_anchors(data, ("T", "L", "E", "I"), seed=seed)
-        shared = dict(
-            seed=seed, learning_rate=0.05, epochs=25, holdout_fraction=0.25
+        config = TrainConfig(
+            seed=seed, learning_rate=0.05, epochs=25, holdout_fraction=0.25,
+            ecr=EcrSettings(factors=("T", "L", "E", "I"), n_bins=8),
         )
-        configs = {
-            "baseline": TrainConfig(
-                ecr=EcrSettings(enabled=False, factors=("T", "L", "E", "I"), n_bins=8),
-                **shared,
-            ),
-            "ecr": TrainConfig(
-                ecr=EcrSettings(enabled=True, factors=("T", "L", "E", "I"), n_bins=8),
-                **shared,
-            ),
-        }
-        outcome = run_experiment(data, anchors, configs)
+        outcome = run_experiment(data, anchors, config)
         base_nll = float(np.mean(list(outcome.baseline.nll_per_language[-1].values())))
         ecr_nll = float(np.mean(list(outcome.ecr.nll_per_language[-1].values())))
         gaps.append(base_nll - ecr_nll)

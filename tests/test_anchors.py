@@ -319,6 +319,18 @@ def test_load_anchors_dimension_guard(tmp_path):
         load_anchors(path, expect_d=99)
 
 
+def test_repeated_label_names_rejected(tmp_path):
+    with pytest.raises(AnchorError, match="repeat a name"):
+        FactorGroup(factor="L", centroids=np.eye(2), label_names=("en", "en"))
+    # a file naming one label twice, written with a valid checksum, does not load
+    group = FactorGroup(factor="L", centroids=np.eye(2), label_names=("en", "zh"))
+    object.__setattr__(group, "label_names", ("en", "en"))
+    path = str(tmp_path / "a.bin")
+    save_anchors(AnchorSet(groups=(group,), d=2), path)
+    with pytest.raises(AnchorError, match=r"factor L: label names \['en', 'en'\] repeat a name"):
+        load_anchors(path)
+
+
 def test_anchor_set_rejects_duplicate_factors():
     m, corpus = _toy_anchor_set()
     (g,) = build_anchor_set(m, corpus, ("T",), mode="label").groups

@@ -304,6 +304,25 @@ def test_load_vectors_keeps_only_the_float64_rows(tmp_path):
     assert vectors.dtype == np.float64 and np.array_equal(vectors, rows)
 
 
+def test_index_build_drops_the_loaded_rows_before_saving(tmp_path):
+    # build_index holds the float64 rows and their unit copy; the loaded rows
+    # are dropped before save_index copies the unit rows into the envelope
+    import tracemalloc
+
+    rows = _teacher_width_files(tmp_path, 2000)
+    argv = [
+        "index-build", "--embeddings", str(tmp_path / "rows.bin"),
+        "--m", "4", "--efc", "8", "--out", str(tmp_path / "g.bin"),
+    ]
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.3 * rows.nbytes
+
+
 def test_encode_and_topk_fail_whole_on_a_bad_row_in_a_later_block(capsys, tmp_path):
     rows = _teacher_width_files(tmp_path, 600)
     rows[513] = 0.0
@@ -608,6 +627,14 @@ def test_train_toy_ablation_rows(capsys, tmp_path):
     arms = [row["arm"] for row in payload["rows"]]
     assert arms == ["none", "L", "E", "I", "L+E+I"]
     assert "none" in text
+
+
+def test_train_toy_paired_and_ablation_exclude_each_other(capsys):
+    code, out, err = _run(capsys, "train-toy", "--paired", "--ablation")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: ecr train-toy")
+    assert "argument --ablation: not allowed with argument --paired" in err
 
 
 def test_train_toy_rejects_unknown_config_key(capsys, tmp_path):

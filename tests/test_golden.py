@@ -10,7 +10,8 @@ stdout, and one seeded k-means fit.  So are the files and stdout of
 ``encode`` and ``topk``, over a matrix that is not a whole number of the
 CLI's row blocks and over a matrix with no rows, and the report and
 stdout of ``consistency`` over such a matrix.  Single-arm reports pin the
-retrieval-mode and frozen-prefix training paths.
+retrieval-mode and frozen-prefix training paths, and ``train-toy``'s
+stdout and ``--out`` JSON are pinned in each of its four modes.
 """
 
 import contextlib
@@ -51,6 +52,10 @@ GOLDEN = {
     "single_arm_retrieval_all": "b758b5b1c19e9334afda8be719806e51b76a3af13096b482adf144446ba98c6b",
     "single_arm_frozen": "24a2a92c8b0e68ddae425c65c5c96f2b9fb3a1e587dfb81d5c5f1db1986a4dd9",
     "consistency": "3ce7d48e9bb027367c54508c652b1e9f48c719003d64ed7b51eccf394ed23015",
+    "train_toy_single": "d5f3e6d79c78a764b2c277c2d33d75238c7df9b172e738cc0e8e0c8cd397c619",
+    "train_toy_ecr": "818a07c45a7af86d46b3ad91f034384a676f310df2fbfad30926509f2a78010d",
+    "train_toy_paired": "60b0f93ef4ad41f721c9f1c269a21904071b8e16b0e530fc70076d6f695fabf8",
+    "train_toy_ablation": "512c6f2167a1c40720fb8be0feb5c407bfc222118b1660759635d01bf362f982",
 }
 
 
@@ -68,8 +73,7 @@ def toy():
 
 def test_run_experiment_json_digest(toy):
     data, anchors, cfg = toy
-    configs = {"baseline": cfg, "ecr": replace(cfg, ecr=replace(cfg.ecr, enabled=True))}
-    outcome = run_experiment(data, anchors, configs)
+    outcome = run_experiment(data, anchors, cfg)
     assert _digest(outcome.to_dict()) == GOLDEN["run_experiment"]
 
 
@@ -234,3 +238,46 @@ def test_consistency_report_and_stdout_digest(setup_files, tmp_path):
             ]) == 0
         parts += [printed.getvalue().replace(str(tmp_path), "<dir>").encode(), out.read_bytes()]
     assert _sha(b"\n".join(parts)) == GOLDEN["consistency"]
+
+
+# ``train-toy`` in each of its four modes over one small seeded config
+TRAIN_TOY_MODES = {
+    "train_toy_single": [],
+    "train_toy_ecr": ["--ecr", "on"],
+    "train_toy_paired": ["--paired"],
+    "train_toy_ablation": ["--ablation"],
+}
+
+
+@pytest.fixture(scope="module")
+def train_toy_runs(tmp_path_factory):
+    """stdout and ``--out`` bytes of each mode over one small seeded config."""
+    root = tmp_path_factory.mktemp("train_toy")
+    config = root / "train.cfg"
+    config.write_text(
+        "epochs = 2\nlearning_rate = 0.05\nholdout_fraction = 0.25\nn_per_lang = 12\n"
+        "query_content = 4\nmarker_repeat = 2\nanswer_noise = 0.05\n"
+    )
+    runs = {}
+    for name, flags in TRAIN_TOY_MODES.items():
+        out = root / f"{name}.json"
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert dispatch([
+                "train-toy", "--config", str(config), "--seed", "2", *flags, "--out", str(out),
+            ]) == 0
+        runs[name] = printed.getvalue().replace(str(root), "<dir>").encode(), out.read_bytes()
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_TOY_MODES))
+def test_train_toy_stdout_and_report_digest(train_toy_runs, name):
+    printed, written = train_toy_runs[name]
+    assert _sha(printed + b"\n" + written) == GOLDEN[name]
+
+
+def test_train_toy_paired_configs_differ_only_in_ecr_enabled(train_toy_runs):
+    payload = json.loads(train_toy_runs["train_toy_paired"][1])
+    configs = [payload[arm]["config"] for arm in ("baseline", "ecr")]
+    assert [config["ecr"].pop("enabled") for config in configs] == [False, True]
+    assert configs[0] == configs[1]

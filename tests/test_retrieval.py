@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,73 @@ def test_pca_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.mean, model.mean)
     assert np.array_equal(loaded.components, model.components)
     assert np.array_equal(loaded.explained_variance, model.explained_variance)
+
+
+@pytest.mark.parametrize(
+    "n, d, r, scale",
+    [
+        (50, 2, 1, 1.0), (40, 6, 6, 1.0), (200, 5, 5, 1.0), (100, 8, 4, 1.0),
+        (60, 5, 3, 1.0), (50, 7, 3, 1.0), (10, 4, 2, 0.0),  # zero variance
+        (80, 1100, 3, 1.0), (120, 1100, 4, 1.0),  # subspace iteration
+    ],
+)
+def test_pca_fit_output_loads(tmp_path, n, d, r, scale):
+    X = scale * np.random.default_rng(d).normal(size=(n, d)) + 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the zero-variance warning
+        model = fit_pca(X, r, seed=1)
+    path = str(tmp_path / "pca.bin")
+    save_pca(model, path)
+    assert np.array_equal(load_pca(path).components, model.components)
+
+
+def _saved_pca(tmp_path, model, field, index, value):
+    """``model`` with one entry of one array set to ``value``, written through
+    save_pca, so that its checksum is valid; returns the path."""
+    values = getattr(model, field).copy()
+    values[index] = value
+    path = str(tmp_path / "pca.bin")
+    save_pca(dataclasses.replace(model, **{field: values}), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, index, value, problem",
+    [
+        ("mean", 2, np.nan, "NaN or infinite entry in the mean"),
+        ("components", (0, 1), np.inf, "NaN or infinite entry in the components"),
+        ("explained_variance", 0, -np.inf, "NaN or infinite entry in the variances"),
+        ("explained_variance", 2, -1e-3, "a variance is negative"),
+        ("explained_variance", 1, 1e6, "variances increase"),
+        ("components", (0, 0), 2.0, "components are not orthonormal"),
+    ],
+)
+def test_load_pca_rejects_arrays_that_are_not_a_model(tmp_path, field, index, value, problem):
+    model = fit_pca(np.random.default_rng(6).normal(size=(50, 7)), 3)
+    with pytest.raises(RetrievalError, match=problem):
+        load_pca(_saved_pca(tmp_path, model, field, index, value))
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-6])
+def test_load_pca_orthonormal_tolerance(tmp_path, delta):
+    # one entry moved by delta moves CᵀC by about delta, against PCA_ORTHO_TOL
+    model = fit_pca(np.random.default_rng(6).normal(size=(50, 7)), 3)
+    path = _saved_pca(tmp_path, model, "components", (0, 0), model.components[0, 0] + delta)
+    if delta < ecr.retrieval.PCA_ORTHO_TOL:
+        load_pca(path)
+    else:
+        with pytest.raises(RetrievalError, match="not orthonormal"):
+            load_pca(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pca_project_rejects_non_finite_rows(bad):
+    model = fit_pca(np.random.default_rng(6).normal(size=(50, 7)), 3)
+    rows = np.ones((4, 7))
+    rows[2, 5] = bad
+    for v in (rows, rows[2]):
+        with pytest.raises(RetrievalError, match="NaN or infinite"):
+            pca_project(model, v)
 
 
 def test_pca_large_dimension_subspace_path():

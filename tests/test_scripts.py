@@ -26,11 +26,6 @@ def _main(name: str):
             ["seed", "baseline_nll", "ecr_nll", "gap", "win"],
         ),
         (
-            "ablation",
-            ["--n-per-lang", "8", "--epochs", "1", "--subsets", ";L;L,E"],
-            ["factors", "nll", "spread", "consistency", "diverged"],
-        ),
-        (
             "stability_probe",
             ["--lrs", "0.05,50", "--n-per-lang", "8", "--epochs", "2"],
             ["lr", "clip", "steps", "diverged", "divergence_step", "final_nll"],

@@ -1027,9 +1027,7 @@ def test_anchors_never_move_during_training():
 
 def test_run_experiment_pairs_and_validates():
     data, anchors = _tiny_setup(n_per_lang=8)
-    base = _fast_config()
-    ecr = _fast_config(ecr=EcrSettings(enabled=True, n_bins=8))
-    out = run_experiment(data, anchors, {"baseline": base, "ecr": ecr})
+    out = run_experiment(data, anchors, _fast_config(ecr=EcrSettings(n_bins=8)))
     assert out.baseline.arm == "baseline"
     assert out.ecr.arm == "ecr"
     assert [row["arm"] for row in out.table] == ["baseline", "ecr"]
@@ -1038,25 +1036,13 @@ def test_run_experiment_pairs_and_validates():
     assert set(d) == {"baseline", "ecr", "table"}
 
 
-def test_run_experiment_rejects_mismatched_configs():
+@pytest.mark.parametrize("factors", [("T", "X"), ("T", "L")])
+def test_run_experiment_rejects_factors_the_anchors_do_not_hold(factors):
+    # the ecr arm conditions on the anchors as given, never on a subset of them
     data, anchors = _tiny_setup()
-    base = _fast_config()
-    with pytest.raises(ToyTrainError, match="keys"):
-        run_experiment(data, anchors, {"baseline": base})
-    drifted = _fast_config(learning_rate=0.9, ecr=EcrSettings(enabled=True))
-    with pytest.raises(ToyTrainError, match="share every hyperparameter"):
-        run_experiment(data, anchors, {"baseline": base, "ecr": drifted})
-    bad_base = _fast_config(ecr=EcrSettings(enabled=True))
-    with pytest.raises(ToyTrainError, match="baseline arm"):
-        run_experiment(data, anchors, {"baseline": bad_base, "ecr": bad_base})
-
-
-def test_run_experiment_rejects_pair_differing_only_in_epochs():
-    data, anchors = _tiny_setup()
-    base = _fast_config()
-    longer = _fast_config(epochs=base.epochs + 1, ecr=EcrSettings(enabled=True))
-    with pytest.raises(ToyTrainError, match="share every hyperparameter"):
-        run_experiment(data, anchors, {"baseline": base, "ecr": longer})
+    cfg = _fast_config(ecr=EcrSettings(factors=factors))
+    with pytest.raises(ToyTrainError, match="are not the conditioning anchors' factors"):
+        run_experiment(data, anchors, cfg)
 
 
 def test_subset_anchors_preserves_order():
@@ -1071,10 +1057,10 @@ def test_subset_anchors_preserves_order():
 def test_run_ablation_rows():
     data, anchors = _tiny_setup(n_per_lang=6)
     cfg = _fast_config(epochs=1)
-    rows = run_ablation(data, anchors, cfg, subsets=((), ("L",), ("L", "E")))
-    assert [row["arm"] for row in rows] == ["none", "L", "L+E"]
+    rows = run_ablation(data, anchors, cfg)
+    assert [row["arm"] for row in rows] == ["none", "L", "E", "I", "L+E+I"]
     assert rows[0]["factors"] == []
-    assert rows[2]["factors"] == ["L", "E"]
+    assert rows[4]["factors"] == ["L", "E", "I"]
     for row in rows:
         assert {"arm", "nll", "spread", "consistency", "diverged"} <= set(row)
         assert np.isfinite(row["nll"])
