@@ -29,14 +29,6 @@ ANCHOR_VERSION = 1
 # Canonical factor order; it defines prefix token order everywhere.
 FACTOR_CODES = ("T", "L", "E", "I", "P")
 
-FACTOR_NAMES = {
-    "T": "task",
-    "L": "language",
-    "E": "emotion",
-    "I": "intent",
-    "P": "strategy",
-}
-
 
 class AnchorError(ValueError):
     """Raised on invalid anchor construction or persistence mismatch."""

@@ -14,6 +14,11 @@ A writer hands over the payload as a list of parts, and the header and
 the parts are copied once, into one buffer that is hashed and written, so
 that a write holds about one payload's bytes beyond what the caller
 holds.  Writes are atomic (temp file in the target directory + rename).
+
+A read fills one buffer with the whole file, and the arrays decoded from
+it are views into that buffer, so that a load holds about the file's
+bytes; only an array at an offset its dtype cannot be aligned to is
+copied.
 """
 
 from __future__ import annotations
@@ -80,14 +85,18 @@ def write_envelope(
 
 def read_envelope(path: str, magic: bytes, version: int) -> memoryview:
     """Read and verify an envelope, returning a view of the payload in the
-    bytes read, so that the payload is never copied."""
+    one writable buffer the file was read into, so that the payload is
+    never copied."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob) :]
+        # a pipe reports size 0, so read what the size did not count
+        blob += fh.read()
     if len(blob) < HEADER_LEN:
         raise FileFormatError(f"{path}: file shorter than envelope header")
     if blob[:4] != magic:
         raise FileFormatError(
-            f"{path}: bad magic {blob[:4]!r}, expected {magic!r}"
+            f"{path}: bad magic {bytes(blob[:4])!r}, expected {magic!r}"
         )
     got_version, length = struct.unpack("<IQ", blob[4:16])
     if got_version != version:
@@ -153,8 +162,9 @@ class ByteWriter:
 class ByteReader:
     """Bounds-checked reader matching :class:`ByteWriter`.
 
-    It reads through a memoryview: a field is decoded in place, and only
-    :meth:`array` copies, so that the arrays it returns own their data.
+    It reads through a memoryview: a field is decoded in place, and
+    :meth:`array` returns a view into the payload's buffer, which the array
+    keeps alive.
     """
 
     def __init__(self, payload: bytes | memoryview) -> None:
@@ -209,7 +219,9 @@ class ByteReader:
         shape = tuple(self.u64() for _ in range(ndim))
         dt = np.dtype(dtype).newbyteorder("<")
         raw = self._take(math.prod(shape) * dt.itemsize)
-        return np.frombuffer(raw, dtype=dt).reshape(shape).astype(dtype)
+        arr = np.frombuffer(raw, dtype=dt).reshape(shape).astype(dtype, copy=False)
+        # a field at an offset its dtype cannot be aligned to is copied
+        return np.require(arr, requirements="A")
 
     def done(self) -> None:
         """Assert the payload was consumed exactly."""

@@ -1,9 +1,8 @@
 """On-device retrieval subsystem: PCA reduction and an HNSW cosine index.
 
 PCA brings embeddings down to a small working dimension (the reference
-pipeline is 768 to 64) via covariance eigendecomposition, switching to a
-seeded subspace iteration when the input dimension is too large for a
-dense decomposition.
+pipeline is 768 to 64) via a dense eigendecomposition of the d x d
+covariance, at every input dimension.
 
 The index is a hierarchical navigable small-world graph built from
 scratch: one padded adjacency array per layer, exponential level
@@ -93,42 +92,20 @@ def _eigh_pca(centered: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return eigvecs[:, order], np.maximum(eigvals[order], 0.0)
 
 
-# Subspace iteration stops after PCA_MAX_ITER rounds, or earlier once no
-# Ritz value moves by more than PCA_TOL relative to max(1, its size).
-PCA_MAX_ITER = 1000
-PCA_TOL = 1e-10
 # A loaded model's CᵀC may differ from the identity by this much per entry.
 PCA_ORTHO_TOL = 1e-8
-
-
-def _subspace_pca(centered: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal subspace iteration on the covariance, never materializing it."""
-    n = centered.shape[0]
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((centered.shape[1], r)))
-    prev = np.zeros(r)
-    for _ in range(PCA_MAX_ITER):
-        z = centered.T @ (centered @ q) / (n - 1)
-        q, _ = np.linalg.qr(z)
-        ritz = np.sort(np.einsum("ij,ij->j", q, centered.T @ (centered @ q) / (n - 1)))[::-1]
-        if np.all(np.abs(ritz - prev) <= PCA_TOL * np.maximum(1.0, np.abs(ritz))):
-            break
-        prev = ritz
-    small = q.T @ (centered.T @ (centered @ q)) / (n - 1)
-    small = (small + small.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(small)
-    order = np.argsort(eigvals)[::-1]
-    return q @ eigvecs[:, order], np.maximum(eigvals[order], 0.0)
 
 
 def fit_pca(X, r: int, seed: int = 0) -> PcaModel:
     """Fit the top-r principal directions of the rows of X.
 
-    X is an EmbeddingMatrix or a plain (n, d) array.  Dense
-    eigendecomposition handles d up to 1024; larger dimensions use seeded
-    subspace iteration.  Degenerate input (zero variance in every
-    direction) produces a zero-variance model with a warning rather than
-    an error.
+    X is an EmbeddingMatrix or a plain (n, d) array.  The components are
+    the top eigenvectors of a dense eigendecomposition of the d x d
+    covariance, so a fit holds two d x d float64 matrices, the covariance
+    and its eigenvectors, beyond the centred rows: 270 MB at d = 4096.
+    ``seed`` has no effect on the result.
+    Degenerate input (zero variance in every direction) produces a
+    zero-variance model with a warning rather than an error.
     """
     data = np.asarray(getattr(X, "data", X), dtype=np.float64)
     if data.ndim != 2:
@@ -152,10 +129,7 @@ def fit_pca(X, r: int, seed: int = 0) -> PcaModel:
         return PcaModel(
             mean=mean, components=np.eye(d, r), explained_variance=np.zeros(r)
         )
-    if d <= 1024:
-        components, variances = _eigh_pca(centered, r)
-    else:
-        components, variances = _subspace_pca(centered, r, seed)
+    components, variances = _eigh_pca(centered, r)
     return PcaModel(
         mean=mean,
         components=_fix_signs(components),
@@ -467,6 +441,17 @@ def _insert(index: HnswIndex, i: int) -> None:
         index.entry_point = i
 
 
+def _repeated_id(ids: list[str]) -> str | None:
+    """The first id that occurs a second time, or None: a repeated id would
+    make an answer ambiguous."""
+    seen = set()
+    for rid in ids:
+        if rid in seen:
+            return rid
+        seen.add(rid)
+    return None
+
+
 def build_index(
     vectors: np.ndarray,
     ids: list[str] | None = None,
@@ -474,13 +459,18 @@ def build_index(
     ef_construction: int = 200,
     seed: int = 0,
 ) -> HnswIndex:
-    """Insert all vectors in row order; deterministic under the seed."""
+    """Insert all vectors in row order; deterministic under the seed.
+
+    Ids must be distinct."""
     data = _unit_rows(vectors)
     n = data.shape[0]
     if ids is None:
         ids = [str(i) for i in range(n)]
     if len(ids) != n:
         raise RetrievalError(f"{len(ids)} ids for {n} vectors")
+    repeated = _repeated_id(ids)
+    if repeated is not None:
+        raise RetrievalError(f"id {repeated!r} is repeated")
     if m < 2:
         raise RetrievalError(f"M must be at least 2, got {m}")
     if ef_construction < 1:
@@ -669,7 +659,8 @@ def _structure_error(
 
 
 def load_index(path: str) -> HnswIndex:
-    """Read an index file, rejecting corrupt bytes and invalid structure."""
+    """Read an index file, rejecting corrupt bytes, repeated ids and
+    invalid structure."""
     r = ByteReader(read_envelope(path, INDEX_MAGIC, INDEX_VERSION))
     n = r.u64()
     d = r.u64()
@@ -685,6 +676,9 @@ def load_index(path: str) -> HnswIndex:
         raise RetrievalError(f"{path}: stored shapes do not match declared (n={n}, d={d})")
     layers = [r.array("int32") for _ in range(max_level + 1)]
     r.done()
+    repeated = _repeated_id(ids)
+    if repeated is not None:
+        raise RetrievalError(f"{path}: id {repeated!r} is repeated")
     problem = _structure_error(n, m, entry, levels, layers)
     if problem:
         raise RetrievalError(f"{path}: {problem}")

@@ -307,6 +307,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.checksum() == anchors.checksum()
     for got, want in zip(loaded.groups, anchors.groups):
         assert np.array_equal(got.centroids, want.centroids)
+        assert got.centroids.flags.aligned
         assert got.label_names == want.label_names
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,26 @@ def test_envelope_round_trip(tmp_path):
     path = str(tmp_path / "x.bin")
     write_envelope(path, b"ECRT", 1, [b"hello ", b"payload"])
     assert read_envelope(path, b"ECRT", 1) == b"hello payload"
+
+
+def test_envelope_read_from_a_pipe(tmp_path):
+    # a pipe reports size 0, so its size cannot tell the reader what to read
+    path = str(tmp_path / "x.bin")
+    write_envelope(path, b"ECRT", 1, [b"hello ", b"payload"])
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as out:
+            out.write(blob)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert read_envelope(fifo, b"ECRT", 1) == b"hello payload"
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_envelope_layout(tmp_path):
@@ -116,11 +137,17 @@ def test_array_round_trip(tmp_path_factory):
         np.zeros((0, 7)),
         np.zeros(0, dtype=np.int32),
     ):
-        w = ByteWriter()
-        w.array(arr, arr.dtype)
-        out = _written(tmp_path_factory, w).array(arr.dtype)
-        assert out.shape == arr.shape
-        assert np.array_equal(out, arr)
+        # a lead text of 0..7 bytes puts the array at every offset mod 8
+        for lead in range(8):
+            w = ByteWriter()
+            w.text("x" * lead)
+            w.array(arr, arr.dtype)
+            r = _written(tmp_path_factory, w)
+            assert r.text() == "x" * lead
+            out = r.array(arr.dtype)
+            assert out.shape == arr.shape
+            assert np.array_equal(out, arr)
+            assert out.flags.aligned and out.flags.writeable
 
 
 def _reference_bytes(kind: str, value) -> bytes:

@@ -150,6 +150,23 @@ def test_save_embeddings_peak_stays_near_the_matrix(tmp_path):
     assert peak <= 1.1 * data.nbytes
 
 
+def test_load_embeddings_peak_stays_near_the_matrix(tmp_path):
+    # the file is read into one buffer, and the matrix is a view into it
+    import tracemalloc
+
+    data = np.random.default_rng(0).standard_normal((4000, 768)).astype(np.float32)
+    path = str(tmp_path / "e.bin")
+    save_embeddings(EmbeddingMatrix(data=data, ids=[f"d{i:06d}:en" for i in range(4000)]), path)
+    tracemalloc.start()
+    try:
+        loaded = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * data.nbytes
+    assert loaded.data.flags.aligned and np.array_equal(loaded.data, data)
+
+
 def test_embeddings_non_finite_rejected(tmp_path):
     data = np.zeros((2, 3), dtype=np.float32)
     data[1, 2] = np.inf

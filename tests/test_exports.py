@@ -18,7 +18,9 @@ names, class-body field annotations, or function parameters and locals
 that happen to share the name.
 
 A method or property ``Class.name`` is used if any program file reads an
-attribute ``.name``; dunders are exempt.  The check cannot tell apart two
+attribute ``.name``; dunders are exempt.  A module-level UPPER_CASE name
+in ``src/ecr/``, private or not, is used by the same rule as an export,
+and none is kept for a test.  The check cannot tell apart two
 members, or a member and a library attribute, that share a name: the
 ``m.group(...)`` of a regex match in ``ecr.codec`` would keep any package
 method named ``group``.
@@ -26,6 +28,7 @@ method named ``group``.
 
 import ast
 import io
+import re
 import symtable
 import tokenize
 from pathlib import Path
@@ -110,14 +113,33 @@ def _global_references(source: str, path: Path, names: set, defined_in: dict) ->
     return found
 
 
-def _unused_exports():
-    names = set(ecr.__all__)
+def _unused(names: set) -> list:
+    """The names no program file uses, by the rule of the module docstring."""
     defined_in = _definitions()
-    declared = _class_attributes()
-    used = (_attribute_reads(_files()) & names) - declared
+    used = (_attribute_reads(_files()) & names) - _class_attributes()
     for path in _files():
         used |= _global_references(path.read_text(encoding="utf-8"), path, names, defined_in)
     return sorted(names - used)
+
+
+def _unused_exports():
+    return _unused(set(ecr.__all__))
+
+
+def _module_constants() -> set:
+    """Every UPPER_CASE name a module of the package assigns at top level."""
+    constant = re.compile(r"_?[A-Z][A-Z0-9_]*")
+    names = set()
+    for path in sorted((ROOT / "src/ecr").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names.update(t.id for t in targets if isinstance(t, ast.Name) and constant.fullmatch(t.id))
+    return names
 
 
 def _class_members():
@@ -147,6 +169,10 @@ def test_every_export_is_used_or_kept_for_a_test():
     assert [name for name in unused if name not in KEPT_FOR_TESTS] == []
     # an entry whose name is used, or no longer exported, is stale
     assert sorted(KEPT_FOR_TESTS) == unused
+
+
+def test_every_module_constant_is_read():
+    assert _unused(_module_constants()) == []
 
 
 def test_kept_names_are_read_by_their_tests():

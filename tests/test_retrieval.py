@@ -14,7 +14,6 @@ from ecr.binio import FileFormatError
 from ecr.retrieval import (
     INDEX_MAGIC,
     RetrievalError,
-    _eigh_pca,
     _greedy_step,
     _structure_error,
     bench_query_latency,
@@ -128,7 +127,7 @@ def test_pca_non_finite_input_rejected(bad):
         fit_pca(X, 2)
 
 
-@pytest.mark.parametrize("d", [8, 1100])  # dense eigh and subspace iteration
+@pytest.mark.parametrize("d", [8, 1100])  # a narrow and a wide input
 def test_pca_overflowing_input_rejected(d):
     # finite entries whose squares overflow
     X = np.random.default_rng(5).normal(size=(50, d))
@@ -147,6 +146,7 @@ def test_pca_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.mean, model.mean)
     assert np.array_equal(loaded.components, model.components)
     assert np.array_equal(loaded.explained_variance, model.explained_variance)
+    assert all(a.flags.aligned for a in (loaded.mean, loaded.components, loaded.explained_variance))
 
 
 @pytest.mark.parametrize(
@@ -154,7 +154,7 @@ def test_pca_save_load_round_trip(tmp_path):
     [
         (50, 2, 1, 1.0), (40, 6, 6, 1.0), (200, 5, 5, 1.0), (100, 8, 4, 1.0),
         (60, 5, 3, 1.0), (50, 7, 3, 1.0), (10, 4, 2, 0.0),  # zero variance
-        (80, 1100, 3, 1.0), (120, 1100, 4, 1.0),  # subspace iteration
+        (80, 1100, 3, 1.0), (120, 1100, 4, 1.0),  # wide inputs
     ],
 )
 def test_pca_fit_output_loads(tmp_path, n, d, r, scale):
@@ -217,8 +217,8 @@ def test_pca_project_rejects_non_finite_rows(bad):
 
 
 def test_pca_large_dimension_subspace_path():
-    # d > 1024 exercises the iterative solver; compare against dense
-    # eigendecomposition on the same data restricted to a thin rank
+    # a rank-3 signal at a width above 1024; the name dates from when such
+    # widths took a second solver
     rng = np.random.default_rng(7)
     basis = rng.normal(size=(1100, 3))
     coeffs = rng.normal(size=(80, 3)) * np.array([4.0, 2.0, 1.0])
@@ -232,23 +232,25 @@ def test_pca_large_dimension_subspace_path():
     assert residual < 0.01
 
 
-def test_pca_subspace_path_matches_dense_eigh(monkeypatch):
-    # a rank-4 signal with variances 64, 25, 9, 4 over noise of variance
-    # 1e-4 per coordinate: a clear gap after the fourth component
-    rng = np.random.default_rng(11)
-    basis, _ = np.linalg.qr(rng.normal(size=(1100, 4)))
-    coeffs = rng.normal(size=(120, 4)) * np.array([8.0, 5.0, 3.0, 2.0])
-    X = coeffs @ basis.T + rng.normal(scale=1e-2, size=(120, 1100))
-    want_vecs, want_vals = _eigh_pca(X - X.mean(axis=0), 4)
-    with monkeypatch.context() as patch:
-        # d = 1100 must take the subspace iteration, never the dense path
-        patch.setattr(ecr.retrieval, "_eigh_pca", None)
-        model = fit_pca(X, 4, seed=3)
-        again = fit_pca(X, 4, seed=3)
-    # each component equals the dense one up to sign
-    dots = np.einsum("ij,ij->j", model.components, want_vecs)
-    assert np.abs(np.abs(dots) - 1.0).max() < 1e-10
-    assert np.allclose(model.explained_variance, want_vals, rtol=1e-10, atol=0)
+def test_pca_above_1024_matches_svd():
+    # clustered rows as the ann bench makes them: 24 centres plus
+    # anisotropic noise, at a width above 1024
+    rng = np.random.default_rng(22)
+    n, d, r = 400, 1100, 32
+    centers = rng.standard_normal((24, d))
+    X = centers[rng.integers(24, size=n)] + rng.standard_normal((n, d)) * (
+        0.15 + 0.6 * rng.random(d)
+    )
+    centered = X - X.mean(axis=0)
+    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+    model = fit_pca(X, r, seed=3)
+    want = sing[:r] ** 2 / (n - 1)
+    assert np.allclose(model.explained_variance, want, rtol=1e-10, atol=0)
+    # the projector onto the top-r subspace does not depend on signs or on
+    # the basis chosen within it
+    gap = model.components @ model.components.T - vt[:r].T @ vt[:r]
+    assert np.abs(gap).max() < 1e-9
+    again = fit_pca(X, r, seed=3)
     assert np.array_equal(again.components, model.components)
     assert np.array_equal(again.explained_variance, model.explained_variance)
 
@@ -552,6 +554,21 @@ def test_index_custom_ids_surface_in_results():
     assert res.ids[0] == "doc-3".replace("doc-3", "doc-003")
 
 
+def test_build_index_rejects_repeated_ids():
+    ids = ["a", "b", "x", "c", "x", "b"]
+    with pytest.raises(RetrievalError, match="id 'x' is repeated"):
+        build_index(_cloud(n=6, seed=18), ids=ids, m=4, ef_construction=8, seed=0)
+
+
+def test_load_index_rejects_repeated_ids(tmp_path):
+    # the file is written through save_index, so that its checksum is valid
+    index = build_index(_cloud(n=10, seed=18), m=4, ef_construction=20, seed=0)
+    path = str(tmp_path / "index.bin")
+    save_index(dataclasses.replace(index, ids=["x"] * 3 + index.ids[3:]), path)
+    with pytest.raises(RetrievalError, match="id 'x' is repeated"):
+        load_index(path)
+
+
 def test_index_save_load_round_trip(tmp_path):
     vectors = _cloud(n=80, seed=19)
     index = build_index(vectors, m=6, ef_construction=30, seed=6)
@@ -567,6 +584,7 @@ def test_index_save_load_round_trip(tmp_path):
     assert len(loaded.layers) == len(index.layers)
     for got, want in zip(loaded.layers, index.layers):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.flags.aligned
     q = np.random.default_rng(20).normal(size=8)
     assert query(loaded, q, 5) == query(index, q, 5)
 
