@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         return toytrain._pooled_queries(model, [s.tokens[: s.query_len]])
 
     def indices(H, anchor_set, voc):
-        return codec._table_indices(H, anchor_set, N_BINS, "global", None, "factor", voc)
+        return codec._table_indices(H, anchor_set, N_BINS, "global", 1, "factor", voc)
 
     print(f"anchors={anchors.total_k} d={anchors.d} | anchors={toy.total_k} d={toy.d}; "
           f"{args.passes} passes over {args.rows} inputs")

@@ -56,9 +56,7 @@ def main(argv: list[str] | None = None) -> int:
             holdout_fraction=args.holdout,
             ecr=EcrSettings(factors=factors, n_bins=args.bins),
         )
-        outcome = run_experiment(data, anchors, config)
-        base = float(np.mean(list(outcome.baseline.nll_per_language[-1].values())))
-        cond = float(np.mean(list(outcome.ecr.nll_per_language[-1].values())))
+        base, cond = (row["nll"] for row in run_experiment(data, anchors, config).table)
         rows.append(
             {
                 "seed": seed,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from ecr.toytrain import (
     EcrSettings,
     TrainConfig,
@@ -19,6 +17,7 @@ from ecr.toytrain import (
     make_synthetic_corpus,
     render_table,
     run_single_arm,
+    summary_row,
 )
 
 
@@ -45,11 +44,7 @@ def main(argv: list[str] | None = None) -> int:
                 ecr=EcrSettings(enabled=True),
             )
             _, report = run_single_arm(data, anchors, config)
-            final_nll = (
-                float(np.mean(list(report.nll_per_language[-1].values())))
-                if report.nll_per_language
-                else float("nan")
-            )
+            final_nll = summary_row(report.to_dict())["nll"]
             rows.append(
                 {
                     "lr": lr,

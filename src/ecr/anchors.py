@@ -4,8 +4,8 @@ Anchors are fixed vectors summarizing regions of a teacher embedding
 space, grouped per semantic factor (task, language, emotion, intent,
 tone/strategy).  Two derivation routes exist: seeded k-means over an
 embedding matrix, and per-label centroids where labels are available.
-Clustering runs on unnormalized embeddings; a unit-norm copy of every
-anchor is cached for projection.
+Clustering runs on unnormalized embeddings; each anchor set caches one
+unit-norm copy of its stacked anchors for projection.
 
 Derived anchors are frozen: stored arrays are read-only and a content
 checksum makes silent drift detectable.  Persistence uses the shared
@@ -52,13 +52,12 @@ class Provenance:
 
 @dataclass(frozen=True)
 class FactorGroup:
-    """Anchor block for one factor: raw centroids plus a cached unit copy."""
+    """Anchor block for one factor: raw centroids, label names and provenance."""
 
     factor: str
     centroids: np.ndarray  # (k_f, d) float64, read-only, finite, no row all zero
     label_names: tuple[str, ...] | None = None
     provenance: Provenance = Provenance(method="unspecified")
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.factor not in FACTOR_CODES:
@@ -86,15 +85,6 @@ class FactorGroup:
     @property
     def d(self) -> int:
         return self.centroids.shape[1]
-
-    @property
-    def unit_centroids(self) -> np.ndarray:
-        """Rows scaled to norm 1, computed once and cached read-only."""
-        cached = self._cache.get("unit")
-        if cached is None:
-            cached = _frozen(_rows_over_norms(self.centroids))
-            self._cache["unit"] = cached
-        return cached
 
 
 @dataclass(frozen=True)
@@ -138,10 +128,10 @@ class AnchorSet:
         return self._cache["group_sizes"]
 
     def stacked_unit(self) -> np.ndarray:
-        """All unit anchors as one (total_k, d) read-only matrix."""
+        """All unit anchors as one (total_k, d) read-only matrix, made once."""
         cached = self._cache.get("stacked_unit")
         if cached is None:
-            cached = _frozen(np.vstack([g.unit_centroids for g in self.groups]))
+            cached = _frozen(_rows_over_norms(np.vstack([g.centroids for g in self.groups])))
             self._cache["stacked_unit"] = cached
         return cached
 

@@ -24,11 +24,10 @@ from .anchors import (
     load_anchors,
     save_anchors,
 )
-from .binio import FileFormatError, atomic_write_text
-from .codec import CodecError, encode_batch, project_batch, rank_anchors
+from .binio import atomic_write_text
+from .codec import encode_batch, project_batch, rank_anchors
 from .corpus import (
     LANGUAGES,
-    CorpusError,
     EmbeddingMatrix,
     load_corpus,
     load_embeddings,
@@ -43,7 +42,6 @@ from .geometry import (
     purity,
 )
 from .retrieval import (
-    RetrievalError,
     bench_query_latency,
     build_index,
     fit_pca,
@@ -64,16 +62,6 @@ from .toytrain import (
     run_ablation,
     run_experiment,
     run_single_arm,
-)
-
-_ERROR_MODULES = (
-    (CorpusError, "corpus"),
-    (AnchorError, "anchors"),
-    (CodecError, "codec"),
-    (RetrievalError, "retrieval"),
-    (GeometryError, "geometry"),
-    (ToyTrainError, "toytrain"),
-    (FileFormatError, "binio"),
 )
 
 
@@ -177,7 +165,6 @@ def cmd_encode(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     anchors = load_anchors(args.anchors, expect_d=embeddings.d)
     mode = "retrieval" if args.mode == "topk" else args.mode
-    k = args.k if mode == "retrieval" else None
     rows = (
         {
             "id": row_id,
@@ -186,7 +173,7 @@ def cmd_encode(args) -> int:
         }
         for ids, block in _row_blocks(embeddings)
         for row_id, prefix in zip(
-            ids, encode_batch(block, anchors, args.bins, mode=mode, k=k, scope=args.scope)
+            ids, encode_batch(block, anchors, args.bins, mode=mode, k=args.k, scope=args.scope)
         )
     )
     _emit_rows(args.out, rows, f"encoded {embeddings.n} rows -> {args.out}")
@@ -653,12 +640,10 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except tuple(t for t, _ in _ERROR_MODULES) as exc:
-        module = next(m for t, m in _ERROR_MODULES if isinstance(exc, t))
-        print(f"error: {module}: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {args.module}: {exc}", file=sys.stderr)
+        # a package error names the module that defines it, any other the subcommand's
+        package, _, module = type(exc).__module__.rpartition(".")
+        print(f"error: {module if package == 'ecr' else args.module}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -312,7 +312,7 @@ def _check_vocab(vocab: TokenVocabulary | None, anchors: AnchorSet, n_bins: int)
 
 
 def _table_indices(
-    H: np.ndarray, anchors: AnchorSet, n_bins: int, mode: str, k: int | None, scope: str,
+    H: np.ndarray, anchors: AnchorSet, n_bins: int, mode: str, k: int, scope: str,
     vocab: TokenVocabulary | None,
 ) -> tuple[_TokenTable, np.ndarray]:
     """The token table and the (n, P) int64 table indices of the tokens
@@ -330,7 +330,7 @@ def _table_indices(
     table = _token_table(anchors, n_bins)
     flat += table.offsets
     if mode == "retrieval":
-        chosen = _selected(_clip(values), anchors.group_sizes, 1 if k is None else k, scope)
+        chosen = _selected(_clip(values), anchors.group_sizes, k, scope)
         flat = np.take_along_axis(flat, chosen, axis=1)
     return table, flat
 
@@ -340,19 +340,18 @@ def encode_batch(
     anchors: AnchorSet,
     n_bins: int,
     mode: str = "global",
-    k: int | None = None,
+    k: int = 1,
     scope: str = "factor",
     vocab: TokenVocabulary | None = None,
 ) -> list[ControlPrefix]:
     """Full encode path for every row of H: project, quantize, select, render.
 
     Global mode emits one token per anchor.  Retrieval mode keeps only the
-    top-k strongest anchors (k defaults to 1 per factor; scope "all" ranks
-    the whole set instead), emitted in canonical order regardless of
-    affinity rank so equal selections always render identically.  Without
-    a vocabulary the prefixes carry token objects and text but no ids.
-    Raises :class:`CodecError` on a row that is zero or has a NaN or
-    infinite entry.
+    top-k strongest anchors (k per factor; scope "all" ranks the whole set
+    instead), emitted in canonical order regardless of affinity rank so
+    equal selections always render identically.  Without a vocabulary the
+    prefixes carry token objects and text but no ids.  Raises
+    :class:`CodecError` on a row that is zero or has a NaN or infinite entry.
     """
     table, flat = _table_indices(H, anchors, n_bins, mode, k, scope, vocab)
     ids = None if vocab is None else table.vocab_ids(vocab.base_size)
@@ -364,7 +363,7 @@ def encode(
     anchors: AnchorSet,
     n_bins: int,
     mode: str = "global",
-    k: int | None = None,
+    k: int = 1,
     scope: str = "factor",
     vocab: TokenVocabulary | None = None,
 ) -> ControlPrefix:

@@ -249,7 +249,9 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
     ids = r.text_list()
     if len(ids) != n:
         raise CorpusError(f"{path}: id table has {len(ids)} entries for {n} rows")
-    bad = np.where(~np.isfinite(data).all(axis=1))[0]
+    # a float64 sum of float32 entries cannot overflow, so it is finite
+    # exactly where its row is, and it needs no (n, d) mask
+    bad = np.flatnonzero(~np.isfinite(np.add.reduce(data, axis=1, dtype=np.float64)))
     if bad.size:
         raise CorpusError(f"{path}: non-finite value in row {int(bad[0])}")
     return EmbeddingMatrix(data=data, ids=ids)

@@ -59,11 +59,6 @@ class PcaModel:
     components: np.ndarray  # (d, r), columns orthonormal
     explained_variance: np.ndarray  # (r,), non-increasing, >= 0
 
-    def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.components = np.asarray(self.components, dtype=np.float64)
-        self.explained_variance = np.asarray(self.explained_variance, dtype=np.float64)
-
     @property
     def d(self) -> int:
         return self.components.shape[0]
@@ -94,6 +89,8 @@ def _eigh_pca(centered: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 # A loaded model's CᵀC may differ from the identity by this much per entry.
 PCA_ORTHO_TOL = 1e-8
+# A loaded index row's squared norm may differ from 1 by this much.
+INDEX_UNIT_TOL = 1e-9
 
 
 def fit_pca(X, r: int, seed: int = 0) -> PcaModel:
@@ -124,7 +121,7 @@ def fit_pca(X, r: int, seed: int = 0) -> PcaModel:
     # the covariance entries are bounded by the total squared deviation
     if not np.isfinite(total_sq):
         raise RetrievalError("PCA input is too large: its squared deviations overflow")
-    if float(np.abs(centered).max(initial=0.0)) == 0.0:
+    if not centered.any():
         warnings.warn("PCA input has zero variance; components are arbitrary axes")
         return PcaModel(
             mean=mean, components=np.eye(d, r), explained_variance=np.zeros(r)
@@ -171,6 +168,8 @@ def save_pca(model: PcaModel, path: str) -> None:
 
 def _pca_error(mean: np.ndarray, components: np.ndarray, variances: np.ndarray) -> str | None:
     """The first reason stored arrays are not a PCA model, or None."""
+    if components.shape[1] == 0:
+        return "the model keeps no components"
     for name, values in (("mean", mean), ("components", components), ("variances", variances)):
         if not np.isfinite(values).all():
             return f"a NaN or infinite entry in the {name}"
@@ -178,16 +177,18 @@ def _pca_error(mean: np.ndarray, components: np.ndarray, variances: np.ndarray) 
         return "a variance is negative"
     if np.any(variances[1:] > variances[:-1]):
         return "variances increase"
-    gap = np.abs(components.T @ components - np.eye(components.shape[1])).max(initial=0.0)
-    if gap > PCA_ORTHO_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(components.T @ components - np.eye(components.shape[1])).max()
+    if not gap <= PCA_ORTHO_TOL:  # also for the NaN of products that overflow
         return f"components are not orthonormal: CᵀC is {gap:.3g} from the identity"
     return None
 
 
 def load_pca(path: str) -> PcaModel:
     """Read a PCA file, rejecting corrupt bytes and arrays that are not a
-    model: non-finite entries, negative or increasing variances, and
-    components further than ``PCA_ORTHO_TOL`` from orthonormal."""
+    model: no components, non-finite entries, negative or increasing
+    variances, and components further than ``PCA_ORTHO_TOL`` from
+    orthonormal."""
     r = ByteReader(read_envelope(path, PCA_MAGIC, PCA_VERSION))
     d = r.u64()
     rank = r.u64()
@@ -659,8 +660,8 @@ def _structure_error(
 
 
 def load_index(path: str) -> HnswIndex:
-    """Read an index file, rejecting corrupt bytes, repeated ids and
-    invalid structure."""
+    """Read an index file, rejecting corrupt bytes, repeated ids, rows
+    that are not finite unit vectors and invalid structure."""
     r = ByteReader(read_envelope(path, INDEX_MAGIC, INDEX_VERSION))
     n = r.u64()
     d = r.u64()
@@ -676,9 +677,16 @@ def load_index(path: str) -> HnswIndex:
         raise RetrievalError(f"{path}: stored shapes do not match declared (n={n}, d={d})")
     layers = [r.array("int32") for _ in range(max_level + 1)]
     r.done()
+    if efc < 1:
+        raise RetrievalError(f"{path}: ef_construction {efc} is below 1")
     repeated = _repeated_id(ids)
     if repeated is not None:
         raise RetrievalError(f"{path}: id {repeated!r} is repeated")
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(np.einsum("ij,ij->i", data, data) - 1.0)
+    bad = np.flatnonzero(~(off <= INDEX_UNIT_TOL))  # NaN included
+    if bad.size:
+        raise RetrievalError(f"{path}: row {int(bad[0])} is not a finite unit vector")
     problem = _structure_error(n, m, entry, levels, layers)
     if problem:
         raise RetrievalError(f"{path}: {problem}")

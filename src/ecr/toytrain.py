@@ -16,10 +16,13 @@ The synthetic corpus gives the conditioning signal something to carry:
 each record's answer class is a joint function of (language, task) that
 no additive bag-of-tokens model can express, while quantized affinity
 patterns of the query embedding separate the (language, task) groups.
-The harness trains paired baseline/conditioned arms from bit-identical
-base parameters and batch order, evaluates per-language NLL, geometry,
-purity, and cross-lingual consistency per epoch, detects divergence
-instead of crashing, and sweeps factor subsets for ablation tables.
+Every experiment is a list of arms, each a name, a config and its
+conditioning anchors, which one loop trains on one held-out split: a
+single run is one arm, a paired run a baseline and a conditioned arm,
+and an ablation one arm per factor subset.  Arms start from bit-identical
+base parameters and batch order; each evaluates per-language NLL,
+geometry, purity, and cross-lingual consistency per epoch, and detects
+divergence instead of crashing.
 
 Every path runs on whole batches.  A training step pools its queries
 with one gather and one sum, one codec pass gives its (B, P) prefix ids,
@@ -301,15 +304,6 @@ def split_records(
     return train, hold
 
 
-def _split_samples(
-    data: SyntheticData, holdout_fraction: float
-) -> tuple[list[Sample], list[Sample], list[CorpusRecord]]:
-    """Training samples, held-out samples and held-out records of the
-    standard split."""
-    train_recs, eval_recs = split_records(data, holdout_fraction)
-    return make_samples(data, train_recs), make_samples(data, eval_recs), eval_recs
-
-
 # ---------------------------------------------------------------------------
 # Model
 
@@ -557,6 +551,15 @@ class EcrSettings:
     freeze_prefix: bool = False  # prefixes from the initial snapshot instead
     # of recomputation each step
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("global", "retrieval"):
+            raise ToyTrainError(f"unknown ECR mode {self.mode!r}")
+        if self.scope not in ("factor", "all"):
+            raise ToyTrainError(f"unknown ECR top-k scope {self.scope!r}")
+        for name, low in (("k", 1), ("n_bins", 2)):
+            if getattr(self, name) < low:
+                raise ToyTrainError(f"ECR {name} must be at least {low}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -691,8 +694,7 @@ def train_step(
     conditioned = _conditioned(model, batch, anchors, config.ecr, frozen)
     loss, _, d_emb, d_out = _forward_backward(model.emb, model.out, *conditioned, model.base_size)
     grads = {"emb": d_emb, "out": d_out}
-    if config.grad_clip and config.grad_clip > 0:
-        clip_gradients(grads, config.grad_clip)
+    clip_gradients(grads, config.grad_clip)
     optimizer.step({"emb": model.emb, "out": model.out}, grads)
     return loss
 
@@ -952,6 +954,19 @@ def summary_row(report: dict) -> dict:
     }
 
 
+def _train_arms(
+    data: SyntheticData, anchors: AnchorSet, arms: list[tuple[str, TrainConfig, AnchorSet]]
+) -> list[tuple[ToyModel, ExperimentReport]]:
+    """Train each (name, config, conditioning anchors) arm on one standard
+    split, made with the first arm's holdout fraction; every arm measures
+    consistency against ``anchors``."""
+    train_recs, eval_recs = split_records(data, arms[0][1].holdout_fraction)
+    split = (make_samples(data, train_recs), make_samples(data, eval_recs), eval_recs)
+    return [
+        run_training(*split, data.layout, cond, anchors, cfg, arm=name) for name, cfg, cond in arms
+    ]
+
+
 def run_experiment(data: SyntheticData, anchors: AnchorSet, config: TrainConfig) -> PairedOutcome:
     """Paired baseline/conditioned runs of one config under one seed and
     data order.
@@ -961,13 +976,12 @@ def run_experiment(data: SyntheticData, anchors: AnchorSet, config: TrainConfig)
     batches, start from bit-identical base parameters, and condition on and
     measure against ``anchors``.
     """
-    split = _split_samples(data, config.holdout_fraction)
-    reports = []
-    for arm in ("baseline", "ecr"):
-        cfg = replace(config, ecr=replace(config.ecr, enabled=arm == "ecr"))
-        reports.append(run_training(*split, data.layout, anchors, anchors, cfg, arm=arm)[1])
-    table = [summary_row(report.to_dict()) for report in reports]
-    return PairedOutcome(*reports, table=table)
+    arms = [
+        (arm, replace(config, ecr=replace(config.ecr, enabled=arm == "ecr")), anchors)
+        for arm in ("baseline", "ecr")
+    ]
+    reports = [report for _, report in _train_arms(data, anchors, arms)]
+    return PairedOutcome(*reports, table=[summary_row(report.to_dict()) for report in reports])
 
 
 ABLATION_SUBSETS: tuple[tuple[str, ...], ...] = (
@@ -987,35 +1001,23 @@ def run_ablation(data: SyntheticData, anchors: AnchorSet, config: TrainConfig) -
     empty subset is the unconditioned baseline.  Consistency always uses
     the full anchor set as the measuring stick.
     """
-    train_samples, eval_samples, eval_recs = _split_samples(data, config.holdout_fraction)
-    rows = []
+    arms = []
     for subset in ABLATION_SUBSETS:
-        if subset:
-            arm_anchors = subset_anchors(anchors, subset)
-            cfg = replace(config, ecr=replace(config.ecr, enabled=True, factors=subset))
-        else:
-            arm_anchors = anchors
-            cfg = replace(config, ecr=replace(config.ecr, enabled=False))
-        name = "+".join(subset) if subset else "none"
-        _, report = run_training(
-            train_samples, eval_samples, eval_recs, data.layout,
-            arm_anchors, anchors, cfg, arm=name,
-        )
-        row = summary_row(report.to_dict())
-        row["factors"] = list(subset)
-        rows.append(row)
-    return rows
+        ecr = replace(config.ecr, enabled=bool(subset), factors=subset or config.ecr.factors)
+        cond = subset_anchors(anchors, subset) if subset else anchors
+        arms.append(("+".join(subset) or "none", replace(config, ecr=ecr), cond))
+    return [
+        {**summary_row(report.to_dict()), "factors": list(subset)}
+        for (_, report), subset in zip(_train_arms(data, anchors, arms), ABLATION_SUBSETS)
+    ]
 
 
 def run_single_arm(
     data: SyntheticData, anchors: AnchorSet, config: TrainConfig
 ) -> tuple[ToyModel, ExperimentReport]:
     """One arm trained on the standard split of a synthetic dataset."""
-    train_samples, eval_samples, eval_recs = _split_samples(data, config.holdout_fraction)
     arm = "ecr" if config.ecr.enabled else "baseline"
-    return run_training(
-        train_samples, eval_samples, eval_recs, data.layout, anchors, anchors, config, arm=arm
-    )
+    return _train_arms(data, anchors, [(arm, config, anchors)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from ecr.anchors import (
     save_anchors,
 )
 from ecr.codec import encode, project_batch
-from ecr.corpus import EmbeddingMatrix
+from ecr.corpus import EmbeddingMatrix, _rows_over_norms
 
 
 def _matrix(data, ids=None):
@@ -283,7 +283,7 @@ def test_group_offsets_and_stacking():
     # each factor block starts where the one before it ends
     offset = 0
     for g in anchors.groups:
-        assert np.array_equal(stacked[offset : offset + g.k], g.unit_centroids)
+        assert np.array_equal(stacked[offset : offset + g.k], _rows_over_norms(g.centroids))
         offset += g.k
     assert offset == anchors.total_k
 

@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from ecr.anchors import build_anchor_set, save_anchors
+from ecr.anchors import AnchorError, build_anchor_set, save_anchors
+from ecr.binio import FileFormatError
 from ecr.cli import _load_vectors, dispatch, read_config_file
-from ecr.corpus import EmbeddingMatrix, load_embeddings, save_embeddings
-from ecr.toytrain import make_synthetic_corpus
+from ecr.codec import CodecError
+from ecr.corpus import CorpusError, EmbeddingMatrix, load_embeddings, save_embeddings
+from ecr.geometry import GeometryError
+from ecr.retrieval import RetrievalError
+from ecr.toytrain import ToyTrainError, make_synthetic_corpus
 
 
 def _run(capsys, *argv):
@@ -711,6 +715,45 @@ def test_report_missing_file_exits_1(capsys, tmp_path):
     code, _, err = _run(capsys, "report", "--input", str(tmp_path / "no.json"))
     assert code == 1
     assert err.startswith("error: toytrain:")
+
+
+def test_train_toy_rejects_an_ecr_mode_the_codec_has_not(capsys, tmp_path):
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("ecr_enabled = on\necr_mode = topk\n")
+    code, out, err = _run(capsys, "train-toy", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == "error: toytrain: unknown ECR mode 'topk'\n"
+
+
+@pytest.mark.parametrize(
+    "error, label",
+    [
+        (CorpusError, "corpus"),
+        (AnchorError, "anchors"),
+        (CodecError, "codec"),
+        (RetrievalError, "retrieval"),
+        (GeometryError, "geometry"),
+        (ToyTrainError, "toytrain"),
+        (FileFormatError, "binio"),
+        (ValueError, "stub"),
+        (KeyError, "stub"),
+        (FileNotFoundError, "stub"),
+        (np.linalg.LinAlgError, "stub"),
+        (lambda text: json.JSONDecodeError(text, "", 0), "stub"),
+    ],
+)
+def test_each_error_is_labelled_by_the_module_that_defines_it(capsys, monkeypatch, error, label):
+    # the stub renames its subcommand's module, so that only an error from
+    # outside the package prints that name
+    def stub(args):
+        args.module = "stub"
+        raise error("boom")
+
+    monkeypatch.setattr("ecr.cli.cmd_report", stub)
+    code, out, err = _run(capsys, "report", "--input", "x.json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {label}: ") and "boom" in err
 
 
 @pytest.mark.parametrize("rate", ["-1.0", "0.0", "nan", "inf"])

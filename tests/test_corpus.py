@@ -167,6 +167,38 @@ def test_load_embeddings_peak_stays_near_the_matrix(tmp_path):
     assert loaded.data.flags.aligned and np.array_equal(loaded.data, data)
 
 
+def test_load_embeddings_checks_rows_without_an_entry_mask(tmp_path):
+    # one float64 sum per row finds the non-finite rows; no (n, d) bool mask
+    import tracemalloc
+
+    data = np.random.default_rng(0).standard_normal((4000, 768)).astype(np.float32)
+    path = str(tmp_path / "e.bin")
+    save_embeddings(EmbeddingMatrix(data=data, ids=[f"d{i:06d}:en" for i in range(4000)]), path)
+    tracemalloc.start()
+    try:
+        load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * data.nbytes
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_embeddings_names_the_first_bad_row_among_extreme_ones(tmp_path, value):
+    # rows of float32 extremes sum to finite float64s; only the bad rows are named
+    big = np.finfo(np.float32).max
+    data = np.full((4, 768), big, dtype=np.float32)
+    data[1] = -big
+    data[2, 5] = value
+    data[3, 0] = value
+    save_embeddings(EmbeddingMatrix(data=data, ids=list("abcd")), str(tmp_path / "e.bin"))
+    with pytest.raises(CorpusError, match="row 2$"):
+        load_embeddings(str(tmp_path / "e.bin"))
+    data[2:] = big
+    save_embeddings(EmbeddingMatrix(data=data, ids=list("abcd")), str(tmp_path / "e.bin"))
+    assert np.array_equal(load_embeddings(str(tmp_path / "e.bin")).data, data)
+
+
 def test_embeddings_non_finite_rejected(tmp_path):
     data = np.zeros((2, 3), dtype=np.float32)
     data[1, 2] = np.inf

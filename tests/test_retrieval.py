@@ -13,6 +13,7 @@ import ecr.retrieval
 from ecr.binio import FileFormatError
 from ecr.retrieval import (
     INDEX_MAGIC,
+    PcaModel,
     RetrievalError,
     _greedy_step,
     _structure_error,
@@ -99,6 +100,20 @@ def test_pca_degenerate_input_warns():
     with pytest.warns(UserWarning, match="zero variance"):
         model = fit_pca(X, 2)
     assert np.allclose(model.explained_variance, 0.0)
+
+
+def test_fit_pca_peak_stays_below_twice_the_input():
+    # the zero-variance test reads the centred rows in place: no |x| copy
+    import tracemalloc
+
+    data = np.random.default_rng(0).standard_normal((2000, 768))
+    tracemalloc.start()
+    try:
+        fit_pca(data, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.9 * data.nbytes
 
 
 def test_pca_input_validation():
@@ -192,6 +207,31 @@ def test_load_pca_rejects_arrays_that_are_not_a_model(tmp_path, field, index, va
     model = fit_pca(np.random.default_rng(6).normal(size=(50, 7)), 3)
     with pytest.raises(RetrievalError, match=problem):
         load_pca(_saved_pca(tmp_path, model, field, index, value))
+
+
+def test_load_pca_rejects_a_model_with_no_components(tmp_path):
+    model = fit_pca(np.random.default_rng(6).normal(size=(50, 7)), 3)
+    path = str(tmp_path / "pca.bin")
+    empty = model.components[:, :0], model.explained_variance[:0]
+    save_pca(dataclasses.replace(model, components=empty[0], explained_variance=empty[1]), path)
+    with pytest.raises(RetrievalError, match="keeps no components"):
+        load_pca(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_load_pca_rejects_components_whose_products_overflow(tmp_path):
+    # CᵀC of these columns is inf + -inf = NaN off the diagonal, a gap that
+    # compares below no tolerance
+    big = 1e200
+    model = PcaModel(
+        mean=np.zeros(2),
+        components=np.array([[big, big], [big, -big]]),
+        explained_variance=np.array([1.0, 0.5]),
+    )
+    path = str(tmp_path / "pca.bin")
+    save_pca(model, path)
+    with pytest.raises(RetrievalError, match="not orthonormal"):
+        load_pca(path)
 
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-6])
@@ -670,6 +710,19 @@ def _duplicate_neighbor(ix):
     ix.layers[0][node, ix.deg0[node]] = ix.layers[0][node, 0]
 
 
+def _ef_construction_zero(ix):
+    ix.ef_construction = 0  # build_index refuses such a beam
+
+
+def _scaled_row(factor):
+    # a query scores rows by dot product, so a row off unit norm ranks wrongly
+    def defect(ix):
+        ix.data = ix.data * np.where(np.arange(ix.n) == 7, factor, 1.0)[:, None]
+
+    defect.__name__ = f"_row_times_{factor:g}"
+    return defect
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
@@ -687,6 +740,12 @@ def _duplicate_neighbor(ix):
         (_m_below_two, "below 2"),
         (_one_way_edge, "no back edge"),
         (_duplicate_neighbor, "same neighbor twice"),
+        (_ef_construction_zero, "ef_construction 0 is below 1"),
+        (_scaled_row(np.nan), "row 7 is not a finite unit vector"),
+        (_scaled_row(np.inf), "row 7 is not a finite unit vector"),
+        (_scaled_row(0.0), "row 7 is not a finite unit vector"),
+        (_scaled_row(2.0), "row 7 is not a finite unit vector"),
+        (_scaled_row(1e200), "row 7 is not a finite unit vector"),  # squares overflow
     ],
 )
 def test_load_index_rejects_invalid_structure(tmp_path, defect, message):

@@ -915,6 +915,26 @@ def test_train_config_rejects_learning_rate_that_cannot_descend(learning_rate):
         dataclasses.replace(TrainConfig(), learning_rate=learning_rate)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"mode": "bogus"}, "unknown ECR mode 'bogus'"),
+        ({"enabled": True, "mode": "topk"}, "unknown ECR mode 'topk'"),
+        ({"scope": "nope"}, "unknown ECR top-k scope 'nope'"),
+        ({"k": 0}, "ECR k must be at least 1, got 0"),
+        ({"k": -3}, "ECR k must be at least 1, got -3"),
+        ({"n_bins": 1}, "ECR n_bins must be at least 2, got 1"),
+    ],
+)
+def test_ecr_settings_reject_values_the_codec_cannot_take(kwargs, message):
+    # disabled settings are checked too: the report's config records them
+    with pytest.raises(ToyTrainError, match=message):
+        EcrSettings(**kwargs)
+    with pytest.raises(ToyTrainError, match=message):
+        dataclasses.replace(EcrSettings(), **kwargs)
+    EcrSettings(mode="retrieval", scope="all", k=1, n_bins=2)
+
+
 @pytest.mark.parametrize("factors", [("T", "X"), ("T", "L")])
 def test_run_training_rejects_factors_the_anchors_do_not_hold(factors):
     data, anchors = _tiny_setup()
