@@ -83,13 +83,13 @@ def main(argv: list[str] | None = None) -> int:
           f"{args.passes} passes over {args.rows} inputs")
     print(f"{'call':<14}{'best_us':>10}{'p99_us':>10}{'calls':>9}  split_us")
     _report("encode", [
-        ("project", lambda H: codec._cosines(H, anchors)),
+        ("project", lambda H: codec._cosines(H, anchors.stacked_unit())),
         ("quantize", lambda H: indices(H, anchors, vocab)),
         ("render", lambda H: codec.encode(H[0], anchors, N_BINS, vocab=vocab)),
     ], rows, args.passes)
     _report("sample_prefix", [
         ("pool", pooled),
-        ("project", lambda s: codec._cosines(pooled(s), toy)),
+        ("project", lambda s: codec._cosines(pooled(s), toy.stacked_unit())),
         ("quantize", lambda s: indices(pooled(s), toy, model.vocab)),
         ("render", lambda s: toytrain.sample_prefix(model, s, toy, settings)),
     ], samples, args.passes)

@@ -40,6 +40,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_seed(seed: int | None) -> None:
+    """Seeds are non-negative: numpy's generators take no other, and an
+    ECRA file stores a missing seed as -1."""
+    if seed is not None and seed < 0:
+        raise AnchorError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class Provenance:
     """How a factor group was derived."""
@@ -48,6 +55,9 @@ class Provenance:
     seed: int | None = None
     n_samples: int = 0
     n_iter: int = 0
+
+    def __post_init__(self) -> None:
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         raise AnchorError("k-means points are too large: squared distances overflow")
     if k <= 0:
         raise AnchorError(f"k must be positive, got {k}")
+    _check_seed(seed)
     if n < k:
         raise AnchorError(f"cannot fit {k} clusters to {n} points")
     rng = np.random.default_rng(seed)
@@ -364,6 +375,7 @@ def build_anchor_set(
     """
     if mode not in ("label", "kmeans", "auto"):
         raise AnchorError(f"unknown derivation mode {mode!r}")
+    _check_seed(seed)
     wanted = set(factors)
     if not wanted:
         raise AnchorError("empty factor selection")
@@ -440,6 +452,8 @@ def load_anchors(path: str, expect_d: int | None = None) -> AnchorSet:
         names = tuple(r.text_list())
         method = r.text()
         seed = r.i64()
+        if seed < -1:
+            raise AnchorError(f"{path}: factor {factor}: stored seed {seed} is below -1")
         n_samples = r.u64()
         n_iter = r.u64()
         groups.append(
@@ -449,7 +463,7 @@ def load_anchors(path: str, expect_d: int | None = None) -> AnchorSet:
                 label_names=names if has_names else None,
                 provenance=Provenance(
                     method=method,
-                    seed=None if seed < 0 else seed,
+                    seed=None if seed == -1 else seed,
                     n_samples=n_samples,
                     n_iter=n_iter,
                 ),

@@ -25,7 +25,7 @@ from .anchors import (
     save_anchors,
 )
 from .binio import atomic_write_text
-from .codec import encode_batch, project_batch, rank_anchors
+from .codec import _token_table, encode_batch, project_batch, rank_anchors, token_vocabulary
 from .corpus import (
     LANGUAGES,
     EmbeddingMatrix,
@@ -165,15 +165,22 @@ def cmd_encode(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     anchors = load_anchors(args.anchors, expect_d=embeddings.d)
     mode = "retrieval" if args.mode == "topk" else args.mode
+    # over a base of 0 a token's id is its index in the codec's token table,
+    # which holds every token's text
+    vocab = token_vocabulary(anchors, args.bins, 0)
+    text_of = _token_table(anchors, args.bins).texts.__getitem__
     rows = (
         {
             "id": row_id,
             "text": prefix.text,
-            "tokens": [t.render() for t in prefix.tokens],
+            "tokens": list(map(text_of, prefix.token_ids)),
         }
         for ids, block in _row_blocks(embeddings)
         for row_id, prefix in zip(
-            ids, encode_batch(block, anchors, args.bins, mode=mode, k=args.k, scope=args.scope)
+            ids,
+            encode_batch(
+                block, anchors, args.bins, mode=mode, k=args.k, scope=args.scope, vocab=vocab
+            ),
         )
     )
     _emit_rows(args.out, rows, f"encoded {embeddings.n} rows -> {args.out}")

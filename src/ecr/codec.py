@@ -20,18 +20,20 @@ Encoding is batched: one step projects, quantizes and selects a whole
 matrix at once into an (n, P) matrix of token-table indices, which a
 training step reads as ids.  :func:`encode_batch` renders its rows as
 prefixes; :func:`encode` and the trainer's ``sample_prefix`` are batches
-of one.  Tokens, their text and their ids come from a table of every
-(anchor, bin) token, built once per anchor set and bin count (the ids
-once per base size), and a row renders with one ``itemgetter`` per
-field; the anchor layout and unit anchors come from the anchor set's own
-cache.
+of one.  Everything a pass reads besides its rows comes from one table
+per anchor set and bin count, kept in the anchor set's cache and looked
+up once per call: the anchor layout, the unit anchors, the bin
+thresholds, and every (anchor, bin) token with its text (its ids are
+made once per base size).  A row renders with one ``itemgetter`` per
+field.
 
 Rounding can put a cosine an ulp or so past +-1.  Clipping to [-1, 1]
 applies only where the values are read as values: :func:`project_batch`
 returns them clipped, and retrieval mode ranks them clipped, so such an
 anchor ties with any other at the edge.  Bins are taken from the
-unclipped cosines, which the quantizer's floor and clamp already put in
-bin 0 and bin B-1, as for the clipped values.
+unclipped cosines by a search over the B-1 bin thresholds: one past -1
+lies below the first and takes bin 0, one past 1 lies above the last and
+takes bin B-1, as the clipped values do.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ class ControlPrefix:
         return len(self.tokens)
 
 
-def _cosines(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
-    """Unclipped cosines of every row of H against every anchor, (n, total_k).
+def _cosines(H: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Unclipped cosines of every row of H against every row of the unit
+    anchors ``unit``, (n, total_k).
 
     One stacked matrix-vector multiply per row, inside one numpy call, so
     row i has the same bits whatever the batch it is in.  Rounding can put
@@ -94,15 +97,15 @@ def _cosines(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:
         raise CodecError(f"embeddings must form a 2-d matrix, got shape {H.shape}")
-    if H.shape[1] != anchors.d:
+    if H.shape[1] != unit.shape[1]:
         raise CodecError(
-            f"embedding dimension {H.shape[1]} does not match anchors d={anchors.d}"
+            f"embedding dimension {H.shape[1]} does not match anchors d={unit.shape[1]}"
         )
     try:
-        unit = normalize_rows(H)
+        H = normalize_rows(H)
     except ValueError as exc:
         raise CodecError(str(exc)) from None
-    return np.matmul(anchors.stacked_unit(), unit[:, :, None])[:, :, 0]
+    return np.matmul(unit, H[:, :, None])[:, :, 0]
 
 
 def _clip(values: np.ndarray) -> np.ndarray:
@@ -118,7 +121,7 @@ def project_batch(H: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     values are clipped to that range to absorb rounding.  Row i has the
     same bits whatever the batch it is in.
     """
-    return _clip(_cosines(H, anchors))
+    return _clip(_cosines(H, anchors.stacked_unit()))
 
 
 def quantize_value(c: float, n_bins: int) -> int:
@@ -135,21 +138,45 @@ def quantize_value(c: float, n_bins: int) -> int:
     return min(max(b, 0), n_bins - 1)
 
 
-def _bins(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """The bins :func:`quantize_value` gives every entry of a projection,
-    clipped to [-1, 1], all at once.
+def _thresholds(n_bins: int) -> np.ndarray:
+    """t[k-1], the least float64 c with int((c+1) * (B/2)) >= k, for k = 1..B-1.
 
-    (c+1) * (B/2) is the same float as (c+1) / 2 * B, since halving is
-    exact.  The entries need not be clipped: a cosine that rounding puts
-    just below -1 scales into (-1, 0), which the integer cast truncates to
-    bin 0, and one just above 1 scales to B, which the clamp sends to bin
-    B-1, as clipping first would.  Inside [-1, 1] the scaled value is never
-    negative, so the cast is the floor.
+    int((c+1) * (B/2)) is :func:`quantize_value`'s bin before its clamp:
+    halving is exact, and the cast is the floor of a value that is not
+    negative.  Each threshold is found exactly, all k at once, by bisection
+    over int64 keys that order the floats of [-1, 1]: the bit pattern of
+    |c|, negated where c < 0.
     """
-    if n_bins < 2:
-        raise CodecError(f"n_bins must be at least 2, got {n_bins}")
-    bins = ((values + 1.0) * (n_bins / 2)).astype(np.int64)
-    return np.minimum(bins, n_bins - 1, out=bins)
+
+    def value(key: np.ndarray) -> np.ndarray:
+        c = np.abs(key).view(np.float64)
+        return np.where(key < 0, -c, c)
+
+    one = np.float64(1.0).view(np.int64)
+    want = np.arange(1, n_bins)
+    lo = np.full(n_bins - 1, -one)  # -1.0, whose bin is 0 < k
+    hi = np.full(n_bins - 1, one)  # 1.0, whose bin is B >= k
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        above = ((value(mid) + 1.0) * (n_bins / 2)).astype(np.int64) >= want
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return value(hi)
+
+
+def _bins(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The bins :func:`quantize_value` gives every entry of a projection,
+    clipped to [-1, 1], all at once, from the :func:`_thresholds` of B.
+
+    An entry's bin is the count of thresholds at or below it.  Rounding,
+    then truncation, keeps c -> int((c+1) * (B/2)) non-decreasing, so
+    that count is the number of k in 1..B-1 whose bin it reaches, which is
+    its bin clamped to B-1.  The entries need not be clipped: a cosine
+    that rounding puts just below -1 lies below every threshold and takes
+    bin 0, and one just above 1 lies above every threshold and takes bin
+    B-1, as clipping first would.
+    """
+    return thresholds.searchsorted(values, side="right")
 
 
 @dataclass(frozen=True)
@@ -220,22 +247,37 @@ def token_vocabulary(anchors: AnchorSet, n_bins: int, base_size: int) -> TokenVo
 
 @dataclass(frozen=True)
 class _TokenTable:
-    """Every control token of one anchor set and bin count, in id order.
+    """Everything the codec reads of one anchor set and bin count.
 
-    Entry anchor * n_bins + bin holds that token and its text, so a row of
-    bins becomes table indices with one add to ``offsets``.
+    The anchor layout and unit anchors, the bin thresholds, and every
+    control token and its text in id order: entry anchor * n_bins + bin
+    holds that token, so a row of bins becomes table indices with one add
+    to ``offsets``.
     """
 
+    n_bins: int
+    factors: tuple[str, ...]
+    group_sizes: tuple[int, ...]
+    unit: np.ndarray  # (total_k, d) the anchor set's unit anchors
+    thresholds: np.ndarray  # (n_bins - 1,) from _thresholds
     tokens: tuple[ControlToken, ...]
     texts: tuple[str, ...]
     offsets: np.ndarray  # (total_k,) flat anchor index * n_bins
     _ids: dict[int, tuple[int, ...]] = field(default_factory=dict)  # base size -> ids
 
-    def vocab_ids(self, base_size: int) -> tuple[int, ...]:
-        """Every entry's vocabulary id over ``base_size``, made once per base size."""
-        ids = self._ids.get(base_size)
+    def vocab_ids(self, vocab: TokenVocabulary) -> tuple[int, ...]:
+        """Every entry's id in ``vocab``, made once per base size, after
+        checking that ``vocab`` has this table's bin count and layout."""
+        if vocab.n_bins != self.n_bins:
+            raise CodecError(
+                f"vocabulary n_bins={vocab.n_bins} does not match encode n_bins={self.n_bins}"
+            )
+        if vocab.factors != self.factors or vocab.group_sizes != self.group_sizes:
+            raise CodecError("vocabulary factor layout does not match the anchor set")
+        base = vocab.base_size
+        ids = self._ids.get(base)
         if ids is None:
-            ids = self._ids[base_size] = tuple(range(base_size, base_size + len(self.tokens)))
+            ids = self._ids[base] = tuple(range(base, base + len(self.tokens)))
         return ids
 
 
@@ -245,6 +287,8 @@ def _token_table(anchors: AnchorSet, n_bins: int) -> _TokenTable:
     key = ("token_table", n_bins)
     table = anchors._cache.get(key)
     if table is None:
+        if n_bins < 2:
+            raise CodecError(f"n_bins must be at least 2, got {n_bins}")
         tokens = tuple(
             ControlToken(factor=factor, anchor=a, bin=b)
             for factor, k in zip(anchors.factors, anchors.group_sizes)
@@ -252,6 +296,11 @@ def _token_table(anchors: AnchorSet, n_bins: int) -> _TokenTable:
             for b in range(n_bins)
         )
         table = _TokenTable(
+            n_bins=n_bins,
+            factors=anchors.factors,
+            group_sizes=anchors.group_sizes,
+            unit=anchors.stacked_unit(),
+            thresholds=_thresholds(n_bins),
             tokens=tokens,
             texts=tuple(t.render() for t in tokens),
             offsets=np.arange(anchors.total_k) * n_bins,
@@ -300,39 +349,29 @@ def _selected(values: np.ndarray, group_sizes: tuple[int, ...], k: int, scope: s
     return np.sort(np.concatenate(blocks, axis=1), axis=1)
 
 
-def _check_vocab(vocab: TokenVocabulary | None, anchors: AnchorSet, n_bins: int) -> None:
-    if vocab is None:
-        return
-    if vocab.n_bins != n_bins:
-        raise CodecError(
-            f"vocabulary n_bins={vocab.n_bins} does not match encode n_bins={n_bins}"
-        )
-    if vocab.factors != anchors.factors or vocab.group_sizes != anchors.group_sizes:
-        raise CodecError("vocabulary factor layout does not match the anchor set")
-
-
 def _table_indices(
     H: np.ndarray, anchors: AnchorSet, n_bins: int, mode: str, k: int, scope: str,
     vocab: TokenVocabulary | None,
-) -> tuple[_TokenTable, np.ndarray]:
-    """The token table and the (n, P) int64 table indices of the tokens
-    :func:`encode_batch` selects for each row, in canonical order; a token's
-    vocabulary id is the base size plus its index.  Every row has the same P:
-    total_k, the sum of min(k, size) over the factors, or k under scope "all".
-    Bins come from the unclipped cosines; retrieval mode ranks them clipped."""
+) -> tuple[_TokenTable, tuple[int, ...] | None, np.ndarray]:
+    """The token table, its ids in ``vocab`` (none without one) and the
+    (n, P) int64 table indices of the tokens :func:`encode_batch` selects
+    for each row, in canonical order; a token's vocabulary id is the base
+    size plus its index.  Every row has the same P: total_k, the sum of
+    min(k, size) over the factors, or k under scope "all".  Bins come from
+    the unclipped cosines; retrieval mode ranks them clipped."""
     if mode not in ("global", "retrieval"):
         raise CodecError(f"unknown encode mode {mode!r}")
     if scope not in ("factor", "all"):
         raise CodecError(f"unknown top-k scope {scope!r}")
-    _check_vocab(vocab, anchors, n_bins)
-    values = _cosines(H, anchors)
-    flat = _bins(values, n_bins)
     table = _token_table(anchors, n_bins)
+    ids = None if vocab is None else table.vocab_ids(vocab)
+    values = _cosines(H, table.unit)
+    flat = _bins(values, table.thresholds)
     flat += table.offsets
     if mode == "retrieval":
-        chosen = _selected(_clip(values), anchors.group_sizes, k, scope)
+        chosen = _selected(_clip(values), table.group_sizes, k, scope)
         flat = np.take_along_axis(flat, chosen, axis=1)
-    return table, flat
+    return table, ids, flat
 
 
 def encode_batch(
@@ -353,8 +392,7 @@ def encode_batch(
     prefixes carry token objects and text but no ids.  Raises
     :class:`CodecError` on a row that is zero or has a NaN or infinite entry.
     """
-    table, flat = _table_indices(H, anchors, n_bins, mode, k, scope, vocab)
-    ids = None if vocab is None else table.vocab_ids(vocab.base_size)
+    table, ids, flat = _table_indices(H, anchors, n_bins, mode, k, scope, vocab)
     return [_render(table, row, ids) for row in flat.tolist()]
 
 

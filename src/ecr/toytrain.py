@@ -390,20 +390,24 @@ def _pooled_queries(model: ToyModel, queries: list) -> np.ndarray:
     count of kept ids as np.mean divides, so each row is bit-identical to
     the query's own mean.  The padding is the first control id, so one test
     skips it with the control ids; the masked sum starts at -0.0, since
-    -0.0 + x is x for every x, signed zeros included.
+    -0.0 + x is x for every x, signed zeros included.  Each query's length,
+    low id and high id are read once, and the checks and the choice of
+    path read only those.
     """
     if not queries:
         return np.zeros((0, model.d))
-    lows = [min(q, default=-1) for q in queries]  # -1: an empty query
-    top = max(map(max, queries)) if min(lows) >= 0 else -1
+    lengths = list(map(len, queries))
+    width, short = max(lengths), min(lengths)
+    lows = list(map(min, queries)) if short else [-1]  # -1: an empty query
+    top = max(map(max, queries)) if short else -1
     if min(lows) < 0 or max(lows) >= model.base_size or top >= model.total_vocab:
         _refuse_first(model, queries)
+    if top < model.base_size and short == width:
+        # Nothing to skip, as in every query of the synthetic corpus: the
+        # same sums over the queries as given, with no padded block or mask.
+        return np.add.reduce(model.emb.take(queries, axis=0), axis=1) / width
     block = _pad(queries, model.base_size)
     rows = model.emb.take(block, axis=0)
-    if top < model.base_size and min(map(len, queries)) == block.shape[1]:
-        # Nothing to skip, as in every query of the synthetic corpus: the
-        # same sums without the mask, which adds about 15% to a batch of one.
-        return np.add.reduce(rows, axis=1) / block.shape[1]
     keep = block < model.base_size
     sums = np.add.reduce(rows, axis=1, where=keep[:, :, None], initial=-0.0)
     return sums / np.add.reduce(keep, axis=1)[:, None]
@@ -616,7 +620,7 @@ def _prefixes(
 ) -> np.ndarray:
     """Every sample's prefix ids, (B, P) int64, from one pooling and codec pass."""
     pooled = _pooled_queries(model, [s.tokens[: s.query_len] for s in samples])
-    _, flat = _table_indices(
+    _, _, flat = _table_indices(
         pooled, anchors, settings.n_bins, settings.mode, settings.k, settings.scope, model.vocab
     )
     return model.base_size + flat
@@ -694,7 +698,8 @@ def train_step(
     conditioned = _conditioned(model, batch, anchors, config.ecr, frozen)
     loss, _, d_emb, d_out = _forward_backward(model.emb, model.out, *conditioned, model.base_size)
     grads = {"emb": d_emb, "out": d_out}
-    clip_gradients(grads, config.grad_clip)
+    if config.grad_clip > 0.0:
+        clip_gradients(grads, config.grad_clip)
     optimizer.step({"emb": model.emb, "out": model.out}, grads)
     return loss
 

@@ -116,6 +116,12 @@ def test_kmeans_k_exceeds_n_rejected():
         kmeans_fit(np.zeros((3, 2)), 4, seed=0)
 
 
+def test_kmeans_negative_seed_rejected():
+    # numpy's generators take no negative seed; the fit says so in its own error
+    with pytest.raises(AnchorError, match="seed must be non-negative, got -5"):
+        kmeans_fit(np.random.default_rng(0).normal(size=(6, 2)), 2, seed=-5)
+
+
 def test_kmeans_handles_duplicate_points():
     pts = np.ones((10, 3))
     result = kmeans_fit(pts, 2, seed=0)
@@ -318,6 +324,30 @@ def test_load_anchors_dimension_guard(tmp_path):
     save_anchors(anchors, path)
     with pytest.raises(AnchorError, match="dimension"):
         load_anchors(path, expect_d=99)
+
+
+def test_negative_seeds_rejected_in_provenance_and_builds():
+    with pytest.raises(AnchorError, match="seed must be non-negative, got -5"):
+        Provenance(method="kmeans", seed=-5)
+    m, corpus = _toy_anchor_set()
+    for factors, mode in ((("P",), "auto"), (("T",), "label")):
+        with pytest.raises(AnchorError, match="seed must be non-negative, got -1"):
+            build_anchor_set(m, corpus, factors, mode=mode, k=2, seed=-1)
+    assert Provenance(method="label_centroids").seed is None
+
+
+def test_load_anchors_seed_minus_one_is_none_and_below_rejected(tmp_path):
+    m, corpus = _toy_anchor_set()
+    anchors = build_anchor_set(m, corpus, ("T", "P"), mode="auto", k={"P": 2}, seed=0)
+    path = str(tmp_path / "a.bin")
+    save_anchors(anchors, path)
+    # the label group is stored with seed -1, the k-means group with seed 0 + position
+    assert [g.provenance.seed for g in load_anchors(path).groups] == [None, 4]
+    # a seed below -1, written through the saver so the checksum holds
+    object.__setattr__(anchors.groups[1].provenance, "seed", -5)
+    save_anchors(anchors, path)
+    with pytest.raises(AnchorError, match="factor P: stored seed -5 is below -1"):
+        load_anchors(path)
 
 
 def test_repeated_label_names_rejected(tmp_path):

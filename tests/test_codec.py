@@ -12,7 +12,9 @@ from ecr.anchors import AnchorSet, FactorGroup, build_anchor_set
 from ecr.codec import (
     CodecError,
     ControlToken,
+    _bins,
     _cosines,
+    _thresholds,
     _token_table,
     encode,
     encode_batch,
@@ -22,6 +24,7 @@ from ecr.codec import (
     rank_anchors,
     token_vocabulary,
 )
+from ecr.corpus import _rows_over_norms
 
 
 def _anchor_set(factors=("T", "L"), d=6, seed=0, k=None, mode="label"):
@@ -89,6 +92,47 @@ def test_quantizer_monotone_property(c, n_bins):
     # nudging the affinity upward never decreases the bin
     c_up = min(c + 1e-3, 1.0)
     assert quantize_value(c_up, n_bins) >= b
+
+
+def _bins_by_value(values, n_bins):
+    """The reference: quantize_value of each entry clipped to [-1, 1]."""
+    return [quantize_value(min(max(float(c), -1.0), 1.0), n_bins) for c in values]
+
+
+@pytest.mark.parametrize("n_bins", [*range(2, 65), 1000])
+def test_threshold_search_equals_quantize_value(n_bins):
+    t = _thresholds(n_bins)
+    assert t.shape == (n_bins - 1,) and np.all(np.diff(t) > 0)
+    one_past = [np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
+    values = np.concatenate([
+        t, np.nextafter(t, -2.0), np.nextafter(t, 2.0),
+        [1.0, -1.0, *one_past, 0.0, -0.0],
+        np.linspace(-1.0, 1.0, 2049),
+    ])
+    got = _bins(values, t)
+    assert got.tolist() == _bins_by_value(values, n_bins)
+    # each threshold is the least value of its bin
+    assert _bins(t, t).tolist() == list(range(1, n_bins))
+    assert _bins(np.nextafter(t, -2.0), t).tolist() == list(range(n_bins - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    total_k=st.integers(1, 12),
+    n_bins=st.integers(2, 64),
+)
+def test_bins_of_cosine_blocks_equal_quantize_value(seed, n, total_k, n_bins):
+    # unclipped cosines, some rounded past +-1 where a row repeats an anchor
+    rng = np.random.default_rng(seed)
+    unit = _rows_over_norms(rng.normal(size=(total_k, 6)))
+    H = rng.normal(size=(n, 6))
+    H[: min(n, total_k)] = unit[: min(n, total_k)] * rng.choice([-3.0, 0.5, 7.0])
+    values = _cosines(H, unit)
+    got = _bins(values, _thresholds(n_bins))
+    assert got.shape == (n, total_k)
+    assert got.ravel().tolist() == _bins_by_value(values.ravel(), n_bins)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +472,7 @@ def test_cosines_rounded_past_one_take_the_edge_bins():
         anchors = _anchor_set(("T", "L", "E", "I"), d=24, seed=seed)
         for flat, c in enumerate(np.vstack([g.centroids for g in anchors.groups])):
             pair = np.stack([c, -c]).astype(np.float64)
-            raw = _cosines(pair, anchors)[:, flat]
+            raw = _cosines(pair, anchors.stacked_unit())[:, flat]
             if not (raw[0] > 1.0 and raw[1] < -1.0):
                 continue
             found += 1
@@ -461,7 +505,7 @@ def test_retrieval_ranks_cosines_rounded_past_one_as_clipped():
         anchors = AnchorSet(
             groups=(FactorGroup(factor="T", centroids=np.outer([3.0, 7.0, 0.3, 11.0], a)),), d=24
         )
-        raw = _cosines(a[None], anchors)[0]
+        raw = _cosines(a[None], anchors.stacked_unit())[0]
         if raw[0] < 1.0 or np.argmax(raw) == 0:
             continue
         found += 1

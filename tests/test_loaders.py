@@ -141,9 +141,11 @@ ANCHOR_MUTATIONS = {
         "factor": data.draw(st.sampled_from(FACTOR_CODES + ("X", "")))
     }),
     "provenance": _group_mutation(lambda g, data: {
-        "provenance": Provenance(
-            data.draw(st.text(max_size=4)), data.draw(st.none() | I64),
-            data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)),
+        "provenance": _unchecked(
+            g.provenance,
+            method=data.draw(st.text(max_size=4)), seed=data.draw(st.none() | I64),
+            n_samples=data.draw(st.integers(0, 2**64 - 1)),
+            n_iter=data.draw(st.integers(0, 2**64 - 1)),
         )
     }),
     "groups": lambda s, data: _unchecked(

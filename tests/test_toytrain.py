@@ -821,6 +821,22 @@ def test_train_step_reduces_loss_on_repetition():
         train_step(model, [], None, cfg, opt)
 
 
+def test_train_step_takes_the_gradient_norm_only_to_clip(monkeypatch):
+    # with clipping off nothing reads the norm, so the step does not compute it
+    import ecr.toytrain as toytrain
+
+    calls = []
+    monkeypatch.setattr(
+        toytrain, "clip_gradients", lambda grads, cap: calls.append(cap) or clip_gradients(grads, cap)
+    )
+    data, anchors = _tiny_setup(n_per_lang=8)
+    batch = make_samples(data)[:8]
+    for cap in (0.0, 0.5):
+        model = init_model(data.layout.base_size, 16, anchors, 8, seed=1)
+        train_step(model, batch, None, _fast_config(grad_clip=cap), AdamW(lr=0.05))
+    assert calls == [0.5]
+
+
 def test_run_single_arm_report_shape():
     data, anchors = _tiny_setup(n_per_lang=8)
     cfg = _fast_config()
