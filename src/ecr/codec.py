@@ -90,8 +90,8 @@ def _cosines(H: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Unclipped cosines of every row of H against every row of the unit
     anchors ``unit``, (n, total_k).
 
-    One stacked matrix-vector multiply per row, inside one numpy call, so
-    row i has the same bits whatever the batch it is in.  Rounding can put
+    One BLAS matrix-vector product per row, all in one ``np.matvec`` call,
+    so row i has the same bits whatever the batch it is in.  Rounding can put
     an entry an ulp or so outside [-1, 1].
     """
     H = np.asarray(H, dtype=np.float64)
@@ -105,7 +105,7 @@ def _cosines(H: np.ndarray, unit: np.ndarray) -> np.ndarray:
         H = normalize_rows(H)
     except ValueError as exc:
         raise CodecError(str(exc)) from None
-    return np.matmul(unit, H[:, :, None])[:, :, 0]
+    return np.matvec(unit, H)
 
 
 def _clip(values: np.ndarray) -> np.ndarray:

@@ -264,11 +264,6 @@ _SQ_MIN = 2.0**-900
 _SQ_MAX = float(np.finfo(np.float64).max)
 
 
-def _row_dots(arr: np.ndarray) -> np.ndarray:
-    # One BLAS dot per row: the sum np.dot takes over a single vector.
-    return np.matmul(arr[:, None, :], arr[:, :, None])[:, 0, 0]
-
-
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Scale every row of a 2-d array to unit L2 norm.
 
@@ -281,7 +276,7 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
     Zero rows and non-finite entries are domain errors.
     """
     arr = np.asarray(rows, dtype=np.float64)
-    sq = _row_dots(arr)
+    sq = np.vecdot(arr, arr)  # one BLAS dot per row: the sum np.dot takes
     # A Python-level test costs a tenth of the numpy one on a batch of one.
     if not all(_SQ_MIN <= s <= _SQ_MAX for s in sq.tolist()):  # False for NaN
         inside = (sq >= _SQ_MIN) & (sq <= _SQ_MAX)
@@ -291,7 +286,7 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
         if (peak == 0.0).any():
             raise ValueError("cannot normalize a zero vector")
         arr = np.ldexp(arr, np.where(inside, 0, -np.frexp(peak)[1])[:, None])
-        sq = _row_dots(arr)
+        sq = np.vecdot(arr, arr)
     return arr / np.sqrt(sq, out=sq)[:, None]
 
 

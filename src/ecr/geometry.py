@@ -46,10 +46,14 @@ def _manifold_stats(data: np.ndarray, labels: list[str]) -> dict[str, _Manifold]
     """The one pass over the manifolds, in sorted label order.
 
     ``labels`` names each row's manifold; every label names a manifold.
-    Errors on a label count other than the row count.
+    Errors on a label count other than the row count, and on a non-finite
+    entry.
     """
     if len(labels) != len(data):
         raise GeometryError(f"{len(labels)} labels for {len(data)} rows")
+    if not np.isfinite(data).all():
+        bad = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
+        raise GeometryError(f"non-finite value in row {bad}")
     rows: dict[str, list[int]] = {label: [] for label in sorted(set(labels))}
     for idx, label in enumerate(labels):
         rows[label].append(idx)
@@ -77,8 +81,10 @@ def _separation(stats: dict[str, _Manifold]) -> float:
 
 
 def geometry_ratio(intra: float, inter: float) -> float:
-    if inter <= 0:
-        raise GeometryError(f"inter separation must be positive, got {inter}")
+    if not np.isfinite(intra):
+        raise GeometryError(f"intra compactness must be finite, got {intra}")
+    if not 0 < inter < np.inf:
+        raise GeometryError(f"inter separation must be finite and positive, got {inter}")
     return intra / inter
 
 

@@ -162,6 +162,10 @@ def make_synthetic_corpus(
         raise ToyTrainError(f"n_factors must be at least 2, got {n_factors}")
     if marker_repeat < 1:
         raise ToyTrainError(f"marker_repeat must be positive, got {marker_repeat}")
+    if d < 1:
+        raise ToyTrainError(f"d must be positive, got {d}")
+    if seed < 0:  # numpy's generators take no other
+        raise ToyTrainError(f"seed must be non-negative, got {seed}")
     layout = VocabLayout(n_tasks=n_factors, n_content=n_content)
     rng = np.random.default_rng(seed)
 
@@ -585,11 +589,24 @@ class TrainConfig:
         for name, low in (("batch_size", 1), ("epochs", 0), ("divergence_patience", 1)):
             if getattr(self, name) < low:
                 raise ToyTrainError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        # a rate <= 0 ascends or stands still, and an infinite one is no step
-        if not 0.0 < self.learning_rate < float("inf"):  # False for NaN
-            raise ToyTrainError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}"
-            )
+        inf = float("inf")
+        rules = (
+            # a rate <= 0 ascends or stands still, and an infinite one is no step
+            ("learning_rate", 0.0 < self.learning_rate < inf, "finite and positive"),
+            # a decay of 1 zeroes Adam's bias correction, and one past it
+            # no longer averages
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("eps", 0.0 < self.eps < inf, "finite and positive"),
+            ("weight_decay", 0.0 <= self.weight_decay < inf, "finite and non-negative"),
+            # a NaN threshold would switch the divergence detector off
+            ("grad_clip", -inf < self.grad_clip < inf, "finite"),
+            ("divergence_threshold", -inf < self.divergence_threshold < inf, "finite"),
+            ("holdout_fraction", 0.0 < self.holdout_fraction < 1.0, "in (0, 1)"),
+        )
+        for name, ok, rule in rules:  # every comparison is False for NaN
+            if not ok:
+                raise ToyTrainError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         cfg = {
@@ -743,7 +760,7 @@ def task_accuracy(
     at = [prefix_len + s.answer_pos - 1 for s in samples]
     # one context row times the head per sample: reading the answer logits
     # off the all-positions product would round differently
-    logits = np.matmul(ctx[at, np.arange(len(samples))][:, None, :], model.out)[:, 0]
+    logits = np.vecmat(ctx[at, np.arange(len(samples))], model.out)
     hits = 0
     for sample, row in zip(samples, logits):
         cand = np.asarray(sample.candidates, dtype=np.int64)
@@ -871,12 +888,14 @@ def run_training(
                 break
         if not diverged:
             pooled = _pooled_queries(model, list(slot))[rows_of]
-            diverged = not np.isfinite(pooled).all()
+            student_rows = pooled[:n_eval].astype(np.float32)
+            # a student row past float32's range has no geometry either
+            diverged = not (np.isfinite(pooled).all() and np.isfinite(student_rows).all())
         if diverged:
             divergence_step = len(loss_curve)
             break
         nll_epochs.append(nll_eval(model, eval_samples, anchors, config.ecr, eval_frozen))
-        student = EmbeddingMatrix(data=pooled[:n_eval].astype(np.float32), ids=student_ids)
+        student = EmbeddingMatrix(data=student_rows, ids=student_ids)
         geometry_report, purity_report = manifold_reports(student, langs, "labels")
         geometry_epochs.append(geometry_report.to_dict())
         purity_epochs.append(purity_report.to_dict())

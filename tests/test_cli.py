@@ -764,3 +764,26 @@ def test_train_toy_rejects_learning_rate_that_cannot_descend(capsys, tmp_path, r
     assert code == 1
     assert out == ""
     assert err.startswith("error: toytrain: learning_rate must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("beta1 = 2", "beta1 must be in [0, 1), got 2.0"),
+        ("beta2 = 1", "beta2 must be in [0, 1), got 1.0"),
+        ("eps = 0", "eps must be finite and positive, got 0.0"),
+        ("weight_decay = -1", "weight_decay must be finite and non-negative, got -1.0"),
+        ("grad_clip = nan", "grad_clip must be finite, got nan"),
+        ("divergence_threshold = nan", "divergence_threshold must be finite, got nan"),
+        ("holdout_fraction = 1", "holdout_fraction must be in (0, 1), got 1.0"),
+        ("data_seed = -1", "seed must be non-negative, got -1"),
+        ("data_dim = 0", "d must be positive, got 0"),
+    ],
+)
+def test_train_toy_rejects_config_that_cannot_train(capsys, tmp_path, entry, message):
+    # each was a run before: a plausible report, diverged=True or a traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"epochs = 1\nn_per_lang = 4\n{entry}\n")
+    code, out, err = _run(capsys, "train-toy", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: toytrain: {message}")

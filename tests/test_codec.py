@@ -24,7 +24,7 @@ from ecr.codec import (
     rank_anchors,
     token_vocabulary,
 )
-from ecr.corpus import _rows_over_norms
+from ecr.corpus import _rows_over_norms, normalize_rows
 
 
 def _anchor_set(factors=("T", "L"), d=6, seed=0, k=None, mode="label"):
@@ -415,16 +415,19 @@ def test_encode_batch_rejects_non_matrix_input():
 @settings(max_examples=60)
 @given(
     seed=st.integers(0, 10_000),
-    n_rows=st.integers(1, 6),
+    n_rows=st.integers(1, 40),
+    d=st.sampled_from([6, 768]),
     n_bins=st.sampled_from([2, 8, 16]),
     mode=st.sampled_from(["global", "retrieval"]),
     scope=st.sampled_from(["factor", "all"]),
 )
-def test_encode_batch_rows_equal_single_encode(seed, n_rows, n_bins, mode, scope):
-    anchors = _anchor_set(("T", "L", "E"), d=6, seed=3)
+def test_encode_batch_rows_equal_single_encode(seed, n_rows, d, n_bins, mode, scope):
+    # up to 40 rows, so a batch spans several of BLAS's 4-row blocks
+    anchors = _anchor_set(("T", "L", "E"), d=d, seed=3)
+    unit = anchors.stacked_unit()
     vocab = token_vocabulary(anchors, n_bins=n_bins, base_size=40)
     rng = np.random.default_rng(seed)
-    H = rng.normal(size=(n_rows, 6)) * rng.choice([1e-3, 1.0, 1e3], size=(n_rows, 1))
+    H = rng.normal(size=(n_rows, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n_rows, 1))
     k = 2 if mode == "retrieval" else None
     batch = encode_batch(H, anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
     values = project_batch(H, anchors)
@@ -432,6 +435,9 @@ def test_encode_batch_rows_equal_single_encode(seed, n_rows, n_bins, mode, scope
     for i, prefix in enumerate(batch):
         assert prefix == encode(H[i], anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
         assert np.array_equal(values[i], project_batch(H[i : i + 1], anchors)[0])
+        # one matrix-vector product of the unit anchors and the unit row
+        alone = unit @ normalize_rows(H[i][None])[0]
+        assert np.array_equal(values[i], np.clip(alone, -1.0, 1.0))
         assert prefix.text == "".join(t.render() for t in prefix.tokens)
         for tok, tid in zip(prefix.tokens, prefix.token_ids):
             flat = _flat_index(anchors, tok)

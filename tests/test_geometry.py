@@ -77,6 +77,24 @@ def test_ratio_is_plain_division():
         geometry_ratio(1.0, 0.0)
     with pytest.raises(GeometryError):
         geometry_ratio(1.0, -2.0)
+    # geometry_ratio(nan, 1.0) returned nan before
+    for intra, inter in [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]:
+        with pytest.raises(GeometryError, match="must be finite"):
+            geometry_ratio(intra, inter)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_rows_are_geometry_errors(bad):
+    # all-NaN rows read as purity 0.5 and a NaN ratio before
+    m, labels = _two_cluster_case()
+    m.data[2] = bad
+    for call in (
+        lambda: compute_geometry(m, labels, "labels"),
+        lambda: purity(m, labels),
+        lambda: manifold_reports(m, labels, "labels"),
+    ):
+        with pytest.raises(GeometryError, match="non-finite value in row 2"):
+            call()
 
 
 def test_inter_three_clusters_mean_pairwise():

@@ -46,16 +46,6 @@ def test_paired_training_writes_results(capsys, tmp_path):
     assert [row["seed"] for row in payload["rows"]] == [0]
 
 
-def test_retrieval_bench_prints_ladder_and_latency(capsys):
-    argv = ["--n", "300", "--d", "8", "--m", "6", "--efc", "20", "--queries", "20",
-            "--ef-ladder", "8,32", "--bench-ef", "16"]
-    assert _main("retrieval_bench")(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("built index: n=300 d=8 m=6 efc=20")
-    assert [line.split()[0] for line in lines[1:3]] == ["ef=", "ef="]
-    assert lines[3].startswith("latency at ef=16: p50=")
-
-
 def test_cli_peak_rss_prints_each_command(capsys):
     assert _main("cli_peak_rss")(["--n-per-lang", "4", "--dim", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()

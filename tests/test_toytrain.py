@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,11 @@ def test_synthetic_validation():
         make_synthetic_corpus(seed=0, n_factors=1)
     with pytest.raises(ToyTrainError):
         make_synthetic_corpus(seed=0, marker_repeat=0)
+    # numpy raised a bare ValueError on the seed; d = 0 gave a (6, 0) teacher
+    with pytest.raises(ToyTrainError, match="seed must be non-negative, got -1"):
+        make_synthetic_corpus(seed=-1, n_per_lang=2)
+    with pytest.raises(ToyTrainError, match="d must be positive, got 0"):
+        make_synthetic_corpus(seed=0, n_per_lang=2, d=0)
 
 
 def test_synthetic_corpus_peak_stays_below_two_matrices():
@@ -898,7 +904,7 @@ def test_divergence_before_patience_is_recorded_not_raised(learning_rate, enable
     for batch_size in (32, 4):
         cfg = TrainConfig(
             epochs=40, batch_size=batch_size, learning_rate=learning_rate,
-            divergence_threshold=float("inf"), ecr=EcrSettings(enabled=enabled),
+            divergence_threshold=np.finfo(np.float64).max, ecr=EcrSettings(enabled=enabled),
         )
         with np.errstate(all="ignore"):
             _, report = run_single_arm(data, anchors, cfg)
@@ -929,6 +935,38 @@ def test_train_config_rejects_learning_rate_that_cannot_descend(learning_rate):
         TrainConfig(learning_rate=learning_rate)
     with pytest.raises(ToyTrainError, match="learning_rate must be finite and positive"):
         dataclasses.replace(TrainConfig(), learning_rate=learning_rate)
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("beta1", -0.1, "in [0, 1)"),
+        ("beta1", 2.0, "in [0, 1)"),
+        ("beta2", 1.0, "in [0, 1)"),
+        ("beta2", float("nan"), "in [0, 1)"),
+        ("eps", 0.0, "finite and positive"),
+        ("eps", -1e-8, "finite and positive"),
+        ("weight_decay", -1.0, "finite and non-negative"),
+        ("weight_decay", float("inf"), "finite and non-negative"),
+        ("grad_clip", float("nan"), "finite"),
+        ("grad_clip", float("inf"), "finite"),
+        ("divergence_threshold", float("nan"), "finite"),
+        ("divergence_threshold", float("inf"), "finite"),
+        ("holdout_fraction", 0.0, "in (0, 1)"),
+        ("holdout_fraction", 1.0, "in (0, 1)"),
+    ],
+)
+def test_train_config_rejects_optimiser_settings_that_train_wrongly(field, value, rule):
+    # each trained to a plausible report, or to diverged=True, before
+    message = re.escape(f"{field} must be {rule}, got {value}")
+    with pytest.raises(ToyTrainError, match=message):
+        TrainConfig(**{field: value})
+    with pytest.raises(ToyTrainError, match=message):
+        dataclasses.replace(TrainConfig(), **{field: value})
+
+
+def test_train_config_accepts_the_edges_of_each_range():
+    TrainConfig(beta1=0.0, beta2=0.0, weight_decay=0.0, grad_clip=-1.0, holdout_fraction=0.01)
 
 
 @pytest.mark.parametrize(
