@@ -8,8 +8,9 @@ factor label inventories; every following line is one record:
      "intent": "inquiry", "en_q": "...", "zh_q": "...", "hi_q": "...",
      "en_a": "...", "zh_a": "...", "hi_a": "..."}
 
-Records are aligned triplets: the three query fields must be non-empty,
-dialog ids unique, and factor labels drawn from the header inventories.
+Records are aligned triplets: every field is a string, the three query
+fields must be non-empty, dialog ids unique, and factor labels drawn from
+the header inventories, which are lists of strings.
 
 Embedding matrices live in a small binary format (magic ``ECRE``) holding
 little-endian float32 data plus the row id table; round trips are bit-exact.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter, contains, itemgetter
 
 import numpy as np
 
@@ -70,6 +72,11 @@ class CorpusRecord:
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(CorpusRecord))
+_fields_of = attrgetter(*RECORD_FIELDS)  # a record's values, in field order
+_values_of = itemgetter(*RECORD_FIELDS)  # a record line's values, in field order
+_queries_of = attrgetter(*QUERY_FIELDS)
+_labels_of = attrgetter(*_INVENTORY_OF)
+_is_text = str.__instancecheck__  # isinstance(value, str), for map
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,13 @@ class Corpus:
 
     def __post_init__(self) -> None:
         if not self._by_id:
+            label_sets = _label_sets(self.header)
             for rec in self.records:
                 if rec.dialog_id in self._by_id:
                     raise CorpusError(f"duplicate dialog_id {rec.dialog_id!r}")
-                validate_record(rec, self.header)
+                problem = _record_problem(rec, label_sets)
+                if problem:
+                    raise CorpusError(f"record {rec.dialog_id!r}: {problem}")
                 self._by_id[rec.dialog_id] = rec
 
     def __len__(self) -> int:
@@ -132,24 +142,32 @@ class Corpus:
             raise CorpusError(f"unknown dialog_id {dialog_id!r}") from None
 
 
-def validate_record(rec: CorpusRecord, header: CorpusHeader, where: str = "") -> None:
-    ctx = f" ({where})" if where else ""
-    for name in QUERY_FIELDS:
-        if not getattr(rec, name).strip():
-            raise CorpusError(f"record {rec.dialog_id!r}{ctx}: field {name!r} is empty")
-    for field_name in _INVENTORY_OF:
-        label = getattr(rec, field_name)
-        if label not in header.inventory(field_name):
-            raise CorpusError(
-                f"record {rec.dialog_id!r}{ctx}: {field_name} label {label!r} "
-                f"not in header inventory"
-            )
+def _label_sets(header: CorpusHeader) -> tuple[frozenset[str], ...]:
+    """The inventory of each label field as a set, in ``_INVENTORY_OF`` order."""
+    return tuple(frozenset(header.inventory(name)) for name in _INVENTORY_OF)
 
 
-def _parse_header(obj: dict) -> CorpusHeader:
+def _record_problem(rec: CorpusRecord, label_sets: tuple[frozenset[str], ...]) -> str | None:
+    """What makes a record invalid under the header of ``label_sets``, or None."""
+    queries, labels = _queries_of(rec), _labels_of(rec)
+    if all(map(str.strip, queries)) and all(map(contains, label_sets, labels)):
+        return None
+    for name, text in zip(QUERY_FIELDS, queries):
+        if not text.strip():
+            return f"field {name!r} is empty"
+    for name, label, allowed in zip(_INVENTORY_OF, labels, label_sets):
+        if label not in allowed:
+            return f"{name} label {label!r} not in header inventory"
+    return None
+
+
+def _parse_header(obj: dict, where: str) -> CorpusHeader:
     missing = [k for k in _INVENTORY_OF.values() if k not in obj]
     if missing:
         raise CorpusError(f"header line missing inventories: {missing}")
+    for k in _INVENTORY_OF.values():
+        if type(obj[k]) is not list or not all(map(_is_text, obj[k])):
+            raise CorpusError(f"{where}: header inventory {k!r} is not a list of strings")
     return CorpusHeader(**{k: tuple(obj[k]) for k in _INVENTORY_OF.values()})
 
 
@@ -157,7 +175,9 @@ def load_corpus(path: str) -> Corpus:
     """Parse and validate a corpus file.
 
     Raises :class:`CorpusError` naming the offending line on malformed JSON,
-    missing/empty fields, unknown labels, or duplicate dialog ids.
+    a line that is not an object, inventories that are not lists of
+    strings, missing, empty or non-string fields, unknown labels, or
+    duplicate dialog ids.
     """
     records: list[CorpusRecord] = []
     header: CorpusHeader | None = None
@@ -171,16 +191,26 @@ def load_corpus(path: str) -> Corpus:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed line: {exc.msg}") from exc
+            if type(obj) is not dict:
+                raise CorpusError(f"{path}:{lineno}: line is not a JSON object")
             if header is None:
-                header = _parse_header(obj)
+                header = _parse_header(obj, f"{path}:{lineno}")
+                label_sets = _label_sets(header)
                 continue
-            missing = [k for k in RECORD_FIELDS if k not in obj]
-            if missing:
-                raise CorpusError(f"{path}:{lineno}: record missing field {missing[0]!r}")
-            rec = CorpusRecord(**{k: str(obj[k]) for k in RECORD_FIELDS})
+            try:
+                values = _values_of(obj)
+            except KeyError:
+                missing = [k for k in RECORD_FIELDS if k not in obj]
+                raise CorpusError(f"{path}:{lineno}: record missing field {missing[0]!r}") from None
+            if not all(map(_is_text, values)):
+                bad = next(k for k, v in zip(RECORD_FIELDS, values) if not _is_text(v))
+                raise CorpusError(f"{path}:{lineno}: record field {bad!r} is not a string")
+            rec = CorpusRecord(*values)
             if rec.dialog_id in by_id:
                 raise CorpusError(f"{path}:{lineno}: duplicate dialog_id {rec.dialog_id!r}")
-            validate_record(rec, header, where=f"{path}:{lineno}")
+            problem = _record_problem(rec, label_sets)
+            if problem:
+                raise CorpusError(f"record {rec.dialog_id!r} ({path}:{lineno}): {problem}")
             by_id[rec.dialog_id] = rec
             records.append(rec)
     if header is None:
@@ -189,16 +219,11 @@ def load_corpus(path: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    lines = [
-        json.dumps(
-            {k: list(getattr(corpus.header, k)) for k in _INVENTORY_OF.values()},
-            ensure_ascii=False,
-        )
-    ]
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # what json.dumps makes per call
+    header = corpus.header
+    lines = [encode({k: list(getattr(header, k)) for k in _INVENTORY_OF.values()})]
     for rec in corpus.records:
-        lines.append(
-            json.dumps({k: getattr(rec, k) for k in RECORD_FIELDS}, ensure_ascii=False)
-        )
+        lines.append(encode(dict(zip(RECORD_FIELDS, _fields_of(rec)))))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

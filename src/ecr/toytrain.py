@@ -166,6 +166,8 @@ def make_synthetic_corpus(
         raise ToyTrainError(f"d must be positive, got {d}")
     if seed < 0:  # numpy's generators take no other
         raise ToyTrainError(f"seed must be non-negative, got {seed}")
+    if query_content < 0:
+        raise ToyTrainError(f"query_content must be non-negative, got {query_content}")
     layout = VocabLayout(n_tasks=n_factors, n_content=n_content)
     rng = np.random.default_rng(seed)
 
@@ -186,16 +188,18 @@ def make_synthetic_corpus(
     intent_dirs = rng.standard_normal((n_factors, d))
     intent_dirs /= np.linalg.norm(intent_dirs, axis=1, keepdims=True)
 
-    # id texts, made once: the marker and the content and answer ids of
-    # each language
-    marker_text = [str(layout.task_marker(t)) for t in range(n_factors)]
+    # id texts, made once: the content ids of each language, the answers
+    # of each class in every language, and the text before and after the
+    # content of each task's queries
     content_text = [
         [str(layout.content_id(li, c)) for c in range(n_content)] for li in range(len(LANGUAGES))
     ]
     answer_text = [
-        [str(layout.answer_id(li, a)) for a in range(n_factors)] for li in range(len(LANGUAGES))
+        [str(layout.answer_id(li, a)) for li in range(len(LANGUAGES))] for a in range(n_factors)
     ]
-    bos, sep = str(layout.BOS), str(layout.SEP)
+    markers = [str(layout.task_marker(t)) for t in range(n_factors)]
+    heads = [f"{layout.BOS} {marker}" for marker in markers]
+    tails = [" ".join([marker] * (marker_repeat - 1) + [str(layout.SEP)]) for marker in markers]
 
     # each row is its factor centre plus its scaled noise
     scaled = (
@@ -205,87 +209,88 @@ def make_synthetic_corpus(
         _FACTOR_SCALE * intent_dirs,
     )
 
+    # one bounded draw per record: numpy draws a scalar, a sized and a
+    # broadcast bound through the same routine, so this one call gives
+    # the values and generator state of a draw per field
+    bounds = np.array([n_factors] * 3 + [n_content] * query_content, dtype=np.int64)
     n = len(LANGUAGES) * n_per_lang
     records: list[CorpusRecord] = []
     data = np.empty((n, d), dtype=np.float32)
     noise = np.empty((_CENTRE_BLOCK, d), dtype=np.float64)
-    factor_index = np.empty((4, n), dtype=np.intp)  # language, task, emotion, intent
+    block_index: list[tuple[int, int, int, int]] = []  # language, task, emotion, intent
     ids: list[str] = []
     row = 0
     for lang_index, lang in enumerate(LANGUAGES):
         for _ in range(n_per_lang):
             dialog_id = f"d{row:06d}"
-            task_index = int(rng.integers(n_factors))
-            emo_index = int(rng.integers(n_factors))
-            intent_index = int(rng.integers(n_factors))
-            content = rng.integers(0, n_content, size=query_content).tolist()
+            task_index, emo_index, intent_index, *content = rng.integers(bounds).tolist()
             answer_class = (task_index + lang_index) % n_factors
             if rng.random() < answer_noise:
                 answer_class = int(rng.integers(n_factors))
 
-            marker = marker_text[task_index]
-            tail = [marker] * (marker_repeat - 1) + [sep]
+            head, tail = heads[task_index], tails[task_index]
             queries = [
-                " ".join([bos, marker, *[texts[c] for c in content], *tail])
-                for texts in content_text
+                " ".join([head, *map(texts.__getitem__, content), tail]) for texts in content_text
             ]
-            answers = [texts[answer_class] for texts in answer_text]
+            # queries, then answers, in LANGUAGES order: the record's field order
             records.append(
                 CorpusRecord(
-                    dialog_id=dialog_id,
-                    task=tasks[task_index],
-                    language=lang,
-                    emotion=emotions[emo_index],
-                    intent=intents[intent_index],
-                    en_q=queries[0],
-                    zh_q=queries[1],
-                    hi_q=queries[2],
-                    en_a=answers[0],
-                    zh_a=answers[1],
-                    hi_a=answers[2],
+                    dialog_id, tasks[task_index], lang, emotions[emo_index],
+                    intents[intent_index], *queries, *answer_text[answer_class],
                 )
             )
-            factor_index[:, row] = (lang_index, task_index, emo_index, intent_index)
+            block_index.append((lang_index, task_index, emo_index, intent_index))
             rng.standard_normal(out=noise[row % _CENTRE_BLOCK])
             ids.append(dialog_id)
             row += 1
             if row % _CENTRE_BLOCK == 0 or row == n:
-                start = (row - 1) // _CENTRE_BLOCK * _CENTRE_BLOCK
-                rows = slice(start, row)
-                centers = scaled[0][factor_index[0, rows]]
-                for table, index in zip(scaled[1:], factor_index[1:]):
-                    centers += table[index[rows]]
+                start = row - len(block_index)
+                index = np.array(block_index, dtype=np.intp).T
+                block_index.clear()
+                centers = scaled[0][index[0]]
+                for table, rows in zip(scaled[1:], index[1:]):
+                    centers += table[rows]
                 block = noise[: row - start]
                 block *= _NOISE_SCALE
                 block += centers
-                data[rows] = block
+                data[start:row] = block
 
     corpus = Corpus(header=header, records=records)
     embeddings = EmbeddingMatrix(data=data, ids=ids)
     return SyntheticData(corpus=corpus, embeddings=embeddings, layout=layout, d=d)
 
 
-def record_sample(record: CorpusRecord, language: str, layout: VocabLayout) -> Sample:
-    """Tokenize one language variant of a record."""
-    lang_index = LANGUAGES.index(language)
-    query_ids = tuple(int(t) for t in record.query(language).split())
+def _token_ids(text: str) -> tuple[int, ...]:
+    """The token ids of a query text; samples and variant queries both read
+    their queries through it."""
+    return tuple(map(int, text.split()))
+
+
+def _sample(record: CorpusRecord, language: str, candidates: tuple[int, ...]) -> Sample:
+    query_ids = _token_ids(record.query(language))
     answer_id = int(record.answer(language))
-    tokens = query_ids + (answer_id,)
+    n = len(query_ids)
     return Sample(
         dialog_id=record.dialog_id,
         language=language,
-        tokens=tokens,
-        query_len=len(query_ids),
-        answer_pos=len(tokens) - 1,
+        tokens=query_ids + (answer_id,),
+        query_len=n,
+        answer_pos=n,
         gold=answer_id,
-        candidates=layout.answer_candidates(lang_index),
+        candidates=candidates,
     )
+
+
+def record_sample(record: CorpusRecord, language: str, layout: VocabLayout) -> Sample:
+    """Tokenize one language variant of a record."""
+    return _sample(record, language, layout.answer_candidates(LANGUAGES.index(language)))
 
 
 def make_samples(data: SyntheticData, records: list[CorpusRecord] | None = None) -> list[Sample]:
     """One sample per record, in its primary language."""
     recs = data.corpus.records if records is None else records
-    return [record_sample(rec, rec.language, data.layout) for rec in recs]
+    candidates = {lang: data.layout.answer_candidates(li) for li, lang in enumerate(LANGUAGES)}
+    return [_sample(rec, rec.language, candidates[rec.language]) for rec in recs]
 
 
 def split_records(
@@ -768,10 +773,9 @@ def task_accuracy(
     return hits / len(samples)
 
 
-def _variant_queries(records: list[CorpusRecord], layout: VocabLayout) -> list[tuple[int, ...]]:
+def _variant_queries(records: list[CorpusRecord]) -> list[tuple[int, ...]]:
     """The query of every record in every language, record-major."""
-    samples = (record_sample(rec, lang, layout) for rec in records for lang in LANGUAGES)
-    return [s.tokens[: s.query_len] for s in samples]
+    return [_token_ids(rec.query(lang)) for rec in records for lang in LANGUAGES]
 
 
 def eval_crosslingual(
@@ -849,7 +853,7 @@ def run_training(
     # Each distinct held-out query is pooled once per epoch, for both the
     # student embeddings (the first n_eval rows) and the language variants.
     queries = [s.tokens[: s.query_len] for s in eval_samples]
-    queries += _variant_queries(eval_records, layout)
+    queries += _variant_queries(eval_records)
     slot = {q: i for i, q in enumerate(dict.fromkeys(queries))}
     rows_of = [slot[q] for q in queries]
     n_eval = len(eval_samples)

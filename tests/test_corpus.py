@@ -1,5 +1,6 @@
 """Corpus and embedding I/O contracts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -110,6 +111,81 @@ def test_empty_file_rejected(tmp_path):
     open(path, "w").write("")
     with pytest.raises(CorpusError):
         load_corpus(path)
+
+
+def _rewrite_line(path, lineno, change):
+    """Replace line ``lineno`` (1-based) of a saved corpus with ``change``
+    applied to its parsed value, written as JSON."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    lines[lineno - 1] = json.dumps(change(json.loads(lines[lineno - 1])))
+    open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value", [None, 5, 1.5, True, ["d000"], {"id": "d000"}])
+@pytest.mark.parametrize("field_name", ["dialog_id", "task", "en_q", "hi_a"])
+def test_non_string_record_field_names_line_and_field(tmp_path, tiny_corpus, field_name, value):
+    # a null query loaded as the text 'None', and numbers and lists were
+    # turned into text
+    path = str(tmp_path / "c.jsonl")
+    save_corpus(tiny_corpus, path)
+    _rewrite_line(path, 3, lambda rec: {**rec, field_name: value})
+    with pytest.raises(CorpusError, match=f"c.jsonl:3: record field '{field_name}' is not a string"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("value", ["booking", 5, None, ["booking", 1], {"booking": 1}, [["a"]]])
+def test_header_inventory_must_be_a_list_of_strings(tmp_path, tiny_corpus, value):
+    # the string "faq" was the inventory ('f', 'a', 'q'); a number raised TypeError
+    path = str(tmp_path / "c.jsonl")
+    save_corpus(tiny_corpus, path)
+    _rewrite_line(path, 1, lambda header: {**header, "tasks": value})
+    with pytest.raises(CorpusError, match="c.jsonl:1: header inventory 'tasks' is not a list"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("value", [5, "text", None, [], ["d000"], 1.5])
+@pytest.mark.parametrize("lineno", [1, 2, 5])
+def test_line_that_is_not_an_object_is_named(tmp_path, tiny_corpus, lineno, value):
+    path = str(tmp_path / "c.jsonl")
+    save_corpus(tiny_corpus, path)
+    _rewrite_line(path, lineno, lambda _: value)
+    with pytest.raises(CorpusError, match=f"c.jsonl:{lineno}: line is not a JSON object"):
+        load_corpus(path)
+
+
+def test_record_errors_keep_their_text_and_order(tmp_path, tiny_corpus):
+    """The first record at fault and its first fault are reported, empty
+    queries before labels, in the same words from a file and from records."""
+    header = tiny_corpus.header
+    good = tiny_corpus.records
+    bad = [
+        dataclasses.replace(good[1], zh_q=" ", task="smalltalk", intent="x"),
+        dataclasses.replace(good[2], hi_q=""),
+    ]
+    # the records, the message without its place, and the line at fault
+    cases = [
+        (bad[:1], "record 'd001'{}: field 'zh_q' is empty", 2),
+        ([good[0], bad[1], bad[0]], "record 'd002'{}: field 'hi_q' is empty", 3),
+        ([dataclasses.replace(bad[0], zh_q="q")],
+         "record 'd001'{}: task label 'smalltalk' not in header inventory", 2),
+        ([dataclasses.replace(good[0], language="hi", emotion="calm")],
+         "record 'd000'{}: emotion label 'calm' not in header inventory", 2),
+        ([good[0], good[1], good[0]], "duplicate dialog_id 'd000'", 4),
+    ]
+    path = str(tmp_path / "c.jsonl")
+    for records, message, lineno in cases:
+        with pytest.raises(CorpusError) as built:
+            Corpus(header=header, records=records)
+        assert str(built.value) == message.format("")
+        lines = [json.dumps(dataclasses.asdict(header))]
+        lines += [json.dumps(dataclasses.asdict(rec)) for rec in records]
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError) as loaded:
+            load_corpus(path)
+        if message.startswith("duplicate"):
+            assert str(loaded.value) == f"{path}:{lineno}: {message}"
+        else:
+            assert str(loaded.value) == message.format(f" ({path}:{lineno})")
 
 
 def test_record_query_answer_accessors(tiny_corpus):

@@ -18,22 +18,24 @@ import contextlib
 import hashlib
 import io
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from ecr.anchors import kmeans_fit
 from ecr.cli import dispatch
-from ecr.corpus import EmbeddingMatrix, save_embeddings
+from ecr.corpus import RECORD_FIELDS, EmbeddingMatrix, save_embeddings
 from ecr.geometry import anchor_labels, compute_geometry
 from ecr.toytrain import (
     TrainConfig,
     build_toy_anchors,
+    make_samples,
     make_synthetic_corpus,
     run_ablation,
     run_experiment,
     run_single_arm,
+    split_records,
 )
 
 
@@ -44,6 +46,7 @@ GOLDEN = {
     "make_synthetic": "e3993c59c0c50bb06c4bd69ce114d83e52bc7a1b6a77f163728c6b4f570a213f",
     "build_anchors": "3f1605fbcb8ecc57a50efc06c371288a0d9bf74d57a426358d755d0af8c3f41a",
     "kmeans_fit": "9019e4175ff476290854f03b2011754fe4e3a72e40565995806ec4490e6884a1",
+    "paired_setup": "0a419de28b2a327b4b22758810cf26a1a180019b39653ce978930710faef5de1",
     "encode_global": "ddc766ef1f7394dbbb96ac41d73a6b5ca573cba26e1e80afb136e467767b1460",
     "encode_topk": "ea34ef177ae63e64fdd6fa166c8feb150528f7eb73e82aade3670efd3f5695a6",
     "topk": "50c6c9aadc537772a8e6fed0923e26a35fc48335dd2c3e62b391d2f77f96f068",
@@ -152,6 +155,28 @@ def test_build_anchors_bytes_and_stdout_digest(setup_files):
     root, outs = setup_files
     parts = [outs["build_anchors"].encode(), _sha((root / "anchors.bin").read_bytes()).encode()]
     assert _sha(b"\n".join(parts)) == GOLDEN["build_anchors"]
+
+
+def test_paired_setup_digest():
+    """The corpus, split, samples and anchors of a paired run at the shape
+    of the paired-training bench: four content tokens, a repeated task
+    marker and some answer noise."""
+    data = make_synthetic_corpus(
+        seed=4, n_per_lang=100, query_content=4, marker_repeat=2, answer_noise=0.05
+    )
+    train, hold = split_records(data, 0.25)
+    header = data.corpus.header
+    payload = {
+        "header": [header.tasks, header.languages, header.emotions, header.intents],
+        "records": [[getattr(rec, k) for k in RECORD_FIELDS] for rec in data.corpus.records],
+        "ids": data.embeddings.ids,
+        "split": [[rec.dialog_id for rec in recs] for recs in (train, hold)],
+        "samples": [[astuple(s) for s in make_samples(data, recs)] for recs in (train, hold)],
+        "anchors": build_toy_anchors(data, seed=4).checksum(),
+    }
+    h = hashlib.sha256(_digest(payload).encode())
+    h.update(np.ascontiguousarray(data.embeddings.data, dtype="<f4").tobytes())
+    assert h.hexdigest() == GOLDEN["paired_setup"]
 
 
 def test_kmeans_fit_digest():

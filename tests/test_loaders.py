@@ -1,15 +1,18 @@
 """Every loader either rejects a file or returns an object that passes its
-module's checks.
+module's checks and that its saver writes back byte for byte.
 
 Each example changes one field of a valid object, bypassing the object's
 own checks, and writes it through the format's own saver, so the checksum
-is valid and only the loader stands between the file and its reader.  The
+is valid and only the loader stands between the file and its reader.  A
+corpus is text, so its examples change one line of a valid file's JSON
+values instead, and write them out as the saver lays its lines out.  The
 oracles are written here, apart from the loaders; the graph's is the
 per-edge walk of ``test_retrieval``.
 """
 
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -24,7 +27,15 @@ from ecr.anchors import (
     load_anchors,
     save_anchors,
 )
-from ecr.corpus import CorpusError, EmbeddingMatrix, load_embeddings, save_embeddings
+from ecr.corpus import (
+    RECORD_FIELDS,
+    CorpusError,
+    EmbeddingMatrix,
+    load_corpus,
+    load_embeddings,
+    save_corpus,
+    save_embeddings,
+)
 from ecr.retrieval import (
     PCA_ORTHO_TOL,
     RetrievalError,
@@ -92,6 +103,119 @@ def _embedding_problem(m):
         return "shape"
     if not np.isfinite(m.data).all():
         return "a non-finite entry"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Corpus JSONL: a header line, then one line per record
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)  # any UTF-8 text
+NOT_TEXT = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.lists(TEXT, max_size=2) | st.dictionaries(TEXT, TEXT, max_size=1)
+)
+INVENTORIES = ("tasks", "languages", "emotions", "intents")
+LANGUAGE_CODES = ("en", "zh", "hi")
+
+
+def _corpus_values():
+    """The JSON value of each line of a valid corpus file."""
+    header = {
+        "tasks": ["faq", "退款"], "languages": list(LANGUAGE_CODES),
+        "emotions": ["calm"], "intents": ["ask", "पूछो"],
+    }
+    records = [
+        dict(zip(RECORD_FIELDS, [
+            f"d{i}", task, lang, "calm", intent, "où ?", "你好", "नमस्ते", "a", "答", "उ",
+        ]))
+        for i, (task, lang, intent) in enumerate(
+            [("faq", "en", "ask"), ("退款", "zh", "पूछो"), ("faq", "hi", "ask")]
+        )
+    ]
+    return [header, *records]
+
+
+def _line_edit(change, lines=slice(None)):
+    """A mutation of one key of one line among ``lines``."""
+
+    def mutate(values, data):
+        values = copy.deepcopy(values)
+        at = data.draw(st.sampled_from(range(len(values))[lines]))
+        key = data.draw(st.sampled_from(sorted(values[at])))
+        change(values[at], key, data)
+        return values
+
+    return mutate
+
+
+def _set(value):
+    def change(obj, key, data):
+        obj[key] = data.draw(value)
+
+    return change
+
+
+def _replace_line(values, data):
+    values = list(values)
+    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(NOT_TEXT | TEXT)
+    return values
+
+
+def _repeat_id(values, data):
+    values = copy.deepcopy(values)
+    source, target = (data.draw(st.integers(1, len(values) - 1)) for _ in range(2))
+    values[target]["dialog_id"] = values[source]["dialog_id"]
+    return values
+
+
+def _set_inventory(value):
+    def mutate(values, data):
+        values = copy.deepcopy(values)
+        values[0][data.draw(st.sampled_from(INVENTORIES))] = data.draw(value)
+        return values
+
+    return mutate
+
+
+CORPUS_MUTATIONS = {
+    "drop a field": _line_edit(lambda obj, key, data: obj.pop(key)),
+    "null or number a field": _line_edit(_set(NOT_TEXT)),
+    "text field": _line_edit(_set(TEXT), lines=slice(1, None)),
+    "non-object line": _replace_line,
+    "repeated id": _repeat_id,
+    "string inventory": _set_inventory(TEXT),
+    "inventory entries": _set_inventory(
+        st.lists(TEXT | st.sampled_from(LANGUAGE_CODES + ("faq", "calm")), max_size=4)
+    ),
+}
+
+
+def _write_corpus_values(values, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(v, ensure_ascii=False) + "\n" for v in values))
+
+
+def _corpus_problem(corpus):
+    header = corpus.header
+    inventories = dict(zip(("task", "language", "emotion", "intent"),
+                           (getattr(header, name) for name in INVENTORIES)))
+    for values in inventories.values():
+        if not values or not all(isinstance(v, str) for v in values):
+            return "an inventory empty or not all text"
+        if len(set(values)) < len(values):
+            return "an inventory with a repeated label"
+    if not set(header.languages) <= set(LANGUAGE_CODES):
+        return "an unsupported language"
+    ids = [rec.dialog_id for rec in corpus.records]
+    if len(set(ids)) < len(ids):
+        return "a repeated id"
+    for rec in corpus.records:
+        if not all(isinstance(v, str) for v in dataclasses.astuple(rec)):
+            return "a field that is not text"
+        if not all(getattr(rec, f"{lang}_q").strip() for lang in LANGUAGE_CODES):
+            return "an empty query"
+        if any(getattr(rec, name) not in values for name, values in inventories.items()):
+            return "a label outside its inventory"
     return None
 
 
@@ -317,11 +441,15 @@ def _index_problem(ix):
 
 FORMATS = {
     "ECRE": (_embeddings, EMBEDDING_MUTATIONS, save_embeddings, load_embeddings, CorpusError,
-             _embedding_problem),
+             _embedding_problem, save_embeddings),
     "ECRA": (_anchor_set, ANCHOR_MUTATIONS, save_anchors, load_anchors, AnchorError,
-             _anchor_problem),
-    "ECRP": (_pca_model, PCA_MUTATIONS, save_pca, load_pca, RetrievalError, _pca_problem),
-    "ECRH": (_index, INDEX_MUTATIONS, save_index, load_index, RetrievalError, _index_problem),
+             _anchor_problem, save_anchors),
+    "ECRP": (_pca_model, PCA_MUTATIONS, save_pca, load_pca, RetrievalError, _pca_problem,
+             save_pca),
+    "ECRH": (_index, INDEX_MUTATIONS, save_index, load_index, RetrievalError, _index_problem,
+             save_index),
+    "JSONL": (_corpus_values, CORPUS_MUTATIONS, _write_corpus_values, load_corpus, CorpusError,
+              _corpus_problem, save_corpus),
 }
 
 
@@ -329,15 +457,18 @@ FORMATS = {
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_loader_rejects_or_returns_a_valid_object(tmp_path_factory, magic, data):
-    make, mutations, save, load, error, problem = FORMATS[magic]
+    make, mutations, write, load, error, problem, save = FORMATS[magic]
+    path = tmp_path_factory.getbasetemp() / f"{magic}.bin"
+    again = path.with_suffix(".again")
     valid = make()
-    assert problem(valid) is None
+    write(valid, str(path))
+    assert problem(load(str(path))) is None
     name = data.draw(st.sampled_from(sorted(mutations)), label="field")
-    changed = mutations[name](valid, data)
-    path = str(tmp_path_factory.getbasetemp() / f"{magic}.bin")
-    save(changed, path)
+    write(mutations[name](valid, data), str(path))
     try:
-        loaded = load(path)
+        loaded = load(str(path))
     except error:
         return
     assert problem(loaded) is None, problem(loaded)
+    save(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()

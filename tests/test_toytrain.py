@@ -7,12 +7,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ecr.codec import CodecError, encode, encode_batch
 from ecr.corpus import LANGUAGES
 from ecr.geometry import purity
 from ecr.toytrain import (
+    _FACTOR_SCALE,
+    _LANG_SCALE,
+    _NOISE_SCALE,
     AdamW,
     EcrSettings,
     ToyTrainError,
@@ -176,6 +179,79 @@ def test_synthetic_validation():
         make_synthetic_corpus(seed=-1, n_per_lang=2)
     with pytest.raises(ToyTrainError, match="d must be positive, got 0"):
         make_synthetic_corpus(seed=0, n_per_lang=2, d=0)
+    # numpy refused a negative content size; one draw of all the bounds would not
+    with pytest.raises(ToyTrainError, match="query_content must be non-negative, got -1"):
+        make_synthetic_corpus(seed=0, n_per_lang=2, query_content=-1)
+
+
+def _draws_one_field_at_a_time(seed, n_per_lang, n_factors, n_content, query_content,
+                                answer_noise, d):
+    """Each record's factor indices, content indices, answer class and
+    teacher row, drawn as the generator once drew them: a bounded draw per
+    factor, a sized draw for the content, the noise coin, a noisy answer
+    class when the coin says so, and the noise row."""
+    rng = np.random.default_rng(seed)
+    dirs = [rng.standard_normal((k, d)) for k in (len(LANGUAGES), n_factors, n_factors, n_factors)]
+    scales = (_LANG_SCALE, _FACTOR_SCALE, _FACTOR_SCALE, _FACTOR_SCALE)
+    tables = [s * (x / np.linalg.norm(x, axis=1, keepdims=True)) for s, x in zip(scales, dirs)]
+    out = []
+    for li in range(len(LANGUAGES)):
+        for _ in range(n_per_lang):
+            task, emotion, intent = (int(rng.integers(n_factors)) for _ in range(3))
+            content = rng.integers(0, n_content, size=query_content).tolist()
+            answer = (task + li) % n_factors
+            if rng.random() < answer_noise:
+                answer = int(rng.integers(n_factors))
+            noise = rng.standard_normal(d)
+            centre = tables[0][li] + tables[1][task] + tables[2][emotion] + tables[3][intent]
+            row = (_NOISE_SCALE * noise + centre).astype(np.float32)
+            out.append((task, emotion, intent, content, answer, row))
+    return out, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    n_per_lang=st.integers(1, 3),
+    n_factors=st.integers(2, 9),
+    n_content=st.integers(1, 40),
+    query_content=st.integers(0, 8),
+    answer_noise=st.sampled_from([0.0, 0.5, 1.0]),
+    d=st.integers(1, 5),
+)
+def test_one_bounded_draw_per_record_replays_the_per_field_draws(
+    seed, n_per_lang, n_factors, n_content, query_content, answer_noise, d
+):
+    shape = dict(n_per_lang=n_per_lang, n_factors=n_factors, n_content=n_content,
+                 query_content=query_content, answer_noise=answer_noise, d=d)
+    expected, old = _draws_one_field_at_a_time(seed, **shape)
+    # the same calls as the generator's, on a generator of the same seed
+    new = np.random.default_rng(seed)
+    for k in (len(LANGUAGES), n_factors, n_factors, n_factors):
+        new.standard_normal((k, d))
+    bounds = np.array([n_factors] * 3 + [n_content] * query_content, dtype=np.int64)
+    for task, emotion, intent, content, answer, _ in expected:
+        assert new.integers(bounds).tolist() == [task, emotion, intent, *content]
+        if new.random() < answer_noise:
+            assert int(new.integers(n_factors)) == answer
+        new.standard_normal(d)
+    assert new.bit_generator.state == old.bit_generator.state
+
+    data = make_synthetic_corpus(seed=seed, marker_repeat=1, **shape)
+    layout = data.layout
+    for rec, row, (task, emotion, intent, content, answer, teacher) in zip(
+        data.corpus.records, data.embeddings.data, expected
+    ):
+        assert (rec.task, rec.emotion, rec.intent) == (
+            f"task{task}", f"emotion{emotion}", f"intent{intent}"
+        )
+        for li, lang in enumerate(LANGUAGES):
+            assert rec.query(lang) == " ".join(map(str, [
+                layout.BOS, layout.task_marker(task),
+                *(layout.content_id(li, c) for c in content), layout.SEP,
+            ]))
+            assert rec.answer(lang) == str(layout.answer_id(li, answer))
+        assert np.array_equal(row, teacher)
 
 
 def test_synthetic_corpus_peak_stays_below_two_matrices():
@@ -787,7 +863,7 @@ def test_eval_crosslingual_covers_all_records():
     data, anchors = _tiny_setup()
     model = init_model(data.layout.base_size, anchors.d, anchors, 8, seed=0)
     recs = data.corpus.records[:5]
-    pooled = _pooled_queries(model, _variant_queries(recs, data.layout))
+    pooled = _pooled_queries(model, _variant_queries(recs))
     report = eval_crosslingual(pooled, recs, anchors)
     assert report.n_records == 5
     assert 0.0 <= report.exact_match_rate <= 1.0
