@@ -20,12 +20,15 @@ Encoding is batched: one step projects, quantizes and selects a whole
 matrix at once into an (n, P) matrix of token-table indices, which a
 training step reads as ids.  :func:`encode_batch` renders its rows as
 prefixes; :func:`encode` and the trainer's ``sample_prefix`` are batches
-of one.  Everything a pass reads besides its rows comes from one table
-per anchor set and bin count, kept in the anchor set's cache and looked
-up once per call: the anchor layout, the unit anchors, the bin
-thresholds, and every (anchor, bin) token with its text (its ids are
-made once per base size).  A row renders with one ``itemgetter`` per
-field.
+of one.  A batch of one normalizes and projects its row with one-row
+kernels, ``corpus.normalize`` and one ``unit.dot``, which run the BLAS
+dot and gemv that the batch kernels run per row: a row has the same bits
+alone, in any batch and in any memory layout.  Everything a pass reads
+besides its rows comes from one table per anchor set and bin count, kept
+in the anchor set's cache and looked up once per call: the anchor
+layout, the unit anchors, the bin thresholds, and every (anchor, bin)
+token with its text (its ids are made once per base size).  A row
+renders with one ``itemgetter`` per field.
 
 Rounding can put a cosine an ulp or so past +-1.  Clipping to [-1, 1]
 applies only where the values are read as values: :func:`project_batch`
@@ -45,7 +48,7 @@ from operator import itemgetter
 import numpy as np
 
 from .anchors import AnchorSet
-from .corpus import normalize_rows
+from .corpus import normalize, normalize_rows
 
 
 class CodecError(ValueError):
@@ -90,11 +93,15 @@ def _cosines(H: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Unclipped cosines of every row of H against every row of the unit
     anchors ``unit``, (n, total_k).
 
-    One BLAS matrix-vector product per row, all in one ``np.matvec`` call,
-    so row i has the same bits whatever the batch it is in.  Rounding can put
-    an entry an ulp or so outside [-1, 1].
+    One BLAS dot to normalize each row and one BLAS matrix-vector product
+    to project it, so row i has the same bits whatever the batch it is in.
+    A batch takes them in one ``np.vecdot`` and one ``np.matvec`` call; a
+    single row, for a third of their call cost, in :func:`normalize` and
+    one ``unit.dot``, which run the same BLAS dot and gemv on it.  H is
+    read as C-contiguous float64, so the bits do not depend on its memory
+    layout either.  Rounding can put an entry an ulp or so outside [-1, 1].
     """
-    H = np.asarray(H, dtype=np.float64)
+    H = np.asarray(H, dtype=np.float64, order="C")
     if H.ndim != 2:
         raise CodecError(f"embeddings must form a 2-d matrix, got shape {H.shape}")
     if H.shape[1] != unit.shape[1]:
@@ -102,6 +109,8 @@ def _cosines(H: np.ndarray, unit: np.ndarray) -> np.ndarray:
             f"embedding dimension {H.shape[1]} does not match anchors d={unit.shape[1]}"
         )
     try:
+        if len(H) == 1:
+            return unit.dot(normalize(H[0]))[None]
         H = normalize_rows(H)
     except ValueError as exc:
         raise CodecError(str(exc)) from None
@@ -314,10 +323,9 @@ def _render(table: _TokenTable, flat: list[int], ids: tuple[int, ...] | None) ->
     ``ids`` as vocabulary ids (none without ``ids``)."""
     # itemgetter of one index returns the bare item; a one-entry slice keeps a tuple
     get = itemgetter(*flat) if len(flat) > 1 else itemgetter(slice(flat[0], flat[0] + 1))
+    # positional: a third cheaper than by keyword through the frozen __init__
     return ControlPrefix(
-        tokens=get(table.tokens),
-        token_ids=() if ids is None else get(ids),
-        text="".join(get(table.texts)),
+        get(table.tokens), () if ids is None else get(ids), "".join(get(table.texts))
     )
 
 

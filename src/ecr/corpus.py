@@ -290,7 +290,8 @@ _SQ_MAX = float(np.finfo(np.float64).max)
 
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale every row of a 2-d array to unit L2 norm.
+    """Scale every row of a 2-d array, read as C-contiguous float64, to unit
+    L2 norm.
 
     Each row comes out bit-identical to ``row / ||row||`` wherever that
     neither overflows nor underflows, whatever the other rows hold.  A row
@@ -300,7 +301,7 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
     multiplication; numpy still warns of the overflow it recovers from.
     Zero rows and non-finite entries are domain errors.
     """
-    arr = np.asarray(rows, dtype=np.float64)
+    arr = np.asarray(rows, dtype=np.float64, order="C")
     sq = np.vecdot(arr, arr)  # one BLAS dot per row: the sum np.dot takes
     # A Python-level test costs a tenth of the numpy one on a batch of one.
     if not all(_SQ_MIN <= s <= _SQ_MAX for s in sq.tolist()):  # False for NaN
@@ -325,7 +326,7 @@ def _rows_over_norms(rows: np.ndarray) -> np.ndarray:
     prefixes and graphs depend on those bits.  Raises ValueError where
     :func:`normalize_rows` does.
     """
-    arr = np.asarray(rows, dtype=np.float64)
+    arr = np.asarray(rows, dtype=np.float64, order="C")
     # A sum of squares that overflows only sends its row to the rescaling
     # of normalize_rows, so the overflow is no news to the caller.
     with np.errstate(over="ignore"):
@@ -340,8 +341,9 @@ def _rows_over_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
-    """Scale ``vec`` to unit L2 norm, as one row of :func:`normalize_rows`,
-    without warning of an overflow or underflow it recovers from."""
+    """Scale ``vec`` to unit L2 norm, bit for bit as one row of
+    :func:`normalize_rows` (both sum the squares of a contiguous row in one
+    BLAS dot), without warning of an overflow or underflow it recovers from."""
     arr = np.asarray(vec, dtype=np.float64)
     flat = arr.ravel()
     # np.vdot sums as np.dot does but leaves the overflow flag unread, so

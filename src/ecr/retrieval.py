@@ -104,7 +104,7 @@ def fit_pca(X, r: int, seed: int = 0) -> PcaModel:
     Degenerate input (zero variance in every direction) produces a
     zero-variance model with a warning rather than an error.
     """
-    data = np.asarray(getattr(X, "data", X), dtype=np.float64)
+    data = np.asarray(getattr(X, "data", X), dtype=np.float64, order="C")
     if data.ndim != 2:
         raise RetrievalError("PCA input must be a 2-d matrix")
     if not np.isfinite(data).all():
@@ -263,7 +263,7 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     if data.ndim != 2 or data.shape[0] == 0:
         raise RetrievalError("index vectors must form a non-empty 2-d matrix")
     try:
-        return np.ascontiguousarray(_rows_over_norms(data))
+        return _rows_over_norms(data)
     except ValueError:
         if not np.isfinite(data).all():
             raise RetrievalError("index vectors must be finite") from None
@@ -476,6 +476,8 @@ def build_index(
         raise RetrievalError(f"M must be at least 2, got {m}")
     if ef_construction < 1:
         raise RetrievalError(f"ef_construction must be positive, got {ef_construction}")
+    if seed < 0:  # numpy's generators take no other
+        raise RetrievalError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     # level = floor(-ln(U) / ln(M)), U uniform on (0, 1]
     u = 1.0 - rng.random(n)

@@ -399,9 +399,11 @@ def _pooled_queries(model: ToyModel, queries: list) -> np.ndarray:
     count of kept ids as np.mean divides, so each row is bit-identical to
     the query's own mean.  The padding is the first control id, so one test
     skips it with the control ids; the masked sum starts at -0.0, since
-    -0.0 + x is x for every x, signed zeros included.  Each query's length,
-    low id and high id are read once, and the checks and the choice of
-    path read only those.
+    -0.0 + x is x for every x, signed zeros included.  A lone query with
+    no control ids is summed from one 1-d gather along axis 0, row after row
+    as in the block, so it has the same bits alone or in a batch.  Each
+    query's length, low id and high id are read once, and the checks and
+    the choice of path read only those.
     """
     if not queries:
         return np.zeros((0, model.d))
@@ -413,7 +415,10 @@ def _pooled_queries(model: ToyModel, queries: list) -> np.ndarray:
         _refuse_first(model, queries)
     if top < model.base_size and short == width:
         # Nothing to skip, as in every query of the synthetic corpus: the
-        # same sums over the queries as given, with no padded block or mask.
+        # same sums over the queries as given, with no padded block or mask;
+        # one query's rows are summed as its block's, row after row.
+        if len(queries) == 1:
+            return (np.add.reduce(model.emb.take(queries[0], axis=0), axis=0) / width)[None]
         return np.add.reduce(model.emb.take(queries, axis=0), axis=1) / width
     block = _pad(queries, model.base_size)
     rows = model.emb.take(block, axis=0)
@@ -591,7 +596,9 @@ class TrainConfig:
     ecr: EcrSettings = EcrSettings()
 
     def __post_init__(self) -> None:
-        for name, low in (("batch_size", 1), ("epochs", 0), ("divergence_patience", 1)):
+        for name, low in (
+            ("batch_size", 1), ("epochs", 0), ("divergence_patience", 1), ("seed", 0),
+        ):
             if getattr(self, name) < low:
                 raise ToyTrainError(f"{name} must be at least {low}, got {getattr(self, name)}")
         inf = float("inf")

@@ -82,6 +82,14 @@ def tiny_corpus() -> Corpus:
     )
 
 
+def other_layouts(X: np.ndarray) -> list[np.ndarray]:
+    """The values of a C-ordered 2-d X Fortran-ordered, and as a view whose
+    rows and entries are both strided."""
+    wide = np.zeros((2 * X.shape[0], 3 * X.shape[1]))
+    wide[::2, ::3] = X
+    return [np.asfortranarray(X), wide[::2, ::3]]
+
+
 def embeddings_for(ids: list[str], d: int = 6, seed: int = 0) -> EmbeddingMatrix:
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(len(ids), d)).astype(np.float32)

@@ -2,12 +2,13 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_corpus, embeddings_for
+from conftest import build_corpus, embeddings_for, other_layouts
 from ecr.anchors import AnchorSet, FactorGroup, build_anchor_set
 from ecr.codec import (
     CodecError,
@@ -179,8 +180,11 @@ def test_projection_dimension_guard():
 
 def test_projection_zero_vector_rejected():
     anchors = _anchor_set(("T",), d=6)
-    with pytest.raises(ValueError):
-        project_batch(np.zeros((1, 6)), anchors)
+    zero, one = np.zeros(6), np.ones(6)
+    # alone, and on either side of a valid row in a batch
+    for H in (zero[None], np.vstack([one, zero]), np.vstack([zero, one])):
+        with pytest.raises(CodecError, match="^cannot normalize a zero vector$"):
+            project_batch(H, anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +387,11 @@ def test_non_finite_rows_rejected(bad):
     h = np.ones(6)
     h[2] = bad
     rows = np.vstack([np.ones(6), h])
-    with pytest.raises(CodecError, match="non-finite"):
-        project_batch(h[None], anchors)
+    # the same message alone and on either side of a valid row in a batch
+    message = "^cannot normalize a vector with non-finite entries$"
+    for H in (h[None], rows, rows[::-1]):
+        with pytest.raises(CodecError, match=message):
+            project_batch(H, anchors)
     with pytest.raises(CodecError, match="non-finite"):
         encode(h, anchors, n_bins=8)
     with pytest.raises(CodecError, match="non-finite"):
@@ -412,29 +419,44 @@ def test_encode_batch_rejects_non_matrix_input():
     assert encode_batch(np.ones((0, 6)), anchors, n_bins=4) == []
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(
     seed=st.integers(0, 10_000),
-    n_rows=st.integers(1, 40),
-    d=st.sampled_from([6, 768]),
+    n_rows=st.integers(2, 40),
+    d=st.sampled_from([1, 2, 3, 6, 24, 768]),
     n_bins=st.sampled_from([2, 8, 16]),
     mode=st.sampled_from(["global", "retrieval"]),
     scope=st.sampled_from(["factor", "all"]),
 )
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_encode_batch_rows_equal_single_encode(seed, n_rows, d, n_bins, mode, scope):
-    # up to 40 rows, so a batch spans several of BLAS's 4-row blocks
+    # up to 40 rows, so a batch spans several of BLAS's 4-row blocks; a
+    # single row takes the one-row kernels, a batch of two or more does not
     anchors = _anchor_set(("T", "L", "E"), d=d, seed=3)
     unit = anchors.stacked_unit()
     vocab = token_vocabulary(anchors, n_bins=n_bins, base_size=40)
     rng = np.random.default_rng(seed)
-    H = rng.normal(size=(n_rows, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n_rows, 1))
+    scales = np.where(
+        rng.random(n_rows) < 0.8,
+        10.0 ** rng.uniform(-3, 3, size=n_rows),
+        rng.choice([1e-200, 1e200], size=n_rows),
+    )
+    H = rng.normal(size=(n_rows, d)) * scales[:, None]
     k = 2 if mode == "retrieval" else None
     batch = encode_batch(H, anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
     values = project_batch(H, anchors)
     assert len(batch) == n_rows
+    for layout, rows in enumerate([H, *other_layouts(H)]):
+        # the same values in any memory layout give the same bits
+        assert np.array_equal(project_batch(rows, anchors), values), layout
+        again = encode_batch(rows, anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
+        assert again == batch, layout
+        for i, prefix in enumerate(batch):
+            one = encode(rows[i], anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
+            assert one == prefix, (layout, i)
+            single = project_batch(rows[i : i + 1], anchors)[0]
+            assert np.array_equal(single, values[i]), (layout, i)
     for i, prefix in enumerate(batch):
-        assert prefix == encode(H[i], anchors, n_bins, mode=mode, k=k, scope=scope, vocab=vocab)
-        assert np.array_equal(values[i], project_batch(H[i : i + 1], anchors)[0])
         # one matrix-vector product of the unit anchors and the unit row
         alone = unit @ normalize_rows(H[i][None])[0]
         assert np.array_equal(values[i], np.clip(alone, -1.0, 1.0))
@@ -443,6 +465,26 @@ def test_encode_batch_rows_equal_single_encode(seed, n_rows, d, n_bins, mode, sc
             flat = _flat_index(anchors, tok)
             assert tok.bin == quantize_value(float(values[i, flat]), n_bins)
             assert tid == vocab.token_id(tok)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+def test_one_row_scale_extremes_warn_only_in_batches(scale):
+    # corpus.normalize recovers from the overflow without a warning; a batch
+    # of two or more recovers in normalize_rows, where numpy still warns
+    anchors = _anchor_set(("T", "L", "E"), d=6, seed=9)
+    h = np.random.default_rng(12).normal(size=6) * scale
+    with warnings.catch_warnings(record=True) as one:
+        warnings.simplefilter("always")
+        single = project_batch(h[None], anchors)
+    with warnings.catch_warnings(record=True) as two:
+        warnings.simplefilter("always")
+        pair = project_batch(np.vstack([h, h]), anchors)
+    assert np.array_equal(single[0], pair[0]) and np.array_equal(pair[0], pair[1])
+    assert one == []
+    assert all(
+        w.category is RuntimeWarning and "overflow" in str(w.message) for w in two
+    )
+    assert bool(two) == (scale > 1.0)
 
 
 def test_token_tables_kept_apart_per_bin_count():

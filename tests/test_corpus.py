@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import build_corpus, embeddings_for
+from conftest import build_corpus, embeddings_for, other_layouts
 from ecr.corpus import (
     Corpus,
     CorpusError,
@@ -329,6 +329,17 @@ def test_normalize_rows_bit_identical_to_plain_division():
             assert np.array_equal(got[i], row / np.sqrt(np.dot(row, row)))
     plain = rows[7] / 1e250
     assert np.allclose(got[7], plain / np.linalg.norm(plain), rtol=0, atol=1e-15)
+
+
+def test_normalize_rows_bits_do_not_depend_on_memory_layout():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(50, 768)) * 10.0 ** rng.uniform(-3, 3, size=(50, 1))
+    want = normalize_rows(rows)
+    fortran, strided = other_layouts(rows)
+    for other in (fortran, strided):
+        assert np.array_equal(normalize_rows(other), want)
+    for row, unit in zip(strided, want):  # a strided row, as one row of the batch
+        assert np.array_equal(normalize(row), unit)
 
 
 @given(

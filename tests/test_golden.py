@@ -11,7 +11,10 @@ stdout, and one seeded k-means fit.  So are the files and stdout of
 CLI's row blocks and over a matrix with no rows, and the report and
 stdout of ``consistency`` over such a matrix.  Single-arm reports pin the
 retrieval-mode and frozen-prefix training paths, and ``train-toy``'s
-stdout and ``--out`` JSON are pinned in each of its four modes.
+stdout and ``--out`` JSON are pinned in each of its four modes.  So are
+one-row codec passes: ``project_batch`` of single rows and
+``sample_prefix`` ids, at the encode bench's width and at the paired
+run's, each also with its rows scaled by 1e200 and 1e-200.
 """
 
 import contextlib
@@ -23,18 +26,22 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from ecr.anchors import kmeans_fit
+from ecr.anchors import build_anchor_set, kmeans_fit
+from ecr.codec import project_batch
 from ecr.cli import dispatch
 from ecr.corpus import RECORD_FIELDS, EmbeddingMatrix, save_embeddings
 from ecr.geometry import anchor_labels, compute_geometry
 from ecr.toytrain import (
     TrainConfig,
+    _pooled_queries,
     build_toy_anchors,
+    init_model,
     make_samples,
     make_synthetic_corpus,
     run_ablation,
     run_experiment,
     run_single_arm,
+    sample_prefix,
     split_records,
 )
 
@@ -59,6 +66,8 @@ GOLDEN = {
     "train_toy_ecr": "818a07c45a7af86d46b3ad91f034384a676f310df2fbfad30926509f2a78010d",
     "train_toy_paired": "60b0f93ef4ad41f721c9f1c269a21904071b8e16b0e530fc70076d6f695fabf8",
     "train_toy_ablation": "512c6f2167a1c40720fb8be0feb5c407bfc222118b1660759635d01bf362f982",
+    "one_row_encode": "c8009df22a5044f164a0b1b0b93a7c82d778ffd2b6239c27a48d2980c83044d9",
+    "one_row_paired": "05e3565d6079ed97fcfee59da6a564ade4da4c419613858f4db4a7b11eeff6b6",
 }
 
 
@@ -306,3 +315,44 @@ def test_train_toy_paired_configs_differ_only_in_ecr_enabled(train_toy_runs):
     configs = [payload[arm]["config"] for arm in ("baseline", "ecr")]
     assert [config["ecr"].pop("enabled") for config in configs] == [False, True]
     assert configs[0] == configs[1]
+
+
+SCALES = (1.0, 1e200, 1e-200)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_one_row_encode_digest():
+    """``project_batch`` bits of 40 single teacher rows at the encode
+    bench's shape: d = 768, 29 anchors (T,L,E,I,P with 8 k-means anchors)."""
+    data = make_synthetic_corpus(seed=6, n_per_lang=10, n_factors=6, d=768)
+    anchors = build_anchor_set(
+        data.embeddings, data.corpus, ("T", "L", "E", "I", "P"), k={"P": 8}, seed=6
+    )
+    assert anchors.total_k == 29
+    h = hashlib.sha256()
+    for row in data.embeddings.data[:40].astype(np.float64):
+        for scale in SCALES:
+            h.update(project_batch((row * scale)[None], anchors).astype("<f8").tobytes())
+    assert h.hexdigest() == GOLDEN["one_row_encode"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_one_row_paired_digest():
+    """``sample_prefix`` ids and the pooled rows' ``project_batch`` bits of
+    every sample at the paired run's shape (d = 24, factors T,L,E,I, 8
+    bins), on a fresh model and on its table scaled."""
+    data = make_synthetic_corpus(
+        seed=4, n_per_lang=100, query_content=4, marker_repeat=2, answer_noise=0.05
+    )
+    anchors = build_toy_anchors(data, ("T", "L", "E", "I"), seed=4)
+    settings = TrainConfig().ecr
+    fresh = init_model(data.layout.base_size, anchors.d, anchors, settings.n_bins, seed=4)
+    samples = make_samples(data, data.corpus.records)
+    h = hashlib.sha256()
+    for scale in SCALES:
+        model = replace(fresh, emb=fresh.emb * scale)
+        for s in samples:
+            h.update(repr(sample_prefix(model, s, anchors, settings).token_ids).encode())
+            pooled = _pooled_queries(model, [s.tokens[: s.query_len]])
+            h.update(project_batch(pooled, anchors).astype("<f8").tobytes())
+    assert h.hexdigest() == GOLDEN["one_row_paired"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import other_layouts
 import ecr.retrieval
 from ecr.binio import FileFormatError
 from ecr.retrieval import (
@@ -353,6 +354,37 @@ def test_brute_force_ties_across_k_boundary_keep_lower_rows():
     full = np.argsort(-(unit @ (q / np.linalg.norm(q))), kind="stable")
     for k in (1, 7, 25, 100, 499, 500):
         assert brute_force_topk(many, q, k).ids == tuple(str(i) for i in full[:k])
+
+
+def test_build_index_bits_do_not_depend_on_memory_layout():
+    X = _cloud(n=400, d=64, seed=12)
+    index = build_index(X, m=8, ef_construction=20, seed=0)
+    for other in other_layouts(X):
+        again = build_index(other, m=8, ef_construction=20, seed=0)
+        assert np.array_equal(again.data, index.data)
+        assert all(np.array_equal(a, b) for a, b in zip(again.layers, index.layers))
+
+
+def test_brute_force_bits_do_not_depend_on_memory_layout():
+    X = _cloud(n=400, d=64, seed=12)
+    for other in other_layouts(X):
+        for q in X[:20]:
+            assert brute_force_topk(other, q, 5) == brute_force_topk(X, q, 5)
+
+
+def test_fit_pca_bits_do_not_depend_on_memory_layout():
+    X = _cloud(n=400, d=64, seed=12)
+    model = fit_pca(X, 8)
+    for other in other_layouts(X):
+        refit = fit_pca(other, 8)
+        assert np.array_equal(refit.mean, model.mean)
+        assert np.array_equal(refit.components, model.components)
+        assert np.array_equal(refit.explained_variance, model.explained_variance)
+
+
+def test_build_index_negative_seed_rejected():
+    with pytest.raises(RetrievalError, match="seed must be non-negative, got -1"):
+        build_index(_cloud(n=10), seed=-1)
 
 
 def test_brute_force_k_below_one_rejected():

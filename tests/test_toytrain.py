@@ -348,12 +348,17 @@ def test_embed_sequence_skips_control_rows():
 def test_embed_sequence_errors():
     data, anchors = _tiny_setup()
     model = init_model(data.layout.base_size, 8, anchors, 8, seed=0)
-    with pytest.raises(ToyTrainError, match="empty"):
-        _pooled_queries(model, [[]])
-    with pytest.raises(ToyTrainError, match="unknown token"):
-        _pooled_queries(model, [[model.total_vocab + 7]])
-    with pytest.raises(ToyTrainError, match="non-control"):
-        _pooled_queries(model, [[model.base_size]])
+    base, top = model.base_size, model.total_vocab
+    for bad, message in (
+        ([], "cannot embed an empty sequence"),
+        ([top + 7], f"unknown token id {top + 7}"),
+        ([-1], "unknown token id -1"),
+        ([base, base + 1], "sequence has no non-control tokens to embed"),
+    ):
+        # the same error alone and on either side of a valid query in a batch
+        for queries in ([bad], [[1, 2], bad], [bad, [1, 2, 3]]):
+            with pytest.raises(ToyTrainError, match=f"^{re.escape(message)}$"):
+                _pooled_queries(model, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +620,40 @@ def test_pooled_queries_match_embed_sequence():
     for row, query in zip(pooled, queries):
         assert np.array_equal(row, _reference_embed(model, query))
         assert np.array_equal(row, _pooled_queries(model, [query])[0])
+
+
+@pytest.fixture(scope="module")
+def tiny_anchors():
+    return _tiny_setup()[1]
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 10_000),
+    length=st.integers(1, 130),
+    other=st.integers(1, 130),
+    d=st.one_of(st.sampled_from([1, 2, 3, 24]), st.integers(1, 1024)),
+    controls=st.booleans(),
+    first=st.booleans(),
+)
+def test_one_query_pools_as_in_a_batch(tiny_anchors, seed, length, other, d, controls, first):
+    # one query takes the one-row sum; beside a second query it takes the
+    # batch's, padded and masked where the lengths differ or ids are skipped
+    rng = np.random.default_rng(seed)
+    model = init_model(40, d, tiny_anchors, 8, seed=seed)
+    model = dataclasses.replace(
+        model, emb=model.emb * 10.0 ** rng.uniform(-3, 3, size=(model.total_vocab, 1))
+    )
+    query = rng.integers(0, 40, size=length)
+    if controls:
+        skip = rng.random(length) < 0.3
+        skip[rng.integers(length)] = False  # one kept id at least
+        query[skip] = rng.integers(40, model.total_vocab, size=int(skip.sum()))
+    query, second = query.tolist(), rng.integers(0, 40, size=other).tolist()
+    alone = _pooled_queries(model, [query])
+    pair = _pooled_queries(model, [query, second] if first else [second, query])
+    assert alone.shape == (1, d)
+    assert np.array_equal(alone[0], pair[0 if first else 1])
 
 
 @pytest.mark.parametrize(
@@ -994,7 +1033,10 @@ def test_divergence_before_patience_is_recorded_not_raised(learning_rate, enable
 
 @pytest.mark.parametrize(
     "field, value",
-    [("batch_size", 0), ("batch_size", -3), ("epochs", -1), ("divergence_patience", 0)],
+    [
+        ("batch_size", 0), ("batch_size", -3), ("epochs", -1), ("divergence_patience", 0),
+        ("seed", -1),
+    ],
 )
 def test_train_config_rejects_values_that_train_wrongly(field, value):
     with pytest.raises(ToyTrainError, match=f"{field} must be at least"):
