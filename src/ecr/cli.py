@@ -207,9 +207,8 @@ def cmd_topk(args) -> int:
 
 def cmd_pca_fit(args) -> int:
     embeddings = load_embeddings(args.embeddings)
-    model = fit_pca(embeddings, args.dim, seed=args.seed)
+    model = fit_pca(embeddings, args.dim)
     save_pca(model, args.out)
-    print(f"# seed: {args.seed}")
     kept = float(model.explained_variance.sum())
     print(f"pca: {model.d} -> {model.r}, retained variance {kept:.6g}")
     print(f"wrote {args.out}")
@@ -430,6 +429,13 @@ def _parse_bool(value: str, key: str) -> bool:
         raise ToyTrainError(f"config key {key!r} expects on/off, got {value!r}")
 
 
+def _parse_value(value: str, kind: type, key: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ToyTrainError(f"config key {key!r} expects {kind.__name__}, got {value!r}") from None
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; # starts a comment; blank lines ignored."""
     entries: dict[str, str] = {}
@@ -451,7 +457,7 @@ def _apply_config(entries: dict[str, str]) -> tuple[TrainConfig, dict]:
     data_kwargs: dict = {}
     for key, value in entries.items():
         if key in _CONFIG_FIELDS:
-            cfg_kwargs[key] = _CONFIG_FIELDS[key](value)
+            cfg_kwargs[key] = _parse_value(value, _CONFIG_FIELDS[key], key)
         elif key in _ECR_FIELDS:
             field_name, kind = _ECR_FIELDS[key]
             if kind == "bool":
@@ -459,9 +465,9 @@ def _apply_config(entries: dict[str, str]) -> tuple[TrainConfig, dict]:
             elif kind == "factors":
                 ecr_kwargs[field_name] = _parse_factors(value)
             else:
-                ecr_kwargs[field_name] = kind(value)
+                ecr_kwargs[field_name] = _parse_value(value, kind, key)
         elif key in _DATA_FIELDS:
-            data_kwargs[key] = _DATA_FIELDS[key](value)
+            data_kwargs[key] = _parse_value(value, _DATA_FIELDS[key], key)
         else:
             raise ToyTrainError(f"unknown config key {key!r}")
     cfg = TrainConfig(ecr=EcrSettings(**ecr_kwargs), **cfg_kwargs)
@@ -556,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pca-fit", help="fit a PCA projection to embeddings")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pca_fit, module="retrieval")
 

@@ -23,12 +23,14 @@ prefixes; :func:`encode` and the trainer's ``sample_prefix`` are batches
 of one.  A batch of one normalizes and projects its row with one-row
 kernels, ``corpus.normalize`` and one ``unit.dot``, which run the BLAS
 dot and gemv that the batch kernels run per row: a row has the same bits
-alone, in any batch and in any memory layout.  Everything a pass reads
-besides its rows comes from one table per anchor set and bin count, kept
-in the anchor set's cache and looked up once per call: the anchor
-layout, the unit anchors, the bin thresholds, and every (anchor, bin)
-token with its text (its ids are made once per base size).  A row
-renders with one ``itemgetter`` per field.
+alone, in any batch and in any memory layout.  Its bins and token-table
+offsets are then taken on the (total_k,) row, which becomes the one row
+of the (1, P) index matrix only after.  Everything a pass reads besides
+its rows comes from one table per anchor set and bin count, kept in the
+anchor set's cache and looked up once per call: the anchor layout, the
+unit anchors, the bin thresholds, and every (anchor, bin) token with its
+text (its ids are made once per base size).  A row renders with one
+``itemgetter`` per field.
 
 Rounding can put a cosine an ulp or so past +-1.  Clipping to [-1, 1]
 applies only where the values are read as values: :func:`project_batch`
@@ -366,7 +368,8 @@ def _table_indices(
     for each row, in canonical order; a token's vocabulary id is the base
     size plus its index.  Every row has the same P: total_k, the sum of
     min(k, size) over the factors, or k under scope "all".  Bins come from
-    the unclipped cosines; retrieval mode ranks them clipped."""
+    the unclipped cosines; retrieval mode ranks them clipped.  A batch of
+    one is binned and offset as one (total_k,) row, made 2-d once after."""
     if mode not in ("global", "retrieval"):
         raise CodecError(f"unknown encode mode {mode!r}")
     if scope not in ("factor", "all"):
@@ -374,8 +377,11 @@ def _table_indices(
     table = _token_table(anchors, n_bins)
     ids = None if vocab is None else table.vocab_ids(vocab)
     values = _cosines(H, table.unit)
-    flat = _bins(values, table.thresholds)
+    one = len(values) == 1
+    flat = _bins(values[0] if one else values, table.thresholds)
     flat += table.offsets
+    if one:
+        flat = flat[None]
     if mode == "retrieval":
         chosen = _selected(_clip(values), table.group_sizes, k, scope)
         flat = np.take_along_axis(flat, chosen, axis=1)

@@ -100,7 +100,8 @@ def fit_pca(X, r: int, seed: int = 0) -> PcaModel:
     the top eigenvectors of a dense eigendecomposition of the d x d
     covariance, so a fit holds two d x d float64 matrices, the covariance
     and its eigenvectors, beyond the centred rows: 270 MB at d = 4096.
-    ``seed`` has no effect on the result.
+    ``seed`` has no effect on the result; it is kept only because the
+    benchmark's ann workload passes it.
     Degenerate input (zero variance in every direction) produces a
     zero-variance model with a warning rather than an error.
     """

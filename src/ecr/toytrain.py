@@ -168,6 +168,11 @@ def make_synthetic_corpus(
         raise ToyTrainError(f"seed must be non-negative, got {seed}")
     if query_content < 0:
         raise ToyTrainError(f"query_content must be non-negative, got {query_content}")
+    least = 1 if query_content else 0  # content ids are drawn from [0, n_content)
+    if n_content < least:
+        raise ToyTrainError(f"n_content must be at least {least}, got {n_content}")
+    if not 0.0 <= answer_noise <= 1.0:
+        raise ToyTrainError(f"answer_noise must be in [0, 1], got {answer_noise}")
     layout = VocabLayout(n_tasks=n_factors, n_content=n_content)
     rng = np.random.default_rng(seed)
 
@@ -396,15 +401,20 @@ def _pooled_queries(model: ToyModel, queries: list) -> np.ndarray:
     """The mean embedding row of each query's non-control ids, one row each.
 
     One gather and one sum along the padded block, divided by each query's
-    count of kept ids as np.mean divides, so each row is bit-identical to
-    the query's own mean.  The padding is the first control id, so one test
-    skips it with the control ids; the masked sum starts at -0.0, since
-    -0.0 + x is x for every x, signed zeros included.  A lone query with
-    no control ids is summed from one 1-d gather along axis 0, row after row
-    as in the block, so it has the same bits alone or in a batch.  Each
-    query's length, low id and high id are read once, and the checks and
-    the choice of path read only those.
+    count of kept ids as np.mean divides.  The padding is the first control
+    id, so one test skips it with the control ids; the masked sum starts at
+    -0.0, since -0.0 + x is x for every x, signed zeros included.  A query
+    has the same bits alone or in any batch, and np.mean's bits except on
+    the masked path at d = 1, which sums each run of kept ids apart.  A lone
+    query of ids in [0, base_size), tested first by its own length, low and
+    high id, is summed from one 1-d gather along axis 0, row after row as in
+    the block; every other input reads each query's length, low and high id
+    once, and the checks and the choice of path read only those.
     """
+    if len(queries) == 1:
+        query = queries[0]
+        if len(query) and min(query) >= 0 and max(query) < model.base_size:
+            return (np.add.reduce(model.emb.take(query, axis=0), axis=0) / len(query))[None]
     if not queries:
         return np.zeros((0, model.d))
     lengths = list(map(len, queries))
@@ -415,10 +425,7 @@ def _pooled_queries(model: ToyModel, queries: list) -> np.ndarray:
         _refuse_first(model, queries)
     if top < model.base_size and short == width:
         # Nothing to skip, as in every query of the synthetic corpus: the
-        # same sums over the queries as given, with no padded block or mask;
-        # one query's rows are summed as its block's, row after row.
-        if len(queries) == 1:
-            return (np.add.reduce(model.emb.take(queries[0], axis=0), axis=0) / width)[None]
+        # same sums over the queries as given, with no padded block or mask
         return np.add.reduce(model.emb.take(queries, axis=0), axis=1) / width
     block = _pad(queries, model.base_size)
     rows = model.emb.take(block, axis=0)

@@ -60,6 +60,18 @@ def test_no_arguments_exits_2(capsys):
     assert code == 2
 
 
+def test_pca_fit_takes_no_seed(capsys, synth, tmp_path):
+    # the fit is a dense eigendecomposition: a seed changed no output
+    code, out, err = _run(
+        capsys,
+        "pca-fit", "--embeddings", synth["teacher"], "--dim", "4", "--seed", "1",
+        "--out", str(tmp_path / "pca.bin"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ecr ")
+    assert "unrecognized arguments: --seed 1" in err
+
+
 def test_missing_input_file_names_module(capsys, tmp_path):
     code, _, err = _run(
         capsys,
@@ -778,6 +790,11 @@ def test_train_toy_rejects_learning_rate_that_cannot_descend(capsys, tmp_path, r
         ("holdout_fraction = 1", "holdout_fraction must be in (0, 1), got 1.0"),
         ("data_seed = -1", "seed must be non-negative, got -1"),
         ("data_dim = 0", "d must be positive, got 0"),
+        ("answer_noise = nan", "answer_noise must be in [0, 1], got nan"),
+        ("epochs = abc", "config key 'epochs' expects int, got 'abc'"),
+        ("ecr_bins = 2.5", "config key 'ecr_bins' expects int, got '2.5'"),
+        ("learning_rate = fast", "config key 'learning_rate' expects float, got 'fast'"),
+        ("n_per_lang = 1e3", "config key 'n_per_lang' expects int, got '1e3'"),
     ],
 )
 def test_train_toy_rejects_config_that_cannot_train(capsys, tmp_path, entry, message):

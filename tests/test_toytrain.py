@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecr.codec import CodecError, encode, encode_batch
 from ecr.corpus import LANGUAGES
@@ -182,6 +182,24 @@ def test_synthetic_validation():
     # numpy refused a negative content size; one draw of all the bounds would not
     with pytest.raises(ToyTrainError, match="query_content must be non-negative, got -1"):
         make_synthetic_corpus(seed=0, n_per_lang=2, query_content=-1)
+    # numpy refused an empty content range with its bare "high <= 0"; a
+    # negative one without query content, and any noise outside [0, 1],
+    # gave a corpus
+    for n_content, query_content, least in ((0, 1, 1), (-2, 0, 0), (-1, 3, 1)):
+        message = f"n_content must be at least {least}, got {n_content}"
+        with pytest.raises(ToyTrainError, match=message):
+            make_synthetic_corpus(
+                seed=0, n_per_lang=2, n_content=n_content, query_content=query_content
+            )
+    for noise in (math.nan, math.inf, -math.inf, 2.0, -1.0, 1.0 + 1e-12):
+        with pytest.raises(ToyTrainError, match=re.escape(
+            f"answer_noise must be in [0, 1], got {noise}"
+        )):
+            make_synthetic_corpus(seed=0, n_per_lang=2, answer_noise=noise)
+    # the edges of each range still draw
+    make_synthetic_corpus(seed=0, n_per_lang=2, n_content=0, query_content=0)
+    for noise in (0.0, 1.0):
+        make_synthetic_corpus(seed=0, n_per_lang=2, answer_noise=noise)
 
 
 def _draws_one_field_at_a_time(seed, n_per_lang, n_factors, n_content, query_content,
@@ -627,6 +645,27 @@ def tiny_anchors():
     return _tiny_setup()[1]
 
 
+# ids that meet the lone-query branch's bounds, put at one place in the query
+_EDGE_IDS = {
+    "last base": lambda model: model.base_size - 1,
+    "first control": lambda model: model.base_size,
+    "negative": lambda model: -1,
+    "past vocab": lambda model: model.total_vocab,
+}
+_CONTAINERS = {
+    "tuple": tuple,
+    "list": list,
+    "int64": lambda ids: np.array(ids, dtype=np.int64),
+}
+
+
+def _pooled_or_error(model, queries):
+    try:
+        return _pooled_queries(model, queries)
+    except ToyTrainError as exc:
+        return str(exc)
+
+
 @settings(max_examples=80)
 @given(
     seed=st.integers(0, 10_000),
@@ -635,10 +674,21 @@ def tiny_anchors():
     d=st.one_of(st.sampled_from([1, 2, 3, 24]), st.integers(1, 1024)),
     controls=st.booleans(),
     first=st.booleans(),
+    edge=st.sampled_from([None, "empty", *_EDGE_IDS]),
+    container=st.sampled_from(list(_CONTAINERS)),
 )
-def test_one_query_pools_as_in_a_batch(tiny_anchors, seed, length, other, d, controls, first):
+# the masked sum at d = 1 adds each run of kept ids apart: the same bits
+# alone and in a batch, but not np.mean's (0.0915888182137858 against
+# 0.09158881821378588 here, T = 10 with 6 kept ids)
+@example(
+    seed=11, length=10, other=5, d=1, controls=True, first=True, edge=None, container="list"
+)
+def test_one_query_pools_as_in_a_batch(
+    tiny_anchors, seed, length, other, d, controls, first, edge, container
+):
     # one query takes the one-row sum; beside a second query it takes the
-    # batch's, padded and masked where the lengths differ or ids are skipped
+    # batch's, padded and masked where the lengths differ or ids are skipped;
+    # a query that cannot be pooled gives the same error alone and in a batch
     rng = np.random.default_rng(seed)
     model = init_model(40, d, tiny_anchors, 8, seed=seed)
     model = dataclasses.replace(
@@ -650,10 +700,21 @@ def test_one_query_pools_as_in_a_batch(tiny_anchors, seed, length, other, d, con
         skip[rng.integers(length)] = False  # one kept id at least
         query[skip] = rng.integers(40, model.total_vocab, size=int(skip.sum()))
     query, second = query.tolist(), rng.integers(0, 40, size=other).tolist()
-    alone = _pooled_queries(model, [query])
-    pair = _pooled_queries(model, [query, second] if first else [second, query])
+    if edge == "empty":
+        query = []
+    elif edge is not None:
+        query[rng.integers(length)] = _EDGE_IDS[edge](model)
+    query = _CONTAINERS[container](query)
+    alone = _pooled_or_error(model, [query])
+    pair = _pooled_or_error(model, [query, second] if first else [second, query])
+    if isinstance(alone, str):
+        assert isinstance(pair, str) and pair == alone
+        return
     assert alone.shape == (1, d)
     assert np.array_equal(alone[0], pair[0 if first else 1])
+    kept = [t for t in query if t < model.base_size]
+    if d > 1 or len(kept) == len(query):  # the masked sum at d = 1 is not np.mean's
+        assert np.array_equal(alone[0], model.emb[kept].mean(axis=0))
 
 
 @pytest.mark.parametrize(
