@@ -10,10 +10,11 @@ Times two calls, each on one input at a time:
 Every input is called ``--passes`` times.  For each call the script
 prints the median over inputs of each input's fastest call, the p99 over
 all calls with their count, and the split of that median into stages.  A
-stage is timed as the pass up to its end (project: the cosines; quantize:
-the table indices; render: the whole call; for ``sample_prefix`` the
-pooling comes first), and its share is its median less the one before it,
-so a share near zero can read slightly negative.
+stage is timed as the steps of the call up to its end (project: the
+checked token table and the row's cosines; quantize: the row's table
+indices; render: the whole call; for ``sample_prefix`` the pooled row
+comes first), and its share is its median less the one before it, so a
+share near zero can read slightly negative.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/codec_latency.py
 """
@@ -63,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         teacher.embeddings, teacher.corpus, ("T", "L", "E", "I", "P"), k={"P": 8}, seed=args.seed
     )
     vocab = codec.token_vocabulary(anchors, N_BINS, 1000)
-    rows = [h.reshape(1, -1) for h in teacher.embeddings.data[: args.rows].astype(np.float64)]
+    rows = list(teacher.embeddings.data[: args.rows].astype(np.float64))
 
     data = toytrain.make_synthetic_corpus(
         seed=args.seed, n_per_lang=100, query_content=4, marker_repeat=2, answer_noise=0.05
@@ -74,22 +75,28 @@ def main(argv: list[str] | None = None) -> int:
     samples = toytrain.make_samples(data)[: args.rows]
 
     def pooled(s):
-        return toytrain._pooled_queries(model, [s.tokens[: s.query_len]])
+        return toytrain._pooled_queries(model, [s.tokens[: s.query_len]])[0]
 
-    def indices(H, anchor_set, voc):
-        return codec._table_indices(H, anchor_set, N_BINS, "global", 1, "factor", voc)
+    def cosines(h, anchor_set, voc):
+        # encode's steps up to its projection: the checked table, the row's cosines
+        table, _ = codec._checked_table(anchor_set, N_BINS, "global", "factor", voc)
+        return table, codec._row_cosines(h, table.unit)
+
+    def indices(h, anchor_set, voc):
+        table, values = cosines(h, anchor_set, voc)
+        return codec._table_indices(values, table, "global", 1, "factor")
 
     print(f"anchors={anchors.total_k} d={anchors.d} | anchors={toy.total_k} d={toy.d}; "
           f"{args.passes} passes over {args.rows} inputs")
     print(f"{'call':<14}{'best_us':>10}{'p99_us':>10}{'calls':>9}  split_us")
     _report("encode", [
-        ("project", lambda H: codec._cosines(H, anchors.stacked_unit())),
-        ("quantize", lambda H: indices(H, anchors, vocab)),
-        ("render", lambda H: codec.encode(H[0], anchors, N_BINS, vocab=vocab)),
+        ("project", lambda h: cosines(h, anchors, vocab)),
+        ("quantize", lambda h: indices(h, anchors, vocab)),
+        ("render", lambda h: codec.encode(h, anchors, N_BINS, vocab=vocab)),
     ], rows, args.passes)
     _report("sample_prefix", [
         ("pool", pooled),
-        ("project", lambda s: codec._cosines(pooled(s), toy.stacked_unit())),
+        ("project", lambda s: cosines(pooled(s), toy, model.vocab)),
         ("quantize", lambda s: indices(pooled(s), toy, model.vocab)),
         ("render", lambda s: toytrain.sample_prefix(model, s, toy, settings)),
     ], samples, args.passes)

@@ -437,17 +437,19 @@ def _parse_value(value: str, kind: type, key: str):
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; # starts a comment; blank lines ignored."""
+    """Flat key=value lines, each key once; # starts a comment; blanks ignored."""
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ToyTrainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            entries[key.strip()] = value.strip()
+            if key in entries:
+                raise ToyTrainError(f"{path}:{lineno}: repeated config key {key!r}")
+            entries[key] = value
     return entries
 
 
@@ -640,6 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_report, module="toytrain")
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -647,7 +651,9 @@ def dispatch(argv: list[str]) -> int:
     """Parse and run one invocation; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # from the subcommand's parser, so the usage printed is its own
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,21 +16,16 @@ retrieval-guided (only the top-k strongest anchors contribute, either per
 factor or over the whole set).  Selected tokens always render in canonical
 order: factors T, L, E, I, P, then ascending anchor index.
 
-Encoding is batched: one step projects, quantizes and selects a whole
-matrix at once into an (n, P) matrix of token-table indices, which a
-training step reads as ids.  :func:`encode_batch` renders its rows as
-prefixes; :func:`encode` and the trainer's ``sample_prefix`` are batches
-of one.  A batch of one normalizes and projects its row with one-row
-kernels, ``corpus.normalize`` and one ``unit.dot``, which run the BLAS
-dot and gemv that the batch kernels run per row: a row has the same bits
-alone, in any batch and in any memory layout.  Its bins and token-table
-offsets are then taken on the (total_k,) row, which becomes the one row
-of the (1, P) index matrix only after.  Everything a pass reads besides
-its rows comes from one table per anchor set and bin count, kept in the
-anchor set's cache and looked up once per call: the anchor layout, the
-unit anchors, the bin thresholds, and every (anchor, bin) token with its
-text (its ids are made once per base size).  A row renders with one
-``itemgetter`` per field.
+Each call checks its arguments, then reads one table per anchor set and
+bin count, kept in the anchor set's cache: the anchor layout, the unit
+anchors, the bin thresholds, and every (anchor, bin) token with its text
+(its ids are made once per base size).  :func:`encode_batch` projects,
+quantizes and selects a whole matrix into an (n, P) matrix of table
+indices, which a training step reads as ids, and renders its rows.
+:func:`encode`, under the trainer's ``sample_prefix`` too, takes the same
+steps on its (total_k,) row alone: ``corpus.normalize`` and one
+``unit.dot`` run the BLAS dot and gemv that a batch runs per row, so a
+row has the same bits, and raises the same errors, alone or in any batch.
 
 Rounding can put a cosine an ulp or so past +-1.  Clipping to [-1, 1]
 applies only where the values are read as values: :func:`project_batch`
@@ -55,6 +50,11 @@ from .corpus import normalize, normalize_rows
 
 class CodecError(ValueError):
     """Raised on invalid codec inputs or malformed token text."""
+
+
+def _check_width(width: int, unit: np.ndarray) -> None:
+    if width != unit.shape[1]:
+        raise CodecError(f"embedding dimension {width} does not match anchors d={unit.shape[1]}")
 
 
 @dataclass(frozen=True)
@@ -91,28 +91,30 @@ class ControlPrefix:
         return len(self.tokens)
 
 
+def _row_cosines(h: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Unclipped cosines of one row h against every unit anchor, (total_k,)."""
+    try:
+        return unit.dot(normalize(h))
+    except ValueError as exc:
+        raise CodecError(str(exc)) from None
+
+
 def _cosines(H: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Unclipped cosines of every row of H against every row of the unit
     anchors ``unit``, (n, total_k).
 
-    One BLAS dot to normalize each row and one BLAS matrix-vector product
-    to project it, so row i has the same bits whatever the batch it is in.
-    A batch takes them in one ``np.vecdot`` and one ``np.matvec`` call; a
-    single row, for a third of their call cost, in :func:`normalize` and
-    one ``unit.dot``, which run the same BLAS dot and gemv on it.  H is
-    read as C-contiguous float64, so the bits do not depend on its memory
-    layout either.  Rounding can put an entry an ulp or so outside [-1, 1].
+    A row takes one BLAS dot to normalize and one gemv to project it, alone
+    (:func:`_row_cosines`) or in a batch (``np.vecdot``, ``np.matvec``),
+    read as C-contiguous float64: it has the same bits in any batch and
+    layout.  Rounding can put an entry an ulp or so outside [-1, 1].
     """
     H = np.asarray(H, dtype=np.float64, order="C")
     if H.ndim != 2:
         raise CodecError(f"embeddings must form a 2-d matrix, got shape {H.shape}")
-    if H.shape[1] != unit.shape[1]:
-        raise CodecError(
-            f"embedding dimension {H.shape[1]} does not match anchors d={unit.shape[1]}"
-        )
+    _check_width(H.shape[1], unit)
+    if len(H) == 1:
+        return _row_cosines(H[0], unit)[None]
     try:
-        if len(H) == 1:
-            return unit.dot(normalize(H[0]))[None]
         H = normalize_rows(H)
     except ValueError as exc:
         raise CodecError(str(exc)) from None
@@ -333,59 +335,57 @@ def _render(table: _TokenTable, flat: list[int], ids: tuple[int, ...] | None) ->
 
 def rank_anchors(values: np.ndarray, k: int) -> np.ndarray:
     """Flat indices of the k strongest anchors in each row of an
-    (n, total_k) affinity matrix, descending.
+    (n, total_k) affinity matrix, or in one (total_k,) row, descending.
 
     Ties break toward the lower flat index, so the ranking is
     deterministic.
     """
-    total = values.shape[1]
+    total = values.shape[-1]
     if not 1 <= k <= total:
         raise CodecError(f"k must be in [1, {total}], got {k}")
-    return np.argsort(-values, axis=1, kind="stable")[:, :k]
+    return np.argsort(-values, axis=-1, kind="stable")[..., :k]
 
 
 def _selected(values: np.ndarray, group_sizes: tuple[int, ...], k: int, scope: str) -> np.ndarray:
     """Flat indices kept in retrieval mode, per row in canonical (ascending) order."""
     if scope == "all":
-        return np.sort(rank_anchors(values, k), axis=1)
+        return np.sort(rank_anchors(values, k), axis=-1)
     if k < 1:
         raise CodecError(f"k must be at least 1, got {k}")
     blocks = []
     pos = 0
     for size in group_sizes:
-        order = np.argsort(-values[:, pos : pos + size], axis=1, kind="stable")
-        blocks.append(pos + order[:, : min(k, size)])
+        order = np.argsort(-values[..., pos : pos + size], axis=-1, kind="stable")
+        blocks.append(pos + order[..., : min(k, size)])
         pos += size
-    return np.sort(np.concatenate(blocks, axis=1), axis=1)
+    return np.sort(np.concatenate(blocks, axis=-1), axis=-1)
 
 
-def _table_indices(
-    H: np.ndarray, anchors: AnchorSet, n_bins: int, mode: str, k: int, scope: str,
-    vocab: TokenVocabulary | None,
-) -> tuple[_TokenTable, tuple[int, ...] | None, np.ndarray]:
-    """The token table, its ids in ``vocab`` (none without one) and the
-    (n, P) int64 table indices of the tokens :func:`encode_batch` selects
-    for each row, in canonical order; a token's vocabulary id is the base
-    size plus its index.  Every row has the same P: total_k, the sum of
-    min(k, size) over the factors, or k under scope "all".  Bins come from
-    the unclipped cosines; retrieval mode ranks them clipped.  A batch of
-    one is binned and offset as one (total_k,) row, made 2-d once after."""
+def _checked_table(
+    anchors: AnchorSet, n_bins: int, mode: str, scope: str, vocab: TokenVocabulary | None
+) -> tuple[_TokenTable, tuple[int, ...] | None]:
+    """Mode and scope checked, the token table and its ids in ``vocab`` (or none)."""
     if mode not in ("global", "retrieval"):
         raise CodecError(f"unknown encode mode {mode!r}")
     if scope not in ("factor", "all"):
         raise CodecError(f"unknown top-k scope {scope!r}")
     table = _token_table(anchors, n_bins)
-    ids = None if vocab is None else table.vocab_ids(vocab)
-    values = _cosines(H, table.unit)
-    one = len(values) == 1
-    flat = _bins(values[0] if one else values, table.thresholds)
+    return table, None if vocab is None else table.vocab_ids(vocab)
+
+
+def _table_indices(
+    values: np.ndarray, table: _TokenTable, mode: str, k: int, scope: str
+) -> np.ndarray:
+    """Table indices, in canonical order, of the tokens selected from the
+    cosines of one (total_k,) row or each row of an (n, total_k) matrix:
+    P per row (total_k, the sum of min(k, size) over factors, or k under
+    scope "all"); a token's vocabulary id is the base size plus its index."""
+    flat = _bins(values, table.thresholds)
     flat += table.offsets
-    if one:
-        flat = flat[None]
     if mode == "retrieval":
         chosen = _selected(_clip(values), table.group_sizes, k, scope)
-        flat = np.take_along_axis(flat, chosen, axis=1)
-    return table, ids, flat
+        flat = np.take_along_axis(flat, chosen, axis=-1)
+    return flat
 
 
 def encode_batch(
@@ -406,7 +406,8 @@ def encode_batch(
     prefixes carry token objects and text but no ids.  Raises
     :class:`CodecError` on a row that is zero or has a NaN or infinite entry.
     """
-    table, ids, flat = _table_indices(H, anchors, n_bins, mode, k, scope, vocab)
+    table, ids = _checked_table(anchors, n_bins, mode, scope, vocab)
+    flat = _table_indices(_cosines(H, table.unit), table, mode, k, scope)
     return [_render(table, row, ids) for row in flat.tolist()]
 
 
@@ -419,6 +420,10 @@ def encode(
     scope: str = "factor",
     vocab: TokenVocabulary | None = None,
 ) -> ControlPrefix:
-    """:func:`encode_batch` on a batch of one row."""
-    return encode_batch(np.asarray(h).reshape(1, -1), anchors, n_bins, mode, k, scope, vocab)[0]
-
+    """:func:`encode_batch` of the one row ``h``, with the same checks in
+    the same order, taken on the row alone."""
+    table, ids = _checked_table(anchors, n_bins, mode, scope, vocab)
+    h = np.asarray(h, dtype=np.float64).ravel()
+    _check_width(len(h), table.unit)
+    flat = _table_indices(_row_cosines(h, table.unit), table, mode, k, scope)
+    return _render(table, flat.tolist(), ids)

@@ -45,9 +45,11 @@ from .codec import (
     CodecError,
     ControlPrefix,
     TokenVocabulary,
+    _checked_table,
+    _cosines,
     _selected,
     _table_indices,
-    encode_batch,
+    encode,
     project_batch,
     token_vocabulary,
 )
@@ -284,11 +286,6 @@ def _sample(record: CorpusRecord, language: str, candidates: tuple[int, ...]) ->
         gold=answer_id,
         candidates=candidates,
     )
-
-
-def record_sample(record: CorpusRecord, language: str, layout: VocabLayout) -> Sample:
-    """Tokenize one language variant of a record."""
-    return _sample(record, language, layout.answer_candidates(LANGUAGES.index(language)))
 
 
 def make_samples(data: SyntheticData, records: list[CorpusRecord] | None = None) -> list[Sample]:
@@ -643,12 +640,12 @@ class TrainConfig:
 def sample_prefix(
     model: ToyModel, sample: Sample, anchors: AnchorSet, settings: EcrSettings
 ) -> ControlPrefix:
-    """Encode the sample's query segment against the anchors: a batch of
-    one of the pooling and codec pass the training step takes, rendered."""
-    pooled = _pooled_queries(model, [sample.tokens[: sample.query_len]])
-    return encode_batch(
+    """Encode the sample's query segment against the anchors: its pooled
+    row, as the training step pools it in any batch, through ``encode``."""
+    pooled = _pooled_queries(model, [sample.tokens[: sample.query_len]])[0]
+    return encode(
         pooled, anchors, settings.n_bins, settings.mode, settings.k, settings.scope, model.vocab
-    )[0]
+    )
 
 
 def _prefixes(
@@ -656,8 +653,9 @@ def _prefixes(
 ) -> np.ndarray:
     """Every sample's prefix ids, (B, P) int64, from one pooling and codec pass."""
     pooled = _pooled_queries(model, [s.tokens[: s.query_len] for s in samples])
-    _, _, flat = _table_indices(
-        pooled, anchors, settings.n_bins, settings.mode, settings.k, settings.scope, model.vocab
+    table, _ = _checked_table(anchors, settings.n_bins, settings.mode, settings.scope, model.vocab)
+    flat = _table_indices(
+        _cosines(pooled, table.unit), table, settings.mode, settings.k, settings.scope
     )
     return model.base_size + flat
 

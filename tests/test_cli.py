@@ -72,6 +72,21 @@ def test_pca_fit_takes_no_seed(capsys, synth, tmp_path):
     assert "unrecognized arguments: --seed 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pca-fit", "--embeddings", "e.bin", "--dim", "4", "--seed", "1", "--out", "p.bin"],
+        ["encode", "--embeddings", "e.bin", "--anchors", "a.bin", "--bogus"],
+        ["report", "extra", "--input", "r.json"],
+    ],
+)
+def test_unrecognized_arguments_print_the_subcommand_usage(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: ecr {argv[0]} [-h] ")
+    assert err.splitlines()[-1].startswith(f"ecr {argv[0]}: error: unrecognized arguments: ")
+
+
 def test_missing_input_file_names_module(capsys, tmp_path):
     code, _, err = _run(
         capsys,
@@ -563,16 +578,15 @@ def test_consistency_rejects_repeated_unknown_or_missing_variants(
 # training commands
 
 
-def _write_config(tmp_path, extra=""):
+def _write_config(tmp_path, epochs=2):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(
-        "epochs = 2          # quick run\n"
+        f"epochs = {epochs}          # quick run\n"
         "batch_size = 16\n"
         "learning_rate = 0.05\n"
         "holdout_fraction = 0.25\n"
         "n_per_lang = 6\n"
         "\n"
-        + extra
     )
     return str(cfg)
 
@@ -633,7 +647,7 @@ def test_train_toy_paired_table(capsys, tmp_path):
 
 
 def test_train_toy_ablation_rows(capsys, tmp_path):
-    cfg = _write_config(tmp_path, extra="epochs = 1\n")
+    cfg = _write_config(tmp_path, epochs=1)
     out = str(tmp_path / "ablation.json")
     code, text, err = _run(
         capsys, "train-toy", "--config", cfg, "--ablation", "--out", out,
@@ -695,6 +709,18 @@ def test_config_file_syntax_errors_name_line(tmp_path):
 
     with pytest.raises(ToyTrainError, match=r"bad\.cfg:2"):
         read_config_file(str(cfg))
+
+
+def test_config_file_rejects_a_repeated_key(capsys, tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("epochs = 2\nbatch_size = 16\n epochs=30  # again\n")
+    from ecr.toytrain import ToyTrainError
+
+    with pytest.raises(ToyTrainError, match=r"twice\.cfg:3: repeated config key 'epochs'$"):
+        read_config_file(str(cfg))
+    code, out, err = _run(capsys, "train-toy", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: toytrain: ") and "twice.cfg:3" in err
 
 
 def test_config_file_parses_comments_and_blanks(tmp_path):
@@ -800,7 +826,9 @@ def test_train_toy_rejects_learning_rate_that_cannot_descend(capsys, tmp_path, r
 def test_train_toy_rejects_config_that_cannot_train(capsys, tmp_path, entry, message):
     # each was a run before: a plausible report, diverged=True or a traceback
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"epochs = 1\nn_per_lang = 4\n{entry}\n")
+    # a quick run, less any key the entry sets itself: a key is set once
+    quick = [line for line in ("epochs = 1", "n_per_lang = 4") if line.split()[0] != entry.split()[0]]
+    cfg.write_text("\n".join([*quick, entry]) + "\n")
     code, out, err = _run(capsys, "train-toy", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: toytrain: {message}")

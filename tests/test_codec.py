@@ -398,6 +398,55 @@ def test_non_finite_rows_rejected(bad):
         encode_batch(rows, anchors, n_bins=8)
 
 
+def _ones_with(i, value):
+    h = np.ones(6)
+    h[i] = value
+    return h
+
+
+# (row, encode arguments past the anchors, the error's message) per case;
+# "vocab" is the (n_bins, factors) of a vocabulary built for the call
+_REFUSED = {
+    "narrow": (np.ones(5), {}, "^embedding dimension 5 does not match anchors d=6$"),
+    "wide": (np.ones((2, 4)), {}, "^embedding dimension 8 does not match anchors d=6$"),
+    "empty": (np.ones(0), {}, "^embedding dimension 0 does not match anchors d=6$"),
+    "zero": (np.zeros(6), {}, "^cannot normalize a zero vector$"),
+    "nan": (_ones_with(2, np.nan), {}, "non-finite"),
+    "inf": (_ones_with(0, np.inf), {}, "non-finite"),
+    "-inf": (_ones_with(5, -np.inf), {"mode": "retrieval"}, "non-finite"),
+    "mode": (np.ones(6), {"mode": "sparse"}, "^unknown encode mode 'sparse'$"),
+    "scope": (np.ones(6), {"mode": "retrieval", "scope": "group"}, "^unknown top-k scope"),
+    "one bin": (np.ones(6), {"n_bins": 1}, "^n_bins must be at least 2, got 1$"),
+    "no bins": (np.ones(6), {"n_bins": 0}, "^n_bins must be at least 2, got 0$"),
+    "vocab bins": (np.ones(6), {"vocab": (4, ("T", "L"))}, "n_bins=4 does not match"),
+    "vocab layout": (np.ones(6), {"vocab": (8, ("T",))}, "layout does not match"),
+    "k 0": (np.ones(6), {"mode": "retrieval", "k": 0}, "^k must be at least 1, got 0$"),
+    "k 0 all": (np.ones(6), {"mode": "retrieval", "k": 0, "scope": "all"}, r"^k must be in \["),
+    "k past all": (np.ones(6), {"mode": "retrieval", "k": 99, "scope": "all"}, r"got 99$"),
+    # the first check that fails names the error, alone as in a batch
+    "mode before width": (np.ones(5), {"mode": "sparse"}, "encode mode"),
+    "vocab before zero": (np.zeros(6), {"vocab": (4, ("T", "L"))}, "n_bins=4"),
+    "width before k": (np.ones(5), {"mode": "retrieval", "k": 0}, "dimension 5"),
+    "zero before k": (np.zeros(6), {"mode": "retrieval", "k": 0}, "zero vector"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_encode_raises_as_a_batch_of_one(case):
+    # encode takes its row alone, with the same checks in the same order
+    anchors = _anchor_set(("T", "L"), d=6)
+    h, kwargs, message = _REFUSED[case]
+    kwargs = {"n_bins": 8, **kwargs}
+    if "vocab" in kwargs:
+        n_bins, factors = kwargs["vocab"]
+        kwargs["vocab"] = token_vocabulary(_anchor_set(factors, d=6), n_bins, base_size=10)
+    with pytest.raises(CodecError, match=message) as alone:
+        encode(h, anchors, **kwargs)
+    with pytest.raises(CodecError) as batch:
+        encode_batch(np.reshape(h, (1, -1)), anchors, **kwargs)
+    assert str(alone.value) == str(batch.value)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_encode_scale_extremes_match_unscaled_bins():
     anchors = _anchor_set(("T", "L", "E"), d=6, seed=9)

@@ -33,7 +33,6 @@ from ecr.toytrain import (
     make_samples,
     make_synthetic_corpus,
     nll_eval,
-    record_sample,
     render_table,
     run_ablation,
     run_experiment,
@@ -291,25 +290,16 @@ def test_synthetic_corpus_peak_stays_below_two_matrices():
 # samples and splits
 
 
-def test_record_sample_structure():
-    data = _tiny_data(n_per_lang=3)
-    rec = data.corpus.records[0]
-    sample = record_sample(rec, "zh", data.layout)
-    assert sample.language == "zh"
-    assert sample.tokens[: sample.query_len] == tuple(
-        int(t) for t in rec.query("zh").split()
-    )
-    assert sample.tokens[-1] == sample.gold
-    assert sample.answer_pos == len(sample.tokens) - 1
-    assert sample.gold in sample.candidates
-
-
 def test_make_samples_uses_primary_language():
     data = _tiny_data(n_per_lang=3)
     samples = make_samples(data)
     assert len(samples) == 9
     for s, rec in zip(samples, data.corpus.records):
         assert s.language == rec.language
+        # the query's ids, then the gold answer, which is a candidate
+        assert s.tokens[: s.query_len] == tuple(int(t) for t in rec.query(rec.language).split())
+        assert s.tokens[-1] == s.gold and s.answer_pos == len(s.tokens) - 1
+        assert s.gold in s.candidates
 
 
 def test_split_records_deterministic_per_language():
