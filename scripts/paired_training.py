@@ -18,8 +18,10 @@ from ecr.toytrain import (
     TrainConfig,
     build_toy_anchors,
     make_synthetic_corpus,
+    paired_arms,
     render_table,
-    run_experiment,
+    summary_row,
+    train_arms,
 )
 
 
@@ -56,7 +58,10 @@ def main(argv: list[str] | None = None) -> int:
             holdout_fraction=args.holdout,
             ecr=EcrSettings(factors=factors, n_bins=args.bins),
         )
-        base, cond = (row["nll"] for row in run_experiment(data, anchors, config).table)
+        base, cond = (
+            summary_row(report.to_dict())["nll"]
+            for _, report in train_arms(data, anchors, paired_arms(config, anchors))
+        )
         rows.append(
             {
                 "seed": seed,

@@ -1,9 +1,9 @@
 """Learning-rate stability sweep for the toy conditioning loop.
 
-Trains the conditioned arm across a ladder of learning rates, with and
-without gradient-norm clipping, and reports where the divergence
-detector fires.  Divergence is recorded in the report, never raised, so
-a sweep always completes.
+Trains a baseline and a conditioned arm at each rung of a ladder of
+learning rates, with and without gradient-norm clipping, and reports
+where the divergence detector fires in each arm.  Divergence is
+recorded in the report, never raised, so a sweep always completes.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 
 from ecr.toytrain import (
-    EcrSettings,
     TrainConfig,
     build_toy_anchors,
     make_synthetic_corpus,
+    paired_arms,
     render_table,
-    run_single_arm,
     summary_row,
+    train_arms,
 )
 
 
@@ -37,33 +37,30 @@ def main(argv: list[str] | None = None) -> int:
     for lr in (float(x) for x in args.lrs.split(",")):
         for clip in (0.0, args.grad_clip):
             config = TrainConfig(
-                seed=args.seed,
-                learning_rate=lr,
-                epochs=args.epochs,
-                grad_clip=clip,
-                ecr=EcrSettings(enabled=True),
+                seed=args.seed, learning_rate=lr, epochs=args.epochs, grad_clip=clip
             )
-            _, report = run_single_arm(data, anchors, config)
-            final_nll = summary_row(report.to_dict())["nll"]
-            rows.append(
-                {
-                    "lr": lr,
-                    "clip": clip,
-                    "steps": len(report.loss_curve),
-                    "diverged": report.diverged,
-                    "divergence_step": report.divergence_step,
-                    "final_nll": final_nll,
-                }
-            )
-            print(
-                f"lr={lr:g} clip={clip:g}: diverged={report.diverged} "
-                f"steps={len(report.loss_curve)} nll={final_nll:.4f}"
-            )
+            for _, report in train_arms(data, anchors, paired_arms(config, anchors)):
+                final_nll = summary_row(report.to_dict())["nll"]
+                rows.append(
+                    {
+                        "lr": lr,
+                        "clip": clip,
+                        "arm": report.arm,
+                        "steps": len(report.loss_curve),
+                        "diverged": report.diverged,
+                        "divergence_step": report.divergence_step,
+                        "final_nll": final_nll,
+                    }
+                )
+                print(
+                    f"lr={lr:g} clip={clip:g} {report.arm}: diverged={report.diverged} "
+                    f"steps={len(report.loss_curve)} nll={final_nll:.4f}"
+                )
 
     print()
     print(
         render_table(
-            rows, ["lr", "clip", "steps", "diverged", "divergence_step", "final_nll"]
+            rows, ["lr", "clip", "arm", "steps", "diverged", "divergence_step", "final_nll"]
         )
     )
     return 0

@@ -56,12 +56,13 @@ from .toytrain import (
     EcrSettings,
     ToyTrainError,
     TrainConfig,
+    ablation_arms,
     build_toy_anchors,
     make_synthetic_corpus,
+    paired_arms,
     render_report,
-    run_ablation,
-    run_experiment,
-    run_single_arm,
+    summary_row,
+    train_arms,
 )
 
 
@@ -384,56 +385,41 @@ def cmd_make_synthetic(args) -> int:
 
 
 _BOOL_WORDS = {
-    "on": True,
-    "off": False,
-    "true": True,
-    "false": False,
-    "yes": True,
-    "no": False,
-    "1": True,
-    "0": False,
+    **dict.fromkeys(("on", "true", "yes", "1"), True),
+    **dict.fromkeys(("off", "false", "no", "0"), False),
 }
 
-# TrainConfig's fields, typed by their defaults; the nested ecr settings
-# are set through the ecr_* keys below, never as one value
-_CONFIG_FIELDS = {
-    f.name: type(f.default) for f in fields(TrainConfig) if f.name != "ecr"
-}
-
-_ECR_FIELDS = {
-    "ecr_enabled": ("enabled", "bool"),
-    "ecr_bins": ("n_bins", int),
-    "ecr_factors": ("factors", "factors"),
-    "ecr_mode": ("mode", str),
-    "ecr_k": ("k", int),
-    "ecr_scope": ("scope", str),
-    "freeze_prefix": ("freeze_prefix", "bool"),
-}
-
-_DATA_FIELDS = {
-    "data_seed": int,
-    "n_per_lang": int,
-    "n_factors": int,
-    "data_dim": int,
-    "n_content": int,
-    "query_content": int,
-    "marker_repeat": int,
-    "answer_noise": float,
+# every config key: the settings it goes to (TrainConfig, its ecr settings
+# or the synthetic data), the field it sets there, and how its text is read
+# (see _parse_value).  TrainConfig's fields are typed by their defaults; its
+# nested ecr settings are set through the ecr_* keys, never as one value
+_CONFIG_KEYS = {
+    **{f.name: ("cfg", f.name, type(f.default)) for f in fields(TrainConfig) if f.name != "ecr"},
+    "ecr_enabled": ("ecr", "enabled", "bool"),
+    "ecr_bins": ("ecr", "n_bins", int),
+    "ecr_factors": ("ecr", "factors", _parse_factors),
+    "ecr_mode": ("ecr", "mode", str),
+    "ecr_k": ("ecr", "k", int),
+    "ecr_scope": ("ecr", "scope", str),
+    "freeze_prefix": ("ecr", "freeze_prefix", "bool"),
+    **{
+        key: ("data", key, int)
+        for key in (
+            "data_seed", "n_per_lang", "n_factors", "data_dim", "n_content", "query_content",
+            "marker_repeat",
+        )
+    },
+    "answer_noise": ("data", "answer_noise", float),
 }
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_value(value: str, kind, key: str):
+    """``value`` read as ``kind``: a callable, or "bool" for the on/off words."""
     try:
-        return _BOOL_WORDS[value.strip().lower()]
-    except KeyError:
-        raise ToyTrainError(f"config key {key!r} expects on/off, got {value!r}")
-
-
-def _parse_value(value: str, kind: type, key: str):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ToyTrainError(f"config key {key!r} expects {kind.__name__}, got {value!r}") from None
+        return _BOOL_WORDS[value.strip().lower()] if kind == "bool" else kind(value)
+    except (KeyError, ValueError):
+        expected = "on/off" if kind == "bool" else kind.__name__
+        raise ToyTrainError(f"config key {key!r} expects {expected}, got {value!r}") from None
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -454,26 +440,14 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def _apply_config(entries: dict[str, str]) -> tuple[TrainConfig, dict]:
-    cfg_kwargs: dict = {}
-    ecr_kwargs: dict = {}
-    data_kwargs: dict = {}
+    settings: dict[str, dict] = {"cfg": {}, "ecr": {}, "data": {}}
     for key, value in entries.items():
-        if key in _CONFIG_FIELDS:
-            cfg_kwargs[key] = _parse_value(value, _CONFIG_FIELDS[key], key)
-        elif key in _ECR_FIELDS:
-            field_name, kind = _ECR_FIELDS[key]
-            if kind == "bool":
-                ecr_kwargs[field_name] = _parse_bool(value, key)
-            elif kind == "factors":
-                ecr_kwargs[field_name] = _parse_factors(value)
-            else:
-                ecr_kwargs[field_name] = _parse_value(value, kind, key)
-        elif key in _DATA_FIELDS:
-            data_kwargs[key] = _parse_value(value, _DATA_FIELDS[key], key)
-        else:
+        if key not in _CONFIG_KEYS:
             raise ToyTrainError(f"unknown config key {key!r}")
-    cfg = TrainConfig(ecr=EcrSettings(**ecr_kwargs), **cfg_kwargs)
-    return cfg, data_kwargs
+        where, name, kind = _CONFIG_KEYS[key]
+        settings[where][name] = _parse_value(value, kind, key)
+    cfg = TrainConfig(ecr=EcrSettings(**settings["ecr"]), **settings["cfg"])
+    return cfg, settings["data"]
 
 
 def _train_config(args) -> tuple[TrainConfig, dict]:
@@ -481,7 +455,7 @@ def _train_config(args) -> tuple[TrainConfig, dict]:
     cfg, data_kwargs = _apply_config(entries)
     ecr = cfg.ecr
     if args.ecr is not None:
-        ecr = replace(ecr, enabled=_parse_bool(args.ecr, "--ecr"))
+        ecr = replace(ecr, enabled=_parse_value(args.ecr, "bool", "--ecr"))
     if args.factors is not None:
         ecr = replace(ecr, factors=_parse_factors(args.factors))
     if args.bins is not None:
@@ -504,12 +478,21 @@ def cmd_train_toy(args) -> int:
     factors = full_factors if args.ablation else cfg.ecr.factors or full_factors
     anchors = build_toy_anchors(data, factors, seed=cfg.seed)
     if args.ablation:
-        rows = run_ablation(data, anchors, cfg)
-        payload = {"seed": cfg.seed, "rows": rows, "config": cfg.to_dict()}
+        arms = ablation_arms(cfg, anchors)
     elif args.paired:
-        payload = {**run_experiment(data, anchors, cfg).to_dict(), "seed": cfg.seed}
+        arms = paired_arms(cfg, anchors)
     else:
-        payload = run_single_arm(data, anchors, cfg)[1].to_dict()
+        arms = [("ecr" if cfg.ecr.enabled else "baseline", cfg, anchors)]
+    reports = [report.to_dict() for _, report in train_arms(data, anchors, arms)]
+    table = [summary_row(rep) for rep in reports]
+    if args.ablation:  # each row names the factors its arm conditions on
+        for row, (_, arm, _) in zip(table, arms):
+            row["factors"] = list(arm.ecr.factors) if arm.ecr.enabled else []
+        payload = {"seed": cfg.seed, "rows": table, "config": cfg.to_dict()}
+    elif args.paired:
+        payload = {**{rep["arm"]: rep for rep in reports}, "table": table, "seed": cfg.seed}
+    else:
+        payload = reports[0]
 
     sys.stdout.write(render_report(payload))
     _write_report(args.out, payload)
@@ -652,8 +635,12 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
-        if extra:  # from the subcommand's parser, so the usage printed is its own
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # the root knows no token before the subcommand, and each parser
+        # reports its own leftovers, so that the usage printed is the right one
+        head = argv.index(args.subcommand)
+        for owner, unknown in ((parser, extra[:head]), (args.parser, extra[head:])):
+            if unknown:
+                owner.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -17,12 +17,13 @@ each record's answer class is a joint function of (language, task) that
 no additive bag-of-tokens model can express, while quantized affinity
 patterns of the query embedding separate the (language, task) groups.
 Every experiment is a list of arms, each a name, a config and its
-conditioning anchors, which one loop trains on one held-out split: a
-single run is one arm, a paired run a baseline and a conditioned arm,
-and an ablation one arm per factor subset.  Arms start from bit-identical
-base parameters and batch order; each evaluates per-language NLL,
-geometry, purity, and cross-lingual consistency per epoch, and detects
-divergence instead of crashing.
+conditioning anchors, which :func:`train_arms`, the one experiment entry
+point, trains on one held-out split: a single run is one arm,
+:func:`paired_arms` a baseline and a conditioned arm, and
+:func:`ablation_arms` one arm per factor subset.  Arms start from
+bit-identical base parameters and batch order; each evaluates
+per-language NLL, geometry, purity, and cross-lingual consistency per
+epoch, and detects divergence instead of crashing.
 
 Every path runs on whole batches.  A training step pools its queries
 with one gather and one sum, one codec pass gives its (B, P) prefix ids,
@@ -965,20 +966,6 @@ def subset_anchors(anchors: AnchorSet, factors: tuple[str, ...]) -> AnchorSet:
     return AnchorSet(groups=groups, d=anchors.d)
 
 
-@dataclass
-class PairedOutcome:
-    baseline: ExperimentReport
-    ecr: ExperimentReport
-    table: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline.to_dict(),
-            "ecr": self.ecr.to_dict(),
-            "table": self.table,
-        }
-
-
 def summary_row(report: dict) -> dict:
     """Flatten one run's final diagnostics into a table row."""
     nll = report["nll_per_language"][-1] if report["nll_per_language"] else {}
@@ -994,12 +981,18 @@ def summary_row(report: dict) -> dict:
     }
 
 
-def _train_arms(
-    data: SyntheticData, anchors: AnchorSet, arms: list[tuple[str, TrainConfig, AnchorSet]]
+# an experiment arm: its name, its config and the anchors it conditions on
+Arm = tuple[str, TrainConfig, AnchorSet]
+
+
+def train_arms(
+    data: SyntheticData, anchors: AnchorSet, arms: list[Arm]
 ) -> list[tuple[ToyModel, ExperimentReport]]:
-    """Train each (name, config, conditioning anchors) arm on one standard
-    split, made with the first arm's holdout fraction; every arm measures
-    consistency against ``anchors``."""
+    """Train each arm, giving its ``(model, report)``, in order.
+
+    Every arm trains on one split, made with the first arm's holdout
+    fraction, starts from the base parameters and batch order its config's
+    seed gives, and measures consistency against ``anchors``."""
     train_recs, eval_recs = split_records(data, arms[0][1].holdout_fraction)
     split = (make_samples(data, train_recs), make_samples(data, eval_recs), eval_recs)
     return [
@@ -1007,57 +1000,28 @@ def _train_arms(
     ]
 
 
-def run_experiment(data: SyntheticData, anchors: AnchorSet, config: TrainConfig) -> PairedOutcome:
-    """Paired baseline/conditioned runs of one config under one seed and
-    data order.
-
-    The ``baseline`` arm trains ``config`` with conditioning off and the
-    ``ecr`` arm with it on; nothing else differs.  Both arms see identical
-    batches, start from bit-identical base parameters, and condition on and
-    measure against ``anchors``.
-    """
-    arms = [
+def paired_arms(config: TrainConfig, anchors: AnchorSet) -> list[Arm]:
+    """The ``baseline`` arm trains ``config`` with conditioning off and the
+    ``ecr`` arm with it on, both on ``anchors``; nothing else differs."""
+    return [
         (arm, replace(config, ecr=replace(config.ecr, enabled=arm == "ecr")), anchors)
         for arm in ("baseline", "ecr")
     ]
-    reports = [report for _, report in _train_arms(data, anchors, arms)]
-    return PairedOutcome(*reports, table=[summary_row(report.to_dict()) for report in reports])
 
 
-ABLATION_SUBSETS: tuple[tuple[str, ...], ...] = (
-    (),
-    ("L",),
-    ("E",),
-    ("I",),
-    ("L", "E", "I"),
-)
+ABLATION_SUBSETS: tuple[tuple[str, ...], ...] = ((), ("L",), ("E",), ("I",), ("L", "E", "I"))
 
 
-def run_ablation(data: SyntheticData, anchors: AnchorSet, config: TrainConfig) -> list[dict]:
-    """Factor-subset sweep over :data:`ABLATION_SUBSETS`; one row per subset
-    with NLL, Spread, and cross-lingual consistency columns.
-
-    Every row starts from the same base parameters and batch order; the
-    empty subset is the unconditioned baseline.  Consistency always uses
-    the full anchor set as the measuring stick.
-    """
+def ablation_arms(config: TrainConfig, anchors: AnchorSet) -> list[Arm]:
+    """One arm per subset of :data:`ABLATION_SUBSETS`, named by its factors
+    joined with ``+``, conditioned on that subset of ``anchors``; the empty
+    subset is the unconditioned ``none`` arm."""
     arms = []
     for subset in ABLATION_SUBSETS:
         ecr = replace(config.ecr, enabled=bool(subset), factors=subset or config.ecr.factors)
         cond = subset_anchors(anchors, subset) if subset else anchors
         arms.append(("+".join(subset) or "none", replace(config, ecr=ecr), cond))
-    return [
-        {**summary_row(report.to_dict()), "factors": list(subset)}
-        for (_, report), subset in zip(_train_arms(data, anchors, arms), ABLATION_SUBSETS)
-    ]
-
-
-def run_single_arm(
-    data: SyntheticData, anchors: AnchorSet, config: TrainConfig
-) -> tuple[ToyModel, ExperimentReport]:
-    """One arm trained on the standard split of a synthetic dataset."""
-    arm = "ecr" if config.ecr.enabled else "baseline"
-    return _train_arms(data, anchors, [(arm, config, anchors)])[0]
+    return arms
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +1029,8 @@ def run_single_arm(
 
 
 def render_table(rows: list[dict], columns: list[str]) -> str:
-    """Fixed-width text table over the selected row keys."""
+    """Fixed-width text table over the selected row keys; a key a row lacks
+    renders blank."""
     def fmt(value) -> str:
         if isinstance(value, float):
             return f"{value:.4f}"
@@ -1074,13 +1039,43 @@ def render_table(rows: list[dict], columns: list[str]) -> str:
         return str(value)
 
     widths = {
-        c: max(len(c), *(len(fmt(r.get(c, ""))) for r in rows)) for c in columns
+        c: max([len(c), *(len(fmt(r.get(c, ""))) for r in rows)]) for c in columns
     }
     lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
     lines.append("  ".join("-" * widths[c] for c in columns))
     for r in rows:
         lines.append("  ".join(fmt(r.get(c, "")).ljust(widths[c]) for c in columns))
     return "\n".join(lines)
+
+
+# how a report names the JSON type it expects of a field
+_KINDS = {dict: "an object", list: "an array", float: "a number"}
+
+# each field of a run's report that the summary reads, with its shape
+_RUN_SHAPE = {
+    "loss_curve": [float], "nll_per_language": [{str: float}], "geometry": [dict],
+    "purity": [{"overall": float}], "consistency": [dict], "arm": object, "diverged": object,
+    "anchor_checksum_before": object, "anchor_checksum_after": object,
+}
+
+
+def _check(value, shape, name: str = "") -> None:
+    """Raise a ToyTrainError naming the first field of ``value`` that is
+    missing or not of ``shape``: a type (an int is a number), a list of
+    entries of one shape, or a dict of fields, where ``str`` is every key."""
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    if not isinstance(value, (int, float) if kind is float else kind):
+        what = f"field '{name}'" if name else "payload"
+        raise ToyTrainError(f"report {what} must be {_KINDS[kind]}, got {type(value).__name__}")
+    if isinstance(shape, list):
+        for i, entry in enumerate(value):
+            _check(entry, shape[0], f"{name}[{i}]")
+    for key, inner in shape.items() if isinstance(shape, dict) else ():
+        for field_name in value if key is str else [key]:
+            path = f"{name}.{field_name}" if name else field_name
+            if field_name not in value:
+                raise ToyTrainError(f"report field '{path}' is missing")
+            _check(value[field_name], inner, path)
 
 
 def _render_run_details(name: str, rep: dict) -> list[str]:
@@ -1103,21 +1098,30 @@ def _render_run_details(name: str, rep: dict) -> list[str]:
 
 
 def render_report(payload: dict) -> str:
-    """Human-readable summary of a saved run, paired run, or ablation."""
+    """Human-readable summary of a saved run, paired run, or ablation.
+
+    A payload that is none of these, or a field the summary reads that is
+    missing or not of the type a run writes, raises a ToyTrainError naming it.
+    """
+    _check(payload, dict)
     lines = []
     seed = payload.get("seed")
     if seed is not None:
         lines.append(f"# seed: {seed}")
     cols = ["arm", "nll", "spread", "consistency", "diverged"]
     if "rows" in payload:
+        _check(payload, {"rows": [dict]})
         lines.append(render_table(payload["rows"], ["factors"] + cols[1:]))
     elif "table" in payload:
+        _check(payload, {"table": [dict]})
         lines.append(render_table(payload["table"], cols))
         for name in ("baseline", "ecr"):
             if payload.get(name):
+                _check(payload[name], _RUN_SHAPE, name)
                 lines.append("")
                 lines.extend(_render_run_details(name, payload[name]))
     elif "loss_curve" in payload:
+        _check(payload, _RUN_SHAPE)
         lines.append(render_table([summary_row(payload)], cols))
         lines.append("")
         lines.extend(_render_run_details(payload["arm"], payload))

@@ -51,8 +51,8 @@ from ecr.toytrain import (
     _forward_backward,
     build_toy_anchors,
     make_synthetic_corpus,
-    run_experiment,
-    run_single_arm,
+    paired_arms,
+    train_arms,
 )
 
 
@@ -384,7 +384,7 @@ def test_acceptance_11_anchors_untouched_by_training(tmp_path):
         holdout_fraction=0.01,
         ecr=EcrSettings(enabled=True, factors=("T", "L", "E", "I"), n_bins=8),
     )
-    _, report = run_single_arm(data, loaded, config)
+    [(_, report)] = train_arms(data, loaded, [("ecr", config, loaded)])
     digest_after = hashlib.sha256(open(path, "rb").read()).hexdigest()
 
     assert len(report.loss_curve) >= 500
@@ -481,9 +481,9 @@ def test_acceptance_14_conditioning_wins_across_seeds():
             seed=seed, learning_rate=0.05, epochs=25, holdout_fraction=0.25,
             ecr=EcrSettings(factors=("T", "L", "E", "I"), n_bins=8),
         )
-        outcome = run_experiment(data, anchors, config)
-        base_nll = float(np.mean(list(outcome.baseline.nll_per_language[-1].values())))
-        ecr_nll = float(np.mean(list(outcome.ecr.nll_per_language[-1].values())))
+        (_, baseline), (_, ecr) = train_arms(data, anchors, paired_arms(config, anchors))
+        base_nll = float(np.mean(list(baseline.nll_per_language[-1].values())))
+        ecr_nll = float(np.mean(list(ecr.nll_per_language[-1].values())))
         gaps.append(base_nll - ecr_nll)
         if ecr_nll <= base_nll:
             wins += 1

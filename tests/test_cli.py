@@ -87,6 +87,15 @@ def test_unrecognized_arguments_print_the_subcommand_usage(capsys, argv):
     assert err.splitlines()[-1].startswith(f"ecr {argv[0]}: error: unrecognized arguments: ")
 
 
+@pytest.mark.parametrize("after", [[], ["--seed", "1"]])
+def test_unrecognized_arguments_before_the_subcommand_print_the_root_usage(capsys, after):
+    argv = ["--foo", "pca-fit", "--embeddings", "e.bin", "--dim", "2", "--out", "p.bin", *after]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ecr [-h]\n")
+    assert err.splitlines()[-1] == "ecr: error: unrecognized arguments: --foo"
+
+
 def test_missing_input_file_names_module(capsys, tmp_path):
     code, _, err = _run(
         capsys,
@@ -747,6 +756,65 @@ def test_report_rerenders_saved_run(capsys, tmp_path):
     assert "# seed: 2" in text2
     # the re-render contains the same summary content
     assert text2 in text1
+
+
+# the fields of a run's report that ``report`` reads, as a run writes them
+RUN = {
+    "arm": "ecr", "loss_curve": [2.5, 1.5], "nll_per_language": [{"en": 1.0, "zh": 2}],
+    "geometry": [{}], "purity": [{"overall": 0.5}], "consistency": [{}], "diverged": False,
+    "anchor_checksum_before": "a", "anchor_checksum_after": "a",
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([], "report payload must be an object, got list"),
+        ("x", "report payload must be an object, got str"),
+        ({"rows": 5}, "report field 'rows' must be an array, got int"),
+        ({"rows": [{}, 5]}, "report field 'rows[1]' must be an object, got int"),
+        ({"table": [], "baseline": 3}, "report field 'baseline' must be an object, got int"),
+        ({"table": {}}, "report field 'table' must be an array, got dict"),
+        ({"loss_curve": []}, "report field 'nll_per_language' is missing"),
+        ({**RUN, "loss_curve": ["x"]}, "report field 'loss_curve[0]' must be a number, got str"),
+        ({**RUN, "geometry": [[]]}, "report field 'geometry[0]' must be an object, got list"),
+        ({k: v for k, v in RUN.items() if k != "arm"}, "report field 'arm' is missing"),
+        (
+            {**RUN, "nll_per_language": [{"en": None}]},
+            "report field 'nll_per_language[0].en' must be a number, got NoneType",
+        ),
+        ({**RUN, "purity": [{}]}, "report field 'purity[0].overall' is missing"),
+        (
+            {"table": [], "ecr": {**RUN, "consistency": 1}},
+            "report field 'ecr.consistency' must be an array, got int",
+        ),
+        (
+            {"table": [], "ecr": {**RUN, "purity": [{"overall": "x"}]}},
+            "report field 'ecr.purity[0].overall' must be a number, got str",
+        ),
+    ],
+)
+def test_report_names_the_field_a_malformed_file_gets_wrong(capsys, tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, "report", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: toytrain: {message}\n"
+
+
+def test_report_renders_what_it_does_not_check(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    # a column a row lacks renders blank; ``table`` is not read beside ``rows``
+    path.write_text(json.dumps({"rows": [{"factors": ["L"], "nll": 1.5}], "table": 3}))
+    code, out, err = _run(capsys, "report", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].rstrip() == "L        1.5000"
+    # an empty table renders its header; fields only printed may hold anything
+    for payload in ({"table": []}, {**RUN, "arm": None, "diverged": None}):
+        path.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, "report", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("arm ")
 
 
 def test_report_missing_file_exits_1(capsys, tmp_path):

@@ -11,7 +11,8 @@ stdout, and one seeded k-means fit.  So are the files and stdout of
 CLI's row blocks and over a matrix with no rows, and the report and
 stdout of ``consistency`` over such a matrix.  Single-arm reports pin the
 retrieval-mode and frozen-prefix training paths, and ``train-toy``'s
-stdout and ``--out`` JSON are pinned in each of its four modes.  So are
+stdout and ``--out`` JSON are pinned in each of its four modes, and
+``report`` prints what it printed from each saved file.  So are
 one-row codec passes: ``project_batch`` of single rows and
 ``sample_prefix`` ids, at the encode bench's width and at the paired
 run's, each also with its rows scaled by 1e200 and 1e-200.
@@ -32,17 +33,19 @@ from ecr.cli import dispatch
 from ecr.corpus import RECORD_FIELDS, EmbeddingMatrix, save_embeddings
 from ecr.geometry import anchor_labels, compute_geometry
 from ecr.toytrain import (
+    ABLATION_SUBSETS,
     TrainConfig,
     _pooled_queries,
+    ablation_arms,
     build_toy_anchors,
     init_model,
     make_samples,
     make_synthetic_corpus,
-    run_ablation,
-    run_experiment,
-    run_single_arm,
+    paired_arms,
     sample_prefix,
     split_records,
+    summary_row,
+    train_arms,
 )
 
 
@@ -83,10 +86,16 @@ def toy():
     return data, anchors, TrainConfig(seed=3, epochs=2)
 
 
+def _reports(data, anchors, arms) -> list[dict]:
+    return [report.to_dict() for _, report in train_arms(data, anchors, arms)]
+
+
 def test_run_experiment_json_digest(toy):
+    # the paired payload less its seed: each arm's report and the summary table
     data, anchors, cfg = toy
-    outcome = run_experiment(data, anchors, cfg)
-    assert _digest(outcome.to_dict()) == GOLDEN["run_experiment"]
+    reports = _reports(data, anchors, paired_arms(cfg, anchors))
+    payload = {"baseline": reports[0], "ecr": reports[1], "table": list(map(summary_row, reports))}
+    assert _digest(payload) == GOLDEN["run_experiment"]
 
 
 SINGLE_ARMS = {
@@ -100,13 +109,17 @@ SINGLE_ARMS = {
 def test_run_single_arm_json_digest(toy, name):
     data, anchors, cfg = toy
     cfg = replace(cfg, ecr=replace(cfg.ecr, enabled=True, **SINGLE_ARMS[name]))
-    _, report = run_single_arm(data, anchors, cfg)
-    assert _digest(report.to_dict()) == GOLDEN[name]
+    assert _digest(_reports(data, anchors, [("ecr", cfg, anchors)])[0]) == GOLDEN[name]
 
 
 def test_run_ablation_rows_digest(toy):
     data, anchors, cfg = toy
-    assert _digest(run_ablation(data, anchors, cfg)) == GOLDEN["run_ablation"]
+    reports = _reports(data, anchors, ablation_arms(cfg, anchors))
+    rows = [
+        {**summary_row(report), "factors": list(subset)}
+        for report, subset in zip(reports, ABLATION_SUBSETS)
+    ]
+    assert _digest(rows) == GOLDEN["run_ablation"]
 
 
 def test_compute_geometry_digest(toy):
@@ -308,6 +321,19 @@ def train_toy_runs(tmp_path_factory):
 def test_train_toy_stdout_and_report_digest(train_toy_runs, name):
     printed, written = train_toy_runs[name]
     assert _sha(printed + b"\n" + written) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_TOY_MODES))
+def test_report_prints_what_train_toy_printed(train_toy_runs, tmp_path, name):
+    printed, written = train_toy_runs[name]
+    wrote = f"wrote <dir>/{name}.json\n".encode()
+    assert printed.endswith(wrote)
+    saved = tmp_path / "saved.json"
+    saved.write_bytes(written)
+    rendered = io.StringIO()
+    with contextlib.redirect_stdout(rendered):
+        assert dispatch(["report", "--input", str(saved)]) == 0
+    assert rendered.getvalue().encode() == printed[: -len(wrote)]
 
 
 def test_train_toy_paired_configs_differ_only_in_ecr_enabled(train_toy_runs):

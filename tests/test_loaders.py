@@ -8,6 +8,10 @@ corpus is text, so its examples change one line of a valid file's JSON
 values instead, and write them out as the saver lays its lines out.  The
 oracles are written here, apart from the loaders; the graph's is the
 per-edge walk of ``test_retrieval``.
+
+A ``train-toy`` config file has no saver: its examples change one line of
+a valid file, and what ``read_config_file`` and ``_apply_config`` make of
+it must equal what an oracle parse of its lines gives, or be refused.
 """
 
 import copy
@@ -27,6 +31,7 @@ from ecr.anchors import (
     load_anchors,
     save_anchors,
 )
+from ecr.cli import _apply_config, read_config_file
 from ecr.corpus import (
     RECORD_FIELDS,
     CorpusError,
@@ -46,6 +51,7 @@ from ecr.retrieval import (
     save_index,
     save_pca,
 )
+from ecr.toytrain import EcrSettings, ToyTrainError, TrainConfig
 from test_retrieval import _walk_problems
 
 I64 = st.integers(-(2**63), 2**63 - 1)
@@ -451,6 +457,201 @@ FORMATS = {
     "JSONL": (_corpus_values, CORPUS_MUTATIONS, _write_corpus_values, load_corpus, CorpusError,
               _corpus_problem, save_corpus),
 }
+
+
+# ---------------------------------------------------------------------------
+# train-toy config files: key = value lines
+
+BOOL_WORDS = {"on": True, "off": False, "true": True, "false": False,
+              "yes": True, "no": False, "1": True, "0": False}
+
+
+def _word(text):
+    if text.lower() not in BOOL_WORDS:
+        raise ValueError(text)
+    return BOOL_WORDS[text.lower()]
+
+
+def _factor_list(text):
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _number(low, high):
+    return st.floats(low, high).map(repr)
+
+
+def _integer(low, high):
+    return st.integers(low, high).map(str)
+
+
+BOOL_TEXT = st.sampled_from(sorted(BOOL_WORDS)).flatmap(
+    lambda w: st.sampled_from([w, w.upper(), w.title()])
+)
+
+# key -> (where it goes, the field it sets, the oracle's reading, valid texts)
+CONFIG_KEYS = {
+    "learning_rate": ("cfg", "learning_rate", float, _number(1e-4, 1.0)),
+    "epochs": ("cfg", "epochs", int, _integer(0, 50)),
+    "batch_size": ("cfg", "batch_size", int, _integer(1, 64)),
+    "seed": ("cfg", "seed", int, _integer(0, 2**40)),
+    "beta1": ("cfg", "beta1", float, _number(0.0, 0.999)),
+    "beta2": ("cfg", "beta2", float, _number(0.0, 0.999)),
+    "eps": ("cfg", "eps", float, _number(1e-12, 1e-3)),
+    "weight_decay": ("cfg", "weight_decay", float, _number(0.0, 1.0)),
+    "grad_clip": ("cfg", "grad_clip", float, _number(-1.0, 5.0)),
+    "holdout_fraction": ("cfg", "holdout_fraction", float, _number(0.05, 0.9)),
+    "divergence_threshold": ("cfg", "divergence_threshold", float, _number(-10.0, 1e6)),
+    "divergence_patience": ("cfg", "divergence_patience", int, _integer(1, 10)),
+    "ecr_enabled": ("ecr", "enabled", _word, BOOL_TEXT),
+    "ecr_bins": ("ecr", "n_bins", int, _integer(2, 16)),
+    "ecr_factors": ("ecr", "factors", _factor_list, st.sampled_from(["T,L,E,I", "L", "I, E", ""])),
+    "ecr_mode": ("ecr", "mode", str, st.sampled_from(["global", "retrieval"])),
+    "ecr_k": ("ecr", "k", int, _integer(1, 4)),
+    "ecr_scope": ("ecr", "scope", str, st.sampled_from(["factor", "all"])),
+    "freeze_prefix": ("ecr", "freeze_prefix", _word, BOOL_TEXT),
+    "data_seed": ("data", "data_seed", int, _integer(0, 99)),
+    "n_per_lang": ("data", "n_per_lang", int, _integer(-3, 40)),
+    "n_factors": ("data", "n_factors", int, _integer(1, 6)),
+    "data_dim": ("data", "data_dim", int, _integer(4, 64)),
+    "n_content": ("data", "n_content", int, _integer(1, 30)),
+    "query_content": ("data", "query_content", int, _integer(1, 6)),
+    "marker_repeat": ("data", "marker_repeat", int, _integer(1, 3)),
+    "answer_noise": ("data", "answer_noise", float, _number(0.0, 0.5)),
+}
+
+# texts each reading refuses
+UNPARSEABLE = {
+    int: ["x", "2.5", "1e3", ""],
+    float: ["x", "1..2", "0x10", ""],
+    _word: ["maybe", "2", "onn", ""],
+}
+
+# texts that parse but lie outside what the key's setting allows
+OUT_OF_RANGE = {
+    "learning_rate": ["0", "-0.1", "inf", "nan"],
+    "epochs": ["-1"],
+    "batch_size": ["0"],
+    "seed": ["-5"],
+    "beta1": ["1.0", "-0.5"],
+    "beta2": ["1.5", "nan"],
+    "eps": ["0", "inf"],
+    "weight_decay": ["-1", "inf"],
+    "grad_clip": ["inf", "nan"],
+    "holdout_fraction": ["0", "1", "1.5"],
+    "divergence_threshold": ["-inf", "nan"],
+    "divergence_patience": ["0"],
+    "ecr_bins": ["1"],
+    "ecr_k": ["0"],
+    "ecr_mode": ["topk", "Global"],
+    "ecr_scope": ["both"],
+}
+
+
+def _config_oracle(lines):
+    """(TrainConfig, data settings) of config lines, or None if they are no config."""
+    entries = {}
+    for line in lines:
+        text = line.split("#")[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            return None
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key in entries or key not in CONFIG_KEYS:
+            return None
+        entries[key] = value
+    parsed = {"cfg": {}, "ecr": {}, "data": {}}
+    for key, value in entries.items():
+        where, name, read, _ = CONFIG_KEYS[key]
+        try:
+            parsed[where][name] = read(value)
+        except ValueError:
+            return None
+    try:
+        cfg = TrainConfig(ecr=EcrSettings(**parsed["ecr"]), **parsed["cfg"])
+    except ToyTrainError:
+        return None
+    return cfg, parsed["data"]
+
+
+def _line(data, key, value, sep="="):
+    pad = data.draw(st.sampled_from(["", " ", "  "]))
+    note = data.draw(st.sampled_from(["", "  # note", "#"]))
+    return f"{key}{pad}{sep}{pad}{value}{note}"
+
+
+def _with_value(data, entries, key, value):
+    """``entries`` with ``key`` set to ``value``, at its place or at the end."""
+    entries = dict(entries)
+    entries[key] = value
+    return [_line(data, k, v) for k, v in entries.items()]
+
+
+def _repeat_key(data, entries):
+    lines = [_line(data, k, v) for k, v in entries.items()]
+    key = data.draw(st.sampled_from(sorted(CONFIG_KEYS)))
+    again = _line(data, key, data.draw(CONFIG_KEYS[key][3]))
+    if key not in entries:
+        lines.append(again)
+    lines.insert(data.draw(st.integers(0, len(lines))), again)
+    return lines
+
+
+def _drop_separator(data, entries):
+    lines = [_line(data, k, v) for k, v in entries.items()]
+    key = data.draw(st.sampled_from(sorted(CONFIG_KEYS)))
+    lines.insert(data.draw(st.integers(0, len(lines))), _line(data, key, "", sep=""))
+    return lines
+
+
+def _unknown_key(data, entries):
+    lines = [_line(data, k, v) for k, v in entries.items()]
+    key = data.draw(st.sampled_from(["ecr", "lr", "epoch", "n_bins", "factors", "mode", "dim"]))
+    lines.insert(data.draw(st.integers(0, len(lines))), _line(data, key, "1"))
+    return lines
+
+
+def _unparseable(data, entries):
+    key = data.draw(st.sampled_from([k for k, v in CONFIG_KEYS.items() if v[2] in UNPARSEABLE]))
+    bad = data.draw(st.sampled_from(UNPARSEABLE[CONFIG_KEYS[key][2]]))
+    return _with_value(data, entries, key, bad)
+
+
+def _out_of_range(data, entries):
+    key = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+    return _with_value(data, entries, key, data.draw(st.sampled_from(OUT_OF_RANGE[key])))
+
+
+CONFIG_MUTATIONS = {
+    "repeated key": _repeat_key,
+    "missing =": _drop_separator,
+    "unknown key": _unknown_key,
+    "unparseable value": _unparseable,
+    "out-of-range value": _out_of_range,
+}
+
+
+def _read_config(path):
+    try:
+        return _apply_config(read_config_file(str(path)))
+    except ToyTrainError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_MUTATIONS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_file_rejects_or_reads_as_the_oracle(tmp_path_factory, name, data):
+    path = tmp_path_factory.getbasetemp() / "train.cfg"
+    keys = data.draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=8))
+    entries = {key: data.draw(CONFIG_KEYS[key][3], label=key) for key in keys}
+    lines = [_line(data, k, v) for k, v in entries.items()]
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    assert _read_config(path) == _config_oracle(lines) is not None
+    lines = CONFIG_MUTATIONS[name](data, entries)
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    assert _config_oracle(lines) is None  # each mutation leaves no valid config
+    assert _read_config(path) is None
 
 
 @pytest.mark.parametrize("magic", sorted(FORMATS))

@@ -28,7 +28,7 @@ def _main(name: str):
         (
             "stability_probe",
             ["--lrs", "0.05,50", "--n-per-lang", "8", "--epochs", "2"],
-            ["lr", "clip", "steps", "diverged", "divergence_step", "final_nll"],
+            ["lr", "clip", "arm", "steps", "diverged", "divergence_step", "final_nll"],
         ),
     ],
 )

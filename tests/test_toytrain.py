@@ -26,6 +26,7 @@ from ecr.toytrain import (
     _pooled_queries,
     _prefixes,
     _variant_queries,
+    ablation_arms,
     build_toy_anchors,
     clip_gradients,
     eval_crosslingual,
@@ -33,15 +34,14 @@ from ecr.toytrain import (
     make_samples,
     make_synthetic_corpus,
     nll_eval,
+    paired_arms,
     render_table,
-    run_ablation,
-    run_experiment,
-    run_single_arm,
     sample_prefix,
     split_records,
     subset_anchors,
     summary_row,
     task_accuracy,
+    train_arms,
     train_step,
 )
 
@@ -54,6 +54,12 @@ def _tiny_setup(seed=0, n_per_lang=6):
     data = _tiny_data(seed=seed, n_per_lang=n_per_lang)
     anchors = build_toy_anchors(data, seed=seed)
     return data, anchors
+
+
+def _one_arm(data, anchors, cfg):
+    """(model, report) of one arm on ``anchors``, named as ``train-toy`` names it."""
+    arm = "ecr" if cfg.ecr.enabled else "baseline"
+    return train_arms(data, anchors, [(arm, cfg, anchors)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1012,7 +1018,7 @@ def test_train_step_takes_the_gradient_norm_only_to_clip(monkeypatch):
 def test_run_single_arm_report_shape():
     data, anchors = _tiny_setup(n_per_lang=8)
     cfg = _fast_config()
-    model, report = run_single_arm(data, anchors, cfg)
+    model, report = _one_arm(data, anchors, cfg)
     assert report.arm == "baseline"
     # one loss entry per optimizer step, diagnostics once per epoch
     n_batches = -(-report.n_train // cfg.batch_size)
@@ -1032,8 +1038,8 @@ def test_run_single_arm_report_shape():
 def test_training_deterministic_bit_identical():
     data, anchors = _tiny_setup(n_per_lang=8)
     cfg = _fast_config(ecr=EcrSettings(enabled=True, n_bins=8))
-    m1, r1 = run_single_arm(data, anchors, cfg)
-    m2, r2 = run_single_arm(data, anchors, cfg)
+    m1, r1 = _one_arm(data, anchors, cfg)
+    m2, r2 = _one_arm(data, anchors, cfg)
     assert np.array_equal(m1.emb, m2.emb)
     assert np.array_equal(m1.out, m2.out)
     assert r1.to_json() == r2.to_json()
@@ -1041,8 +1047,8 @@ def test_training_deterministic_bit_identical():
 
 def test_training_seed_changes_outcome():
     data, anchors = _tiny_setup(n_per_lang=8)
-    m1, _ = run_single_arm(data, anchors, _fast_config(seed=0))
-    m2, _ = run_single_arm(data, anchors, _fast_config(seed=1))
+    m1, _ = _one_arm(data, anchors, _fast_config(seed=0))
+    m2, _ = _one_arm(data, anchors, _fast_config(seed=1))
     assert not np.array_equal(m1.emb, m2.emb)
 
 
@@ -1051,7 +1057,7 @@ def test_divergence_recorded_not_raised():
     cfg = _fast_config(
         learning_rate=1e7, epochs=10, divergence_patience=3
     )
-    model, report = run_single_arm(data, anchors, cfg)
+    model, report = _one_arm(data, anchors, cfg)
     assert report.diverged is True
     assert report.divergence_step == len(report.loss_curve)
     n_batches = -(-report.n_train // cfg.batch_size)
@@ -1073,7 +1079,7 @@ def test_divergence_before_patience_is_recorded_not_raised(learning_rate, enable
             divergence_threshold=np.finfo(np.float64).max, ecr=EcrSettings(enabled=enabled),
         )
         with np.errstate(all="ignore"):
-            _, report = run_single_arm(data, anchors, cfg)
+            _, report = _one_arm(data, anchors, cfg)
         assert report.diverged is True
         assert report.divergence_step == len(report.loss_curve) > 0
         epochs = len(report.nll_per_language)
@@ -1164,14 +1170,14 @@ def test_run_training_rejects_factors_the_anchors_do_not_hold(factors):
     assert anchors.factors == ("T", "L", "E", "I")
     cfg = _fast_config(ecr=EcrSettings(enabled=True, factors=factors))
     with pytest.raises(ToyTrainError, match="are not the conditioning anchors' factors"):
-        run_single_arm(data, anchors, cfg)
+        _one_arm(data, anchors, cfg)
     # the baseline arm is not conditioned, so its factors are not read
-    run_single_arm(data, anchors, dataclasses.replace(cfg, ecr=EcrSettings(factors=factors)))
+    _one_arm(data, anchors, dataclasses.replace(cfg, ecr=EcrSettings(factors=factors)))
     # the same factors in another order condition as the canonical order does
     reordered = _fast_config(ecr=EcrSettings(enabled=True, factors=("I", "E", "L", "T")))
     canonical = _fast_config(ecr=EcrSettings(enabled=True))
-    _, got = run_single_arm(data, anchors, reordered)
-    _, want = run_single_arm(data, anchors, canonical)
+    _, got = _one_arm(data, anchors, reordered)
+    _, want = _one_arm(data, anchors, canonical)
     assert got.loss_curve == want.loss_curve
 
 
@@ -1181,8 +1187,8 @@ def test_freeze_prefix_decouples_prefixes_from_updates():
         ecr=EcrSettings(enabled=True, n_bins=8, freeze_prefix=True)
     )
     live_cfg = _fast_config(ecr=EcrSettings(enabled=True, n_bins=8))
-    mf, rf = run_single_arm(data, anchors, frozen_cfg)
-    ml, rl = run_single_arm(data, anchors, live_cfg)
+    mf, rf = _one_arm(data, anchors, frozen_cfg)
+    ml, rl = _one_arm(data, anchors, live_cfg)
     assert rf.diverged is False and rl.diverged is False
     # both condition, but prefix recomputation feeds different sequences
     assert not np.array_equal(mf.emb, ml.emb)
@@ -1258,7 +1264,7 @@ def test_anchors_never_move_during_training():
     data, anchors = _tiny_setup(n_per_lang=8)
     before = anchors.checksum(fresh=True)
     cfg = _fast_config(ecr=EcrSettings(enabled=True, n_bins=8))
-    _, report = run_single_arm(data, anchors, cfg)
+    _, report = _one_arm(data, anchors, cfg)
     assert anchors.checksum(fresh=True) == before
     assert report.anchor_checksum_before == before
     assert report.anchor_checksum_after == before
@@ -1270,13 +1276,14 @@ def test_anchors_never_move_during_training():
 
 def test_run_experiment_pairs_and_validates():
     data, anchors = _tiny_setup(n_per_lang=8)
-    out = run_experiment(data, anchors, _fast_config(ecr=EcrSettings(n_bins=8)))
-    assert out.baseline.arm == "baseline"
-    assert out.ecr.arm == "ecr"
-    assert [row["arm"] for row in out.table] == ["baseline", "ecr"]
-    assert out.baseline.n_train == out.ecr.n_train
-    d = out.to_dict()
-    assert set(d) == {"baseline", "ecr", "table"}
+    cfg = _fast_config(ecr=EcrSettings(n_bins=8))
+    arms = paired_arms(cfg, anchors)
+    assert [(name, c.ecr.enabled) for name, c, _ in arms] == [("baseline", False), ("ecr", True)]
+    assert all(cond is anchors for _, _, cond in arms)
+    assert [dataclasses.replace(c, ecr=cfg.ecr) for _, c, _ in arms] == [cfg, cfg]
+    (_, baseline), (_, ecr) = train_arms(data, anchors, arms)
+    assert (baseline.arm, ecr.arm) == ("baseline", "ecr")
+    assert baseline.n_train == ecr.n_train
 
 
 @pytest.mark.parametrize("factors", [("T", "X"), ("T", "L")])
@@ -1285,7 +1292,7 @@ def test_run_experiment_rejects_factors_the_anchors_do_not_hold(factors):
     data, anchors = _tiny_setup()
     cfg = _fast_config(ecr=EcrSettings(factors=factors))
     with pytest.raises(ToyTrainError, match="are not the conditioning anchors' factors"):
-        run_experiment(data, anchors, cfg)
+        train_arms(data, anchors, paired_arms(cfg, anchors))
 
 
 def test_subset_anchors_preserves_order():
@@ -1300,18 +1307,23 @@ def test_subset_anchors_preserves_order():
 def test_run_ablation_rows():
     data, anchors = _tiny_setup(n_per_lang=6)
     cfg = _fast_config(epochs=1)
-    rows = run_ablation(data, anchors, cfg)
-    assert [row["arm"] for row in rows] == ["none", "L", "E", "I", "L+E+I"]
-    assert rows[0]["factors"] == []
-    assert rows[4]["factors"] == ["L", "E", "I"]
-    for row in rows:
+    arms = ablation_arms(cfg, anchors)
+    assert [name for name, _, _ in arms] == ["none", "L", "E", "I", "L+E+I"]
+    assert [c.ecr.enabled for _, c, _ in arms] == [False, True, True, True, True]
+    assert [c.ecr.factors for _, c, _ in arms[1:]] == [("L",), ("E",), ("I",), ("L", "E", "I")]
+    # the baseline keeps the full set, which its unconditioned run never reads
+    assert [cond.factors for _, _, cond in arms] == [anchors.factors] + [
+        c.ecr.factors for _, c, _ in arms[1:]
+    ]
+    for _, report in train_arms(data, anchors, arms):
+        row = summary_row(report.to_dict())
         assert {"arm", "nll", "spread", "consistency", "diverged"} <= set(row)
         assert np.isfinite(row["nll"])
 
 
 def test_summary_row_and_table_rendering():
     data, anchors = _tiny_setup(n_per_lang=6)
-    _, report = run_single_arm(data, anchors, _fast_config(epochs=1))
+    _, report = _one_arm(data, anchors, _fast_config(epochs=1))
     row = summary_row(report.to_dict())
     assert row["arm"] == "baseline"
     assert row["nll"] == pytest.approx(
