@@ -382,6 +382,9 @@ def build_anchor_set(
     unknown = wanted - set(FACTOR_CODES)
     if unknown:
         raise AnchorError(f"unknown factor codes: {sorted(unknown)}")
+    unknown = set(k) - set(FACTOR_CODES) if isinstance(k, dict) else set()
+    if unknown:
+        raise AnchorError(f"k given for unknown factor codes: {sorted(unknown)}")
 
     def k_for(factor: str) -> int:
         if isinstance(k, dict):

@@ -122,7 +122,7 @@ def _load_vectors(path: str, pca: str | None) -> tuple[list[str], np.ndarray]:
 
 
 def _parse_k(text: str | None):
-    """Cluster-count flag: a bare integer or FACTOR=K pairs."""
+    """Cluster-count flag: a bare integer or FACTOR=K pairs, each factor once."""
     if text is None:
         return None
     if "=" not in text:
@@ -130,9 +130,13 @@ def _parse_k(text: str | None):
     out = {}
     for part in text.split(","):
         factor, _, value = part.partition("=")
-        if not value:
-            raise AnchorError(f"malformed --k entry {part!r}")
-        out[factor.strip()] = int(value)
+        factor = factor.strip()
+        if factor in out:
+            raise AnchorError(f"repeated --k factor {factor!r}")
+        try:
+            out[factor] = int(value)
+        except ValueError:
+            raise AnchorError(f"malformed --k entry {part!r}") from None
     return out
 
 

@@ -118,10 +118,7 @@ def compute_geometry(embeddings: EmbeddingMatrix, labels: list[str], source: str
     distinct labels.  ``source`` says where the labels came from and is
     recorded in the report.
     """
-    return _geometry_report(_manifold_stats(embeddings.data.astype(np.float64), labels), source)
-
-
-def _geometry_report(stats: dict[str, _Manifold], source: str) -> GeometryReport:
+    stats = _manifold_stats(embeddings.data.astype(np.float64), labels)
     intra = float(np.mean([m.intra for m in stats.values()]))
     inter = _separation(stats)
     return GeometryReport(
@@ -159,17 +156,6 @@ def purity(embeddings: EmbeddingMatrix, languages: list[str]) -> PurityReport:
     L2; distance ties resolve to the lexicographically first language.
     The prototypes are the language manifolds' centroids.
     """
-    return _purity(embeddings, languages)[1]
-
-
-def manifold_reports(embeddings: EmbeddingMatrix, languages: list[str], source: str) -> tuple:
-    """``compute_geometry(embeddings, languages, source)`` and
-    ``purity(embeddings, languages)``, from one manifold pass."""
-    stats, report = _purity(embeddings, languages)
-    return _geometry_report(stats, source), report
-
-
-def _purity(embeddings: EmbeddingMatrix, languages: list[str]) -> tuple:
     data = embeddings.data.astype(np.float64)
     stats = _manifold_stats(data, languages)
     names = tuple(stats)
@@ -186,7 +172,7 @@ def _purity(embeddings: EmbeddingMatrix, languages: list[str]) -> tuple:
         correct[true] += true == got
     per_language = {lang: correct[lang] / m.size for lang, m in stats.items()}
     overall = sum(correct.values()) / len(languages)
-    return stats, PurityReport(per_language, overall, len(languages), assigned)
+    return PurityReport(per_language, overall, len(languages), assigned)
 
 
 # ---------------------------------------------------------------------------

@@ -570,6 +570,8 @@ def bench_query_latency(
 ) -> LatencyReport:
     """Time individual queries, cycling the query set until at least
     ``min_measurements`` measurements are collected."""
+    if min_measurements < 1:
+        raise RetrievalError(f"min_measurements must be positive, got {min_measurements}")
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries[None, :]

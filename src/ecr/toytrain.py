@@ -22,8 +22,8 @@ point, trains on one held-out split: a single run is one arm,
 :func:`paired_arms` a baseline and a conditioned arm, and
 :func:`ablation_arms` one arm per factor subset.  Arms start from
 bit-identical base parameters and batch order; each evaluates
-per-language NLL, geometry, purity, and cross-lingual consistency per
-epoch, and detects divergence instead of crashing.
+per-language NLL, geometry and cross-lingual consistency per epoch, and
+detects divergence instead of crashing.
 
 Every path runs on whole batches.  A training step pools its queries
 with one gather and one sum, one codec pass gives its (B, P) prefix ids,
@@ -55,7 +55,7 @@ from .codec import (
     token_vocabulary,
 )
 from .corpus import Corpus, CorpusHeader, CorpusRecord, EmbeddingMatrix, LANGUAGES
-from .geometry import CrosslingualReport, crosslingual_consistency, manifold_reports
+from .geometry import CrosslingualReport, compute_geometry, crosslingual_consistency
 
 
 class ToyTrainError(ValueError):
@@ -698,7 +698,6 @@ class ExperimentReport:
     loss_curve: list[float]
     nll_per_language: list[dict[str, float]]  # one entry per epoch
     geometry: list[dict]  # GeometryReport.to_dict() per epoch
-    purity: list[dict]  # PurityReport.to_dict() per epoch
     consistency: list[dict]  # CrosslingualReport.to_dict() per epoch
     diverged: bool
     divergence_step: int | None
@@ -876,7 +875,6 @@ def run_training(
     loss_curve: list[float] = []
     nll_epochs: list[dict[str, float]] = []
     geometry_epochs: list[dict] = []
-    purity_epochs: list[dict] = []
     consistency_epochs: list[dict] = []
     diverged = False
     divergence_step: int | None = None
@@ -913,9 +911,7 @@ def run_training(
             break
         nll_epochs.append(nll_eval(model, eval_samples, anchors, config.ecr, eval_frozen))
         student = EmbeddingMatrix(data=student_rows, ids=student_ids)
-        geometry_report, purity_report = manifold_reports(student, langs, "labels")
-        geometry_epochs.append(geometry_report.to_dict())
-        purity_epochs.append(purity_report.to_dict())
+        geometry_epochs.append(compute_geometry(student, langs, "labels").to_dict())
         consistency = eval_crosslingual(pooled[n_eval:], eval_records, diagnostic_anchors)
         consistency_epochs.append(consistency.to_dict())
 
@@ -931,7 +927,6 @@ def run_training(
         loss_curve=loss_curve,
         nll_per_language=nll_epochs,
         geometry=geometry_epochs,
-        purity=purity_epochs,
         consistency=consistency_epochs,
         diverged=diverged,
         divergence_step=divergence_step,
@@ -1054,8 +1049,8 @@ _KINDS = {dict: "an object", list: "an array", float: "a number"}
 # each field of a run's report that the summary reads, with its shape
 _RUN_SHAPE = {
     "loss_curve": [float], "nll_per_language": [{str: float}], "geometry": [dict],
-    "purity": [{"overall": float}], "consistency": [dict], "arm": object, "diverged": object,
-    "anchor_checksum_before": object, "anchor_checksum_after": object,
+    "consistency": [dict], "arm": object, "diverged": object, "anchor_checksum_before": object,
+    "anchor_checksum_after": object,
 }
 
 
@@ -1087,8 +1082,6 @@ def _render_run_details(name: str, rep: dict) -> list[str]:
         lines.append(
             "final NLL: " + ", ".join(f"{k}={v:.4f}" for k, v in sorted(last.items()))
         )
-    if rep["purity"]:
-        lines.append(f"final purity: {rep['purity'][-1]['overall']:.4f}")
     lines.append(f"diverged: {rep['diverged']}")
     lines.append(
         "anchors intact: "

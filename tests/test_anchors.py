@@ -215,6 +215,11 @@ def test_build_anchor_set_kmeans_for_unlabeled():
     assert anchors.factors == ("P",)
     assert anchors.groups[0].k == 2
     assert anchors.groups[0].provenance.method == "kmeans"
+    # a k for a label-derived or an unselected factor is accepted and unused
+    anchors = build_anchor_set(m, corpus, ("T", "P"), k={"T": 5, "P": 2, "E": 3})
+    assert [(g.k, g.provenance.method) for g in anchors.groups] == [
+        (2, "label_centroids"), (2, "kmeans"),
+    ]
 
 
 def test_build_anchor_set_requires_k_for_kmeans():
@@ -227,6 +232,8 @@ def test_build_anchor_set_rejects_unknown_factor():
     m, corpus = _toy_anchor_set()
     with pytest.raises(AnchorError, match="Q"):
         build_anchor_set(m, corpus, ("Q",))
+    with pytest.raises(AnchorError, match=r"k given for unknown factor codes: \['X'\]"):
+        build_anchor_set(m, corpus, ("P",), k={"P": 2, "X": 9})
 
 
 def test_build_anchor_set_rejects_empty_selection():

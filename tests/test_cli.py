@@ -135,6 +135,22 @@ def test_malformed_k_flag_exits_1(capsys, synth, tmp_path):
     assert err.startswith("error: anchors:")
 
 
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("P=3,P=4", "repeated --k factor 'P'"),
+        ("P=3, P =4", "repeated --k factor 'P'"),
+        ("P=x", "malformed --k entry 'P=x'"),
+        ("P=3,X=9", "k given for unknown factor codes: ['X']"),
+    ],
+)
+def test_k_flag_refuses_what_it_would_ignore(capsys, synth, tmp_path, k, message):
+    out = tmp_path / "a.bin"
+    code, text, err = _build_anchors(capsys, synth, str(out), "P", ["--mode", "kmeans", "--k", k])
+    assert (code, text, err) == (1, "", f"error: anchors: {message}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # synthetic data generation
 
@@ -445,6 +461,17 @@ def test_pca_index_query_bench_pipeline(capsys, synth, tmp_path):
     payload = json.load(open(bench_out))
     assert payload["n_queries"] >= 50
     assert payload["p50_us"] <= payload["p99_us"]
+
+
+def test_bench_rejects_a_min_measurements_below_1(capsys, synth, tmp_path):
+    index = str(tmp_path / "index.bin")
+    assert _run(capsys, "index-build", "--embeddings", synth["teacher"], "--out", index)[0] == 0
+    code, out, err = _run(
+        capsys, "bench", "--index", index, "--queries", synth["teacher"],
+        "--min-measurements", "0",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: retrieval: min_measurements must be positive, got 0\n"
 
 
 def test_index_query_without_pca_requires_matching_dim(capsys, synth, tmp_path):
@@ -761,7 +788,7 @@ def test_report_rerenders_saved_run(capsys, tmp_path):
 # the fields of a run's report that ``report`` reads, as a run writes them
 RUN = {
     "arm": "ecr", "loss_curve": [2.5, 1.5], "nll_per_language": [{"en": 1.0, "zh": 2}],
-    "geometry": [{}], "purity": [{"overall": 0.5}], "consistency": [{}], "diverged": False,
+    "geometry": [{}], "consistency": [{}], "diverged": False,
     "anchor_checksum_before": "a", "anchor_checksum_after": "a",
 }
 
@@ -783,14 +810,21 @@ RUN = {
             {**RUN, "nll_per_language": [{"en": None}]},
             "report field 'nll_per_language[0].en' must be a number, got NoneType",
         ),
-        ({**RUN, "purity": [{}]}, "report field 'purity[0].overall' is missing"),
+        (
+            {**RUN, "nll_per_language": [{"en": "x"}]},
+            "report field 'nll_per_language[0].en' must be a number, got str",
+        ),
         (
             {"table": [], "ecr": {**RUN, "consistency": 1}},
             "report field 'ecr.consistency' must be an array, got int",
         ),
         (
-            {"table": [], "ecr": {**RUN, "purity": [{"overall": "x"}]}},
-            "report field 'ecr.purity[0].overall' must be a number, got str",
+            {"table": [], "ecr": {**RUN, "nll_per_language": [{"en": "x"}]}},
+            "report field 'ecr.nll_per_language[0].en' must be a number, got str",
+        ),
+        (
+            {"table": [], "baseline": {k: v for k, v in RUN.items() if k != "diverged"}},
+            "report field 'baseline.diverged' is missing",
         ),
     ],
 )
@@ -800,6 +834,26 @@ def test_report_names_the_field_a_malformed_file_gets_wrong(capsys, tmp_path, pa
     code, out, err = _run(capsys, "report", "--input", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: toytrain: {message}\n"
+
+
+def test_report_prints_a_run_with_purity_as_one_without(capsys, tmp_path):
+    # runs saved while training still wrote a per-epoch purity render as before
+    old_run = {**RUN, "purity": [{"per_language": {"en": 1.0, "zh": 1.0}, "overall": 1.0, "n": 4}]}
+    path = tmp_path / "report.json"
+    for new, old in (
+        (RUN, old_run),
+        (
+            {"seed": 2, "table": [], "baseline": RUN, "ecr": RUN},
+            {"seed": 2, "table": [], "baseline": old_run, "ecr": old_run},
+        ),
+    ):
+        printed = []
+        for payload in (new, old):
+            path.write_text(json.dumps(payload))
+            code, out, err = _run(capsys, "report", "--input", str(path))
+            assert (code, err) == (0, "")
+            printed.append(out)
+        assert printed[0] == printed[1]
 
 
 def test_report_renders_what_it_does_not_check(capsys, tmp_path):

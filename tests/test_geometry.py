@@ -13,7 +13,6 @@ from ecr.geometry import (
     compute_geometry,
     crosslingual_consistency,
     geometry_ratio,
-    manifold_reports,
     purity,
 )
 
@@ -91,7 +90,6 @@ def test_non_finite_rows_are_geometry_errors(bad):
     for call in (
         lambda: compute_geometry(m, labels, "labels"),
         lambda: purity(m, labels),
-        lambda: manifold_reports(m, labels, "labels"),
     ):
         with pytest.raises(GeometryError, match="non-finite value in row 2"):
             call()
@@ -139,8 +137,15 @@ def test_geometry_against_loop_oracle():
 
 def test_partition_validation():
     m, _ = _two_cluster_case()
-    with pytest.raises(GeometryError, match="1 labels for 4 rows"):
-        compute_geometry(m, ["A"], "labels")
+    same = _matrix(np.ones((3, 2)))
+    for rows, labels, message in (
+        (m, ["A"], "1 labels for 4 rows"),
+        (same, ["en", "zh"], "2 labels for 3 rows"),
+        (same, ["en"] * 3, "need at least 2 manifolds, got 1"),
+        (same, ["en", "zh", "zh"], "inter separation must be finite and positive, got 0.0"),
+    ):
+        with pytest.raises(GeometryError, match=message):
+            compute_geometry(rows, labels, "labels")
 
 
 def test_rows_sharing_an_id_keep_their_own_labels():
@@ -289,26 +294,10 @@ def test_purity_against_brute_force_oracle():
 
 def test_purity_validation():
     m = _matrix(np.ones((3, 2)))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="purity needs at least 2 languages, got 1"):
         purity(m, ["en", "en", "en"])  # single language
     with pytest.raises(GeometryError, match="2 labels for 3 rows"):
         purity(m, ["en", "zh"])  # length mismatch
-
-
-def test_manifold_reports_equal_the_two_public_reports():
-    rng = np.random.default_rng(9)
-    langs = ["en", "zh", "hi"]
-    for _ in range(20):
-        n = int(rng.integers(6, 20))
-        labels = [langs[i % 3] for i in range(n)]
-        m = _matrix(rng.normal(size=(n, 4)))
-        geometry, pure = manifold_reports(m, labels, "labels")
-        assert geometry == compute_geometry(m, labels, "labels")
-        assert pure == purity(m, labels)
-    with pytest.raises(GeometryError, match="2 labels for 3 rows"):
-        manifold_reports(_matrix(np.ones((3, 2))), ["en", "zh"], "labels")
-    with pytest.raises(GeometryError, match="purity needs at least 2 languages"):
-        manifold_reports(_matrix(np.ones((3, 2))), ["en"] * 3, "labels")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from ecr.toytrain import (
 
 
 GOLDEN = {
-    "run_experiment": "c8900f35eb62c7d18e9e628ce752176d8c32d83471a6f1f8e3f339f707611965",
+    "run_experiment": "2fd039ef882a453c0cbe24c7ae991af7b04add9a3171558e4c62a8b4c41ded37",
     "run_ablation": "b7e2e41e4b70b00e5760f84b9549a148bdd1afaf095192daeaa9dfef4d93c09e",
     "compute_geometry": "f4f65c9822faba00960a9bb06f6f2b83315dc1f452957f80c2acd1a5ca4ebce1",
     "make_synthetic": "e3993c59c0c50bb06c4bd69ce114d83e52bc7a1b6a77f163728c6b4f570a213f",
@@ -61,13 +61,13 @@ GOLDEN = {
     "encode_topk": "ea34ef177ae63e64fdd6fa166c8feb150528f7eb73e82aade3670efd3f5695a6",
     "topk": "50c6c9aadc537772a8e6fed0923e26a35fc48335dd2c3e62b391d2f77f96f068",
     "encode_stdout": "2e3fa0d5d40a8684b785de8c7147807e03aa69378bc9686c04f0b06ffb6e9426",
-    "single_arm_retrieval": "a24ad253d286691024eb961873ed7af55362996a0183905a847511a76bffa1ae",
-    "single_arm_retrieval_all": "b758b5b1c19e9334afda8be719806e51b76a3af13096b482adf144446ba98c6b",
-    "single_arm_frozen": "24a2a92c8b0e68ddae425c65c5c96f2b9fb3a1e587dfb81d5c5f1db1986a4dd9",
+    "single_arm_retrieval": "df01bb3aac8577a909e074a20e303b66c6a1061ede047be0288cf3431b40b201",
+    "single_arm_retrieval_all": "579837dbb2535dec349c2db662b793475d373aca31ff642d71e2d45ac7cf6344",
+    "single_arm_frozen": "7b3ecc4be69e517bdcc4a94ad39c29b04af1dd39ca09f2ea65411c7fc2da03e1",
     "consistency": "3ce7d48e9bb027367c54508c652b1e9f48c719003d64ed7b51eccf394ed23015",
-    "train_toy_single": "d5f3e6d79c78a764b2c277c2d33d75238c7df9b172e738cc0e8e0c8cd397c619",
-    "train_toy_ecr": "818a07c45a7af86d46b3ad91f034384a676f310df2fbfad30926509f2a78010d",
-    "train_toy_paired": "60b0f93ef4ad41f721c9f1c269a21904071b8e16b0e530fc70076d6f695fabf8",
+    "train_toy_single": "dd4878f9756e39c4a7163662ead2b4198a0f13145878fa3a55dfbcf0f1a4f7a6",
+    "train_toy_ecr": "fe1daaed7ccbf16172346de8bd5a27561a5c561249062773b74e0aa1e76ff5e1",
+    "train_toy_paired": "ead30948929f33e9d575dc739bdeb24b56a90d0b9dc45053fdc489720b2856b6",
     "train_toy_ablation": "512c6f2167a1c40720fb8be0feb5c407bfc222118b1660759635d01bf362f982",
     "one_row_encode": "c8009df22a5044f164a0b1b0b93a7c82d778ffd2b6239c27a48d2980c83044d9",
     "one_row_paired": "05e3565d6079ed97fcfee59da6a564ade4da4c419613858f4db4a7b11eeff6b6",

@@ -902,3 +902,12 @@ def test_bench_empty_query_set_rejected():
     index = build_index(vectors, m=6, ef_construction=24, seed=0)
     with pytest.raises(RetrievalError):
         bench_query_latency(index, np.zeros((0, 8)), k=1)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_bench_min_measurements_must_be_positive(monkeypatch, count):
+    vectors = _cloud(n=40, d=8, seed=28)
+    index = build_index(vectors, m=6, ef_construction=24, seed=0)
+    monkeypatch.setattr(ecr.retrieval, "query", None)  # no query may run
+    with pytest.raises(RetrievalError, match=f"min_measurements must be positive, got {count}$"):
+        bench_query_latency(index, vectors, k=1, min_measurements=count)

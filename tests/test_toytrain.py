@@ -1025,7 +1025,6 @@ def test_run_single_arm_report_shape():
     assert len(report.loss_curve) == cfg.epochs * n_batches
     assert len(report.nll_per_language) == cfg.epochs
     assert len(report.geometry) == cfg.epochs
-    assert len(report.purity) == cfg.epochs
     assert len(report.consistency) == cfg.epochs
     assert report.diverged is False
     assert report.divergence_step is None
@@ -1084,7 +1083,7 @@ def test_divergence_before_patience_is_recorded_not_raised(learning_rate, enable
         assert report.divergence_step == len(report.loss_curve) > 0
         epochs = len(report.nll_per_language)
         assert epochs < cfg.epochs
-        assert len(report.geometry) == len(report.purity) == len(report.consistency) == epochs
+        assert len(report.geometry) == len(report.consistency) == epochs
         assert report.final_task_accuracy is None
 
 
