@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
             ecr=EcrSettings(factors=factors, n_bins=args.bins),
         )
         base, cond = (
-            summary_row(report.to_dict())["nll"]
+            summary_row(asdict(report))["nll"]
             for _, report in train_arms(data, anchors, paired_arms(config, anchors))
         )
         rows.append(

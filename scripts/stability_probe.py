@@ -9,6 +9,7 @@ recorded in the report, never raised, so a sweep always completes.
 from __future__ import annotations
 
 import argparse
+from dataclasses import asdict
 
 from ecr.toytrain import (
     TrainConfig,
@@ -40,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed, learning_rate=lr, epochs=args.epochs, grad_clip=clip
             )
             for _, report in train_arms(data, anchors, paired_arms(config, anchors)):
-                final_nll = summary_row(report.to_dict())["nll"]
+                final_nll = summary_row(asdict(report))["nll"]
                 rows.append(
                     {
                         "lr": lr,

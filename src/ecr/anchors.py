@@ -145,20 +145,13 @@ class AnchorSet:
             self._cache["stacked_unit"] = cached
         return cached
 
-    def checksum(self, fresh: bool = False) -> str:
-        """sha256 over the canonical serialized content; detects any drift.
-
-        ``fresh=True`` rehashes the current array contents instead of
-        reusing the cached digest, for before/after integrity reports.
-        """
-        cached = self._cache.get("checksum")
-        if cached is None or fresh:
-            digest = hashlib.sha256()
-            for part in _anchor_payload(self):
-                digest.update(part)
-            cached = digest.hexdigest()
-            self._cache["checksum"] = cached
-        return cached
+    def checksum(self) -> str:
+        """sha256 over the canonical serialized content of the current
+        arrays, hashed on every call; detects any drift."""
+        digest = hashlib.sha256()
+        for part in _anchor_payload(self):
+            digest.update(part)
+        return digest.hexdigest()
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -125,18 +125,22 @@ def _parse_k(text: str | None):
     """Cluster-count flag: a bare integer or FACTOR=K pairs, each factor once."""
     if text is None:
         return None
+
+    def count(value: str, entry: str) -> int:
+        try:
+            return int(value)
+        except ValueError:
+            raise AnchorError(f"malformed --k entry {entry!r}") from None
+
     if "=" not in text:
-        return int(text)
+        return count(text, text)
     out = {}
     for part in text.split(","):
         factor, _, value = part.partition("=")
         factor = factor.strip()
         if factor in out:
             raise AnchorError(f"repeated --k factor {factor!r}")
-        try:
-            out[factor] = int(value)
-        except ValueError:
-            raise AnchorError(f"malformed --k entry {part!r}") from None
+        out[factor] = count(value, part)
     return out
 
 
@@ -268,16 +272,6 @@ def cmd_bench(args) -> int:
         ef_search=args.ef,
         min_measurements=args.min_measurements,
     )
-    payload = {
-        "n_queries": report.n_queries,
-        "k": report.k,
-        "ef_search": report.ef_search,
-        "mean_us": report.mean_us,
-        "p50_us": report.p50_us,
-        "p95_us": report.p95_us,
-        "p99_us": report.p99_us,
-        "mean_visited": report.mean_visited,
-    }
     print(
         f"bench: {report.n_queries} queries, k={report.k}, ef={report.ef_search}"
     )
@@ -286,7 +280,7 @@ def cmd_bench(args) -> int:
         f"p95={report.p95_us:.1f} p99={report.p99_us:.1f}"
     )
     print(f"mean visited: {report.mean_visited:.1f}")
-    _write_report(args.out, payload)
+    _write_report(args.out, asdict(report))
     return 0
 
 
@@ -306,7 +300,7 @@ def cmd_geometry(args) -> int:
         f"intra={report.intra:.6f} inter={report.inter:.6f} "
         f"ratio={report.ratio:.6f} spread={report.spread:.6f}"
     )
-    _write_report(args.out, report.to_dict())
+    _write_report(args.out, asdict(report))
     return 0
 
 
@@ -351,7 +345,7 @@ def cmd_consistency(args) -> int:
     print(f"records: {report.n_records}")
     print(f"exact match rate: {report.exact_match_rate:.6f}")
     print(f"mean pairwise jaccard: {report.mean_pairwise_jaccard:.6f}")
-    _write_report(args.out, report.to_dict())
+    _write_report(args.out, asdict(report))
     return 0
 
 
@@ -373,7 +367,7 @@ def cmd_make_synthetic(args) -> int:
             "seed": args.seed,
             "n_per_lang": args.n_per_lang,
             "n_factors": args.n_factors,
-            "d": data.d,
+            "d": data.embeddings.d,
             "n_content": data.layout.n_content,
             "base_size": data.layout.base_size,
         },
@@ -487,12 +481,12 @@ def cmd_train_toy(args) -> int:
         arms = paired_arms(cfg, anchors)
     else:
         arms = [("ecr" if cfg.ecr.enabled else "baseline", cfg, anchors)]
-    reports = [report.to_dict() for _, report in train_arms(data, anchors, arms)]
+    reports = [asdict(report) for _, report in train_arms(data, anchors, arms)]
     table = [summary_row(rep) for rep in reports]
     if args.ablation:  # each row names the factors its arm conditions on
         for row, (_, arm, _) in zip(table, arms):
             row["factors"] = list(arm.ecr.factors) if arm.ecr.enabled else []
-        payload = {"seed": cfg.seed, "rows": table, "config": cfg.to_dict()}
+        payload = {"seed": cfg.seed, "rows": table, "config": asdict(cfg)}
     elif args.paired:
         payload = {**{rep["arm"]: rep for rep in reports}, "table": table, "seed": cfg.seed}
     else:

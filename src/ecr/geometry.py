@@ -97,16 +97,6 @@ class GeometryReport:
     per_manifold: dict[str, dict[str, float]]
     source: str  # "labels" or "anchors"
 
-    def to_dict(self) -> dict:
-        return {
-            "intra": self.intra,
-            "inter": self.inter,
-            "ratio": self.ratio,
-            "spread": self.spread,
-            "source": self.source,
-            "per_manifold": self.per_manifold,
-        }
-
 
 def compute_geometry(embeddings: EmbeddingMatrix, labels: list[str], source: str) -> GeometryReport:
     """Compactness (``intra``: mean over manifolds of the mean
@@ -146,6 +136,7 @@ class PurityReport:
     assigned: tuple[str, ...] = field(repr=False)
 
     def to_dict(self) -> dict:
+        # the report file leaves out ``assigned``, one language per row
         return {"per_language": self.per_language, "overall": self.overall, "n": self.n}
 
 
@@ -184,13 +175,6 @@ class CrosslingualReport:
     exact_match_rate: float
     mean_pairwise_jaccard: float
     n_records: int
-
-    def to_dict(self) -> dict:
-        return {
-            "exact_match_rate": self.exact_match_rate,
-            "mean_pairwise_jaccard": self.mean_pairwise_jaccard,
-            "n_records": self.n_records,
-        }
 
 
 # The language pairs whose overlap is averaged, in this order: (en, zh),

@@ -558,7 +558,6 @@ class LatencyReport:
     p95_us: float
     p99_us: float
     mean_visited: float
-    total_visited: int
 
 
 def bench_query_latency(
@@ -596,7 +595,6 @@ def bench_query_latency(
         p95_us=float(np.percentile(arr, 95)),
         p99_us=float(np.percentile(arr, 99)),
         mean_visited=visited / arr.shape[0],
-        total_visited=visited,
     )
 
 

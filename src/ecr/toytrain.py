@@ -30,14 +30,16 @@ with one gather and one sum, one codec pass gives its (B, P) prefix ids,
 which one concatenate puts before the right-padded token block, and one
 forward/backward runs over that; :func:`sample_prefix` renders a batch of
 one of the same path, and every float matches a loop over single
-sequences.  Each epoch's diagnostics pool every distinct held-out query once.
+sequences.  Each epoch's geometry and consistency pool every distinct
+held-out query once; on a live conditioned arm, :func:`nll_eval` pools the
+held-out queries a second time, for their prefixes.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -134,7 +136,6 @@ class SyntheticData:
     corpus: Corpus
     embeddings: EmbeddingMatrix  # teacher embeddings, one row per record
     layout: VocabLayout
-    d: int
 
 
 def make_synthetic_corpus(
@@ -265,7 +266,7 @@ def make_synthetic_corpus(
 
     corpus = Corpus(header=header, records=records)
     embeddings = EmbeddingMatrix(data=data, ids=ids)
-    return SyntheticData(corpus=corpus, embeddings=embeddings, layout=layout, d=d)
+    return SyntheticData(corpus=corpus, embeddings=embeddings, layout=layout)
 
 
 def _token_ids(text: str) -> tuple[int, ...]:
@@ -625,14 +626,6 @@ class TrainConfig:
             if not ok:
                 raise ToyTrainError(f"{name} must be {rule}, got {getattr(self, name)}")
 
-    def to_dict(self) -> dict:
-        cfg = {
-            k: v for k, v in self.__dict__.items() if k != "ecr"
-        }
-        cfg["ecr"] = dict(self.ecr.__dict__)
-        cfg["ecr"]["factors"] = list(self.ecr.factors)
-        return cfg
-
 
 # ---------------------------------------------------------------------------
 # Prefixes
@@ -697,19 +690,16 @@ class ExperimentReport:
     n_eval: int
     loss_curve: list[float]
     nll_per_language: list[dict[str, float]]  # one entry per epoch
-    geometry: list[dict]  # GeometryReport.to_dict() per epoch
-    consistency: list[dict]  # CrosslingualReport.to_dict() per epoch
+    geometry: list[dict]  # asdict(GeometryReport) per epoch
+    consistency: list[dict]  # asdict(CrosslingualReport) per epoch
     diverged: bool
     divergence_step: int | None
     anchor_checksum_before: str
     anchor_checksum_after: str
     final_task_accuracy: float | None = None
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def train_step(
@@ -911,16 +901,16 @@ def run_training(
             break
         nll_epochs.append(nll_eval(model, eval_samples, anchors, config.ecr, eval_frozen))
         student = EmbeddingMatrix(data=student_rows, ids=student_ids)
-        geometry_epochs.append(compute_geometry(student, langs, "labels").to_dict())
+        geometry_epochs.append(asdict(compute_geometry(student, langs, "labels")))
         consistency = eval_crosslingual(pooled[n_eval:], eval_records, diagnostic_anchors)
-        consistency_epochs.append(consistency.to_dict())
+        consistency_epochs.append(asdict(consistency))
 
     accuracy = None
     if not diverged:
         accuracy = task_accuracy(model, eval_samples, anchors, config.ecr, eval_frozen)
     report = ExperimentReport(
         arm=arm,
-        config=config.to_dict(),
+        config=asdict(config),
         seed=config.seed,
         n_train=len(train_samples),
         n_eval=len(eval_samples),
@@ -931,7 +921,7 @@ def run_training(
         diverged=diverged,
         divergence_step=divergence_step,
         anchor_checksum_before=checksum_before,
-        anchor_checksum_after=anchors.checksum(fresh=True),
+        anchor_checksum_after=anchors.checksum(),
         final_task_accuracy=accuracy,
     )
     return model, report

@@ -391,7 +391,7 @@ def test_acceptance_11_anchors_untouched_by_training(tmp_path):
     assert not report.diverged
     assert digest_after == digest_before
     assert report.anchor_checksum_before == report.anchor_checksum_after
-    assert loaded.checksum(fresh=True) == report.anchor_checksum_before
+    assert loaded.checksum() == report.anchor_checksum_before
 
 
 # ---------------------------------------------------------------------------

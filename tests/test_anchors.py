@@ -305,7 +305,7 @@ def test_checksum_stable_and_fresh():
     m, corpus = _toy_anchor_set()
     anchors = build_anchor_set(m, corpus, ("T",), mode="label")
     c1 = anchors.checksum()
-    c2 = anchors.checksum(fresh=True)
+    c2 = anchors.checksum()
     assert c1 == c2
     assert len(c1) == 64
 

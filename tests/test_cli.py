@@ -141,6 +141,7 @@ def test_malformed_k_flag_exits_1(capsys, synth, tmp_path):
         ("P=3,P=4", "repeated --k factor 'P'"),
         ("P=3, P =4", "repeated --k factor 'P'"),
         ("P=x", "malformed --k entry 'P=x'"),
+        ("abc", "malformed --k entry 'abc'"),
         ("P=3,X=9", "k given for unknown factor codes: ['X']"),
     ],
 )
@@ -459,6 +460,9 @@ def test_pca_index_query_bench_pipeline(capsys, synth, tmp_path):
     assert code == 0, err
     assert "latency us:" in text
     payload = json.load(open(bench_out))
+    assert set(payload) == {
+        "n_queries", "k", "ef_search", "mean_us", "p50_us", "p95_us", "p99_us", "mean_visited",
+    }
     assert payload["n_queries"] >= 50
     assert payload["p50_us"] <= payload["p99_us"]
 
@@ -507,6 +511,7 @@ def test_geometry_label_partition(capsys, synth, tmp_path):
     assert code == 0, err
     assert "partition: labels, 3 manifolds" in text
     payload = json.load(open(out))
+    assert set(payload) == {"intra", "inter", "ratio", "spread", "source", "per_manifold"}
     assert payload["ratio"] == pytest.approx(
         payload["intra"] / payload["inter"]
     )

@@ -1,5 +1,7 @@
 """Geometry diagnostics: compactness, separation, purity, consistency."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,7 +50,7 @@ def test_intra_matches_hand_computation():
     assert report.per_manifold["A"]["size"] == 2.0
     assert report.per_manifold["A"]["intra"] == pytest.approx(1.0)
     assert report.per_manifold["B"]["intra"] == pytest.approx(3.0)
-    assert set(report.to_dict()) == {
+    assert set(asdict(report)) == {
         "intra", "inter", "ratio", "spread", "source", "per_manifold",
     }
 

@@ -22,7 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -87,7 +87,7 @@ def toy():
 
 
 def _reports(data, anchors, arms) -> list[dict]:
-    return [report.to_dict() for _, report in train_arms(data, anchors, arms)]
+    return [asdict(report) for _, report in train_arms(data, anchors, arms)]
 
 
 def test_run_experiment_json_digest(toy):
@@ -126,13 +126,14 @@ def test_compute_geometry_digest(toy):
     data, anchors, _ = toy
     teacher = data.embeddings
     reports = [
-        compute_geometry(teacher, labels, "labels").to_dict()
+        asdict(compute_geometry(teacher, labels, "labels"))
         for labels in (
             [rec.language for rec in data.corpus.records],
             [rec.task for rec in data.corpus.records],
         )
     ]
-    reports.append(compute_geometry(teacher, anchor_labels(teacher, anchors), "anchors").to_dict())
+    anchored = compute_geometry(teacher, anchor_labels(teacher, anchors), "anchors")
+    reports.append(asdict(anchored))
     assert _digest(reports) == GOLDEN["compute_geometry"]
 
 

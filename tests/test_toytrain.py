@@ -1261,10 +1261,10 @@ def test_frozen_prefix_rows_condition_like_live_prefixes():
 
 def test_anchors_never_move_during_training():
     data, anchors = _tiny_setup(n_per_lang=8)
-    before = anchors.checksum(fresh=True)
+    before = anchors.checksum()
     cfg = _fast_config(ecr=EcrSettings(enabled=True, n_bins=8))
     _, report = _one_arm(data, anchors, cfg)
-    assert anchors.checksum(fresh=True) == before
+    assert anchors.checksum() == before
     assert report.anchor_checksum_before == before
     assert report.anchor_checksum_after == before
 
@@ -1315,7 +1315,7 @@ def test_run_ablation_rows():
         c.ecr.factors for _, c, _ in arms[1:]
     ]
     for _, report in train_arms(data, anchors, arms):
-        row = summary_row(report.to_dict())
+        row = summary_row(dataclasses.asdict(report))
         assert {"arm", "nll", "spread", "consistency", "diverged"} <= set(row)
         assert np.isfinite(row["nll"])
 
@@ -1323,7 +1323,7 @@ def test_run_ablation_rows():
 def test_summary_row_and_table_rendering():
     data, anchors = _tiny_setup(n_per_lang=6)
     _, report = _one_arm(data, anchors, _fast_config(epochs=1))
-    row = summary_row(report.to_dict())
+    row = summary_row(dataclasses.asdict(report))
     assert row["arm"] == "baseline"
     assert row["nll"] == pytest.approx(
         np.mean(list(report.nll_per_language[-1].values()))
